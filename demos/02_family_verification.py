@@ -36,7 +36,7 @@ for n in range(2, 7):
     print(f"  n={n}: {verdict} ({len(report.assertions)} assertions)")
 print()
 
-print("== float twin of the same report (tolerance 1e-9) ==")
+print("== the same report in floats (zero within 64 u of each check's scale) ==")
 report = verify_lemma(1, exact=False)
 print(f"  n=1 float mode: {'PASS' if report.all_pass else 'FAIL'} "
       f"({len(report.assertions)} assertions, same assertion names)")

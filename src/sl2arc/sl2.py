@@ -44,15 +44,6 @@ class Mat2:
     d: object
 
     @staticmethod
-    def from_rows(rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        return Mat2(a, b, c, d)
-
-    @staticmethod
-    def from_array(arr) -> "Mat2":
-        return Mat2(float(arr[0, 0]), float(arr[0, 1]), float(arr[1, 0]), float(arr[1, 1]))
-
-    @staticmethod
     def identity(exact: bool = True) -> "Mat2":
         return Mat2(1, 0, 0, 1) if exact else Mat2(1.0, 0.0, 0.0, 1.0)
 
@@ -121,9 +112,6 @@ class Mat2:
 
     def max_abs(self) -> float:
         return max(abs(float(x)) for x in (self.a, self.b, self.c, self.d))
-
-    def to_array(self) -> np.ndarray:
-        return np.array([[float(self.a), float(self.b)], [float(self.c), float(self.d)]], dtype=float)
 
     def to_float(self) -> "Mat2":
         return Mat2(float(self.a), float(self.b), float(self.c), float(self.d))

@@ -268,9 +268,3 @@ def trace_polynomial(word: Word) -> TracePolynomial:
 def character_of(ma, mb):
     """Character coordinates (x, y, z) = (tr Ma, tr Mb, tr Ma Mb)."""
     return ma.trace(), mb.trace(), (ma @ mb).trace()
-
-
-def poly_eval(poly: TracePolynomial, point):
-    """Evaluate at a character triple; Fractions and ints stay exact."""
-    x, y, z = point
-    return poly.evaluate(x, y, z)

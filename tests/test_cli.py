@@ -51,6 +51,8 @@ def test_verify_float_mode(capsys):
     assert main(["verify", "--no-exact", "--n", "2"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("family n=2: PASS")
+    assert main(["verify", "--range", "1..50", "--no-exact"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_verify_range(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sl2arc import pretzel
 from sl2arc.pretzel import (
     hessian_closed_form,
     image_closed_forms,
@@ -104,6 +105,26 @@ def test_verify_lemma_report_serializations():
 def test_verify_lemma_range_is_exact_for_all_small_n():
     for n in range(1, 26):
         assert verify_lemma(n).all_pass, n
+
+
+@pytest.mark.parametrize("n", list(range(1, 51)) + [60, 80, 100])
+def test_float_report_mirrors_exact_report(n):
+    exact, approx = verify_lemma(n), verify_lemma(n, exact=False)
+    assert [a.name for a in approx.assertions] == [a.name for a in exact.assertions]
+    assert [a.name for a in approx.assertions if not a.holds] == []
+    assert not [a.witness for a in approx.assertions if "np." in a.witness]
+    numbers = [x for row in approx.jacobian + approx.hessian for x in row]
+    numbers += [*approx.kernel, approx.minor, approx.hessian_on_kernel]
+    assert all(type(x) is float for x in numbers)
+
+
+@pytest.mark.parametrize("n", [1, 50, 100])
+def test_both_modes_reject_a_wrong_kernel_vector(n, monkeypatch):
+    k0, k1, k2 = kernel_closed_form(n)
+    monkeypatch.setattr(pretzel, "kernel_closed_form", lambda n: (k0, k1, k2 + 1))
+    for exact in (True, False):
+        failed = [a.name for a in verify_lemma(n, exact=exact).assertions if not a.holds]
+        assert failed == ["kernel_vector_annihilated"], (exact, failed)
 
 
 def test_jacobian_closed_form_entries_are_integers():

@@ -16,29 +16,42 @@ three trace-difference equations.  This module provides:
   * irreducibility_margin -- |tr rho([m1, l1]) - 2|, which must stay positive
     off the limiting character.
 
+Constraint evaluation.  Each curve equation is tr W1 - tr W2 for a pair of
+the family's words, evaluated as the trace of a product of 2x2 matrices
+(an inverse letter is the adjugate, so F is a polynomial in the entries)
+rather than from the expanded trace polynomials, whose floating-point
+error grows far faster with n.  One prefix/suffix product pass per word
+gives the trace, the gradient through d tr(P X S)/dX = (S P)^T, and the
+word's image; the images of m1, m2, l1, l2 at the converged iterate become
+the sample's stored images, so no later stage rebuilds them.  On {det = 1}
+these rows agree with the character-form rows D(poly) . D(chi) up to
+multiples of the two determinant rows.
+
 Gauge geometry.  Conjugating (Ma, Mb) by the centralizer of Ma moves matrix
-entries without moving the character, so the 5 constraint gradients plus the
-pseudo-arclength tangent can never make the augmented 6x6 system invertible:
-one gauge direction always survives the two Ma pins (it acts on the Mb
-entries alone).  The corrector therefore solves the Newton systems in the
-least-squares sense (numpy lstsq with rcond 1e-12), which quotients the
-residual gauge motion out of each update; pins are still required to keep
-the constraint Jacobian itself at full row-deficiency (rank 4, a clean
-2-dimensional kernel spanned by the gauge flow and the arc tangent).  Pins
-are selected at the base point by scanning all Ma entry pairs and keeping
-those whose reduced Jacobian has rank exactly 4 *and* a kernel that still
-moves the character (some pin choices freeze tr(Ma) or force Ma to stay
-triangular, stalling the arc at chi_n); among the feasible pairs the one
-with the largest fourth singular value wins.
+entries without moving the character: the flow fixes Ma and moves Mb by
+[Ma, Mb], so it survives any two Ma pins and the constraint Jacobian always
+has a 2-dimensional kernel (rank 4) spanned by that gauge flow and the arc
+tangent.  The corrector makes each Newton update well posed by appending
+the unit gauge vector as a row with right-hand side 0, beside the 5
+constraint rows and the pseudo-arclength row; without it the gauge motion
+would rest on lstsq truncating a singular value that sits near its cutoff.
+Pins are selected at the base point by scanning all Ma entry pairs on the
+exact character-form rows and keeping those whose reduced Jacobian has
+rank exactly 4 *and* a kernel that still moves the character (some pin
+choices freeze tr(Ma) or force Ma to stay triangular, stalling the arc at
+chi_n); among the feasible pairs the one with the largest fourth singular
+value wins.
 
 The arc tangent at each step is the kernel direction of the reduced
 Jacobian that maximizes character speed ||D(chi) v|| (the gauge flow has
-character speed zero), sign-matched to the previous tangent.  The initial
-orientation is probed one corrector step on each side: the direction flag
-+1 denotes the side whose joint conjugator has determinant +1 (a real
-stable letter exists, the arc glues to an HNN extension, and the meridian
-trace grows without bound toward the limiting character); -1 denotes the
-opposite side, where the conjugator determinant is negative.
+character speed zero), sign-matched to the previous tangent; the Jacobian
+is the one the corrector evaluated at the previous converged iterate, so
+a step costs one fused evaluation per Newton iterate and nothing more.
+The initial orientation is probed one corrector step on each side: the
+direction flag +1 denotes the side whose joint conjugator has determinant
++1 (a real stable letter exists, the arc glues to an HNN extension, and
+the meridian trace grows without bound toward the limiting character); -1
+denotes the opposite side, where the conjugator determinant is negative.
 
 Shape of the meridian trace on the +1 side: it diverges like c/sqrt(t) as
 t -> 0+ (the limiting character itself is the point at infinity of the
@@ -59,7 +72,6 @@ import numpy as np
 from .pretzel import FamilyInstance, gradient_at, hessian_at, outside_row_span
 from .sl2 import ConjugatorResult, Mat2, exact_nullspace, exact_rank, solve_conjugator
 from .tracepoly import trace_polynomial
-from .words import evaluate
 
 __all__ = [
     "Arc",
@@ -149,7 +161,9 @@ class RepSample:
     residual is the max absolute violation of the 5 constraints after
     correction; meridian_trace is |tr T| of the determinant-+1 stable letter
     (+inf at the singular limiting character, nan when no real stable letter
-    exists because the conjugator determinant is negative).
+    exists because the conjugator determinant is negative).  word_images
+    holds the float images of (m1, m2, l1, l2) from the converged iterate,
+    and longitude the commutator [m1, l1] built from them with true inverses.
     """
 
     t: float
@@ -160,14 +174,15 @@ class RepSample:
     conjugator: ConjugatorResult
     longitude_trace: float
     meridian_trace: float
+    word_images: tuple
+    longitude: Mat2
 
     @property
     def det_sign(self) -> int:
         return self.conjugator.det_sign
 
-    def images(self, fam: FamilyInstance) -> dict:
-        return {name: evaluate(getattr(fam, name), self.ma, self.mb)
-                for name in ("m1", "m2", "l1", "l2")}
+    def images(self) -> dict:
+        return dict(zip(("m1", "m2", "l1", "l2"), self.word_images))
 
 
 @dataclass(frozen=True)
@@ -182,33 +197,67 @@ class Arc:
     pins: tuple
 
     def longitude_images(self) -> list:
-        out = []
-        for s in self.samples:
-            im1 = evaluate(self.family.m1, s.ma, s.mb)
-            il1 = evaluate(self.family.l1, s.ma, s.mb)
-            out.append(im1 @ il1 @ im1.inverse() @ il1.inverse())
-        return out
+        return [s.longitude for s in self.samples]
 
 
 # ----------------------------------------------------------------------
 # the constraint system in entry space
 
 _PIN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_CURVE_WORDS = ("m1", "m2", "l1", "l2", "m1l1", "m2l2")  # rows 2..4: pairs
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    x11, x12, x21, x22 = x
+    y11, y12, y21, y22 = y
+    return (x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+            x21 * y11 + x22 * y21, x21 * y12 + x22 * y22)
+
+
+def _trace_pass(spelling: str, letters: dict) -> tuple:
+    """Trace, gradient and image of one word in a single product pass.
+
+    The gradient of tr(P X S) in the entries of X is (S P)^T, and an inverse
+    letter is the adjugate, whose entries (d, -b, -c, a) turn that into
+    (N22, -N21, -N12, N11) with N = S P.  Returns (trace, [8 partials over
+    q], image as an entry tuple).
+    """
+    mats = [letters[ch] for ch in spelling]
+    suffix = [_IDENTITY] * (len(mats) + 1)
+    for i in range(len(mats) - 1, -1, -1):
+        suffix[i] = _mul(mats[i], suffix[i + 1])
+    grad = [0.0] * 8
+    prefix = _IDENTITY
+    for i, ch in enumerate(spelling):
+        n11, n12, n21, n22 = _mul(suffix[i + 1], prefix)
+        k = 0 if ch in "aA" else 4
+        if ch.islower():
+            grad[k] += n11
+            grad[k + 1] += n21
+            grad[k + 2] += n12
+            grad[k + 3] += n22
+        else:
+            grad[k] += n22
+            grad[k + 1] -= n21
+            grad[k + 2] -= n12
+            grad[k + 3] += n11
+        prefix = _mul(prefix, mats[i])
+    image = suffix[0]
+    return image[0] + image[3], grad, image
 
 
 class _EntrySystem:
-    """F: R^8 -> R^5 (two unit-determinant equations, three curve equations)
-    over q = (a11, a12, a21, a22, b11, b12, b21, b22), with its Jacobian and
+    """F: R^8 -> R^5 (two unit-determinant equations, three curve equations
+    tr W1 - tr W2) over q = (a11, a12, a21, a22, b11, b12, b21, b22), and
     the character map chi(q) = (tr Ma, tr Mb, tr Ma Mb)."""
 
     def __init__(self, fam: FamilyInstance):
-        self.fam = fam
-        self.polys = fam.curve_eqs
-        self.grads = [[p.derivative(v) for v in range(3)] for p in self.polys]
+        self.spellings = tuple(getattr(fam, name).spelled() for name in _CURVE_WORDS)
 
     @staticmethod
     def mats(q) -> tuple:
-        return (Mat2(q[0], q[1], q[2], q[3]), Mat2(q[4], q[5], q[6], q[7]))
+        return (Mat2(*(float(x) for x in q[:4])), Mat2(*(float(x) for x in q[4:])))
 
     @staticmethod
     def char(q) -> np.ndarray:
@@ -225,28 +274,34 @@ class _EntrySystem:
         g[2] = (b11, b21, b12, b22, a11, a21, a12, a22)
         return g
 
-    def value(self, q) -> np.ndarray:
+    @staticmethod
+    def gauge(q) -> np.ndarray:
+        """Unit tangent of conjugation by Ma: Ma stays, Mb moves by [Ma, Mb]."""
         a11, a12, a21, a22, b11, b12, b21, b22 = q
-        pt = tuple(self.char(q))
-        return np.array([
-            a11 * a22 - a12 * a21 - 1.0,
-            b11 * b22 - b12 * b21 - 1.0,
-            float(self.polys[0].evaluate(*pt)),
-            float(self.polys[1].evaluate(*pt)),
-            float(self.polys[2].evaluate(*pt)),
-        ])
+        g = np.zeros(8)
+        g[4:] = (a12 * b21 - b12 * a21,
+                 a11 * b12 + a12 * b22 - b11 * a12 - b12 * a22,
+                 a21 * b11 + a22 * b21 - b21 * a11 - b22 * a21,
+                 a21 * b12 - b21 * a12)
+        return g / np.linalg.norm(g)
 
-    def jacobian(self, q) -> np.ndarray:
-        a11, a12, a21, a22, b11, b12, b21, b22 = q
-        pt = tuple(self.char(q))
-        cg = self.char_grad(q)
-        rows = np.zeros((5, 8))
-        rows[0, :4] = (a22, -a21, -a12, a11)
-        rows[1, 4:] = (b22, -b21, -b12, b11)
-        for i, grads in enumerate(self.grads):
-            gv = np.array([float(g.evaluate(*pt)) for g in grads])
-            rows[2 + i] = gv @ cg
-        return rows
+    def evaluate(self, q) -> tuple:
+        """(F, its 5x8 Jacobian, the Mat2 images of m1, m2, l1, l2)."""
+        a11, a12, a21, a22, b11, b12, b21, b22 = (float(x) for x in q)
+        letters = {"a": (a11, a12, a21, a22), "A": (a22, -a12, -a21, a11),
+                   "b": (b11, b12, b21, b22), "B": (b22, -b12, -b21, b11)}
+        passes = [_trace_pass(w, letters) for w in self.spellings]
+        f = np.empty(5)
+        jac = np.zeros((5, 8))
+        f[0] = a11 * a22 - a12 * a21 - 1.0
+        f[1] = b11 * b22 - b12 * b21 - 1.0
+        jac[0, :4] = (a22, -a21, -a12, a11)
+        jac[1, 4:] = (b22, -b21, -b12, b11)
+        for row in range(3):
+            (tr1, g1, _), (tr2, g2, _) = passes[2 * row], passes[2 * row + 1]
+            f[2 + row] = tr1 - tr2
+            jac[2 + row] = [x - y for x, y in zip(g1, g2)]
+        return f, jac, tuple(Mat2(*p[2]) for p in passes[:4])
 
 
 class _ReducedSystem:
@@ -264,20 +319,10 @@ class _ReducedSystem:
         q[self.free] = qr
         return q
 
-    def value(self, qr) -> np.ndarray:
-        return self.system.value(self.expand(qr))
-
-    def jacobian(self, qr) -> np.ndarray:
-        return self.system.jacobian(self.expand(qr))[:, self.free]
-
-    def kernel_and_sigma(self, qr) -> tuple:
-        jr = self.jacobian(qr)
-        _, sig, vt = np.linalg.svd(jr)
-        return vt[4:], sig
-
-    def tangent(self, qr, prev) -> np.ndarray:
-        """Kernel direction of maximal character speed, sign-matched to prev."""
-        kernel, _ = self.kernel_and_sigma(qr)
+    def tangent(self, qr, jr, prev) -> np.ndarray:
+        """Kernel direction of the reduced Jacobian jr at qr with maximal
+        character speed, sign-matched to prev."""
+        kernel = np.linalg.svd(jr)[2][4:]
         cg = self.system.char_grad(self.expand(qr))[:, self.free]
         _, _, vt2 = np.linalg.svd(cg @ kernel.T)
         v = kernel.T @ vt2[0]
@@ -287,22 +332,29 @@ class _ReducedSystem:
         return v
 
     def newton(self, qr, tau, q_pred, tol: float, max_iter: int) -> tuple:
-        """Correct qr onto {F = 0} inside the pseudo-arclength hyperplane."""
+        """Correct qr onto {F = 0} inside the pseudo-arclength hyperplane,
+        with each update orthogonal to the gauge flow.
+
+        Returns (q, residual, reduced Jacobian at q, word images at q) for
+        the last iterate, converged or not.
+        """
         q = np.array(qr, dtype=float)
-        res = math.inf
-        for _ in range(max_iter):
-            f = self.value(q)
+        a = np.empty((7, len(self.free)))
+        a[5] = tau
+        b = np.zeros(7)
+        for it in range(max_iter + 1):
+            full = self.expand(q)
+            f, jac, images = self.system.evaluate(full)
+            jr = jac[:, self.free]
             extra = float(np.dot(tau, q - q_pred))
             res = max(float(np.max(np.abs(f))), abs(extra))
-            if res <= tol:
-                return q, res
-            a = np.vstack([self.jacobian(q), tau])
-            b = np.concatenate([f, [extra]])
-            dq = np.linalg.lstsq(a, -b, rcond=1e-12)[0]
-            q = q + dq
-        f = self.value(q)
-        extra = float(np.dot(tau, q - q_pred))
-        return q, max(float(np.max(np.abs(f))), abs(extra))
+            if res <= tol or it == max_iter:
+                return q, res, jr, images
+            a[:5] = jr
+            a[6] = self.system.gauge(full)[self.free]
+            b[:5] = f
+            b[5] = extra
+            q = q + np.linalg.lstsq(a, -b, rcond=1e-12)[0]
 
 
 NEWTON_TOL = 1e-10
@@ -312,22 +364,22 @@ _KERNEL_CEIL = 1e-9     # sigma_5 / sigma_1 above this: kernel is not 2-dim
 _CHAR_SPEED_FLOOR = 0.05
 
 
-def _select_pins(system: _EntrySystem, q0: np.ndarray) -> tuple:
-    """Pick the Ma entry pair to freeze.
+def _select_pins(rows: np.ndarray, q0: np.ndarray) -> tuple:
+    """Pick the Ma entry pair to freeze, ranking pairs on the 5x8 constraint
+    rows at the base point.
 
     Feasible pairs leave the reduced Jacobian with rank exactly 4 and leave
     a kernel direction that moves the character; the pair with the largest
     fourth singular value (best-conditioned constraint block) is chosen.
     """
+    cg = _EntrySystem.char_grad(q0)
     best = None
     for pins in _PIN_PAIRS:
-        reduced = _ReducedSystem(system, pins, q0[list(pins)])
-        qr = q0[reduced.free]
-        kernel, sig = reduced.kernel_and_sigma(qr)
+        free = [i for i in range(8) if i not in pins]
+        _, sig, vt = np.linalg.svd(rows[:, free])
         if sig[0] <= 0 or sig[3] / sig[0] < _RANK_FLOOR or sig[4] / sig[0] > _KERNEL_CEIL:
             continue
-        cg = system.char_grad(q0)[:, reduced.free]
-        speed = float(np.linalg.svd(cg @ kernel.T, compute_uv=False)[0])
+        speed = float(np.linalg.svd(cg[:, free] @ vt[4:].T, compute_uv=False)[0])
         if speed < _CHAR_SPEED_FLOOR:
             continue
         if best is None or sig[3] > best[1]:
@@ -338,18 +390,29 @@ def _select_pins(system: _EntrySystem, q0: np.ndarray) -> tuple:
     return best[0]
 
 
-def _word_images(fam: FamilyInstance, ma: Mat2, mb: Mat2) -> tuple:
-    im1 = evaluate(fam.m1, ma, mb)
-    im2 = evaluate(fam.m2, ma, mb)
-    il1 = evaluate(fam.l1, ma, mb)
-    il2 = evaluate(fam.l2, ma, mb)
-    return im1, im2, il1, il2
+def _base_point(fam: FamilyInstance) -> np.ndarray:
+    """rho_n as a float point of entry space."""
+    return np.array([float(x) for x in fam.rho_a.entries() + fam.rho_b.entries()])
 
 
-def _sample_at(fam: FamilyInstance, t: float, q, residual: float) -> RepSample:
+def _character_rows(analysis: CurveAnalysis, q0: np.ndarray, jac0: np.ndarray) -> np.ndarray:
+    """Constraint rows at rho_n with the curve rows in character form: the
+    exact curve Jacobian times D(chi), beside the two determinant rows.
+
+    They span the same rows as the matrix-route Jacobian jac0 but are scaled
+    differently, and pin ranking compares singular values across pairs, so
+    the pins come from these rows.
+    """
+    rows = jac0.copy()
+    exact = np.array([[float(x) for x in row] for row in analysis.jacobian])
+    rows[2:] = exact @ _EntrySystem.char_grad(q0)
+    return rows
+
+
+def _sample_at(t: float, q, residual: float, images: tuple) -> RepSample:
     ma, mb = _EntrySystem.mats(q)
-    im1, im2, il1, il2 = _word_images(fam, ma, mb)
-    conj = solve_conjugator([(im1, im2), (il1, il2)])
+    im1, _, il1, _ = images
+    conj = solve_conjugator([images[:2], images[2:]])
     longitude = im1 @ il1 @ im1.inverse() @ il1.inverse()
     if conj.det_sign == 1 and conj.candidate is not None:
         meridian = abs(conj.candidate.trace())
@@ -366,11 +429,13 @@ def _sample_at(fam: FamilyInstance, t: float, q, residual: float) -> RepSample:
         conjugator=conj,
         longitude_trace=float(longitude.trace()),
         meridian_trace=meridian,
+        word_images=images,
+        longitude=longitude,
     )
 
 
-def _probe_det_sign(fam: FamilyInstance, reduced: _ReducedSystem,
-                    qr0: np.ndarray, v0: np.ndarray, h: float) -> int:
+def _probe_det_sign(reduced: _ReducedSystem, qr0: np.ndarray,
+                    v0: np.ndarray, h: float) -> int:
     """Conjugator determinant class one corrector step along +v0.
 
     The two sides of the arc through the limiting character are separated by
@@ -379,13 +444,10 @@ def _probe_det_sign(fam: FamilyInstance, reduced: _ReducedSystem,
     the other side's joint conjugator has determinant -1.  Returns 0 when the
     probe step fails or the conjugator stays singular.
     """
-    qn, res = reduced.newton(qr0, v0, qr0 + h * v0, NEWTON_TOL, NEWTON_MAX_ITER)
+    _, res, _, images = reduced.newton(qr0, v0, qr0 + h * v0, NEWTON_TOL, NEWTON_MAX_ITER)
     if res > NEWTON_TOL:
         return 0
-    ma, mb = _EntrySystem.mats(reduced.expand(qn))
-    im1, im2, il1, il2 = _word_images(fam, ma, mb)
-    conj = solve_conjugator([(im1, im2), (il1, il2)])
-    return conj.det_sign
+    return solve_conjugator([images[:2], images[2:]]).det_sign
 
 
 def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
@@ -410,17 +472,17 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
         raise ContinuationError(f"curve rank at chi_n is {analysis.rank}, need 2")
 
     system = _EntrySystem(fam)
-    q0 = np.array([float(x) for x in
-                   (fam.rho_a.a, fam.rho_a.b, fam.rho_a.c, fam.rho_a.d,
-                    fam.rho_b.a, fam.rho_b.b, fam.rho_b.c, fam.rho_b.d)])
-    pins = _select_pins(system, q0)
+    q0 = _base_point(fam)
+    _, jac0, images0 = system.evaluate(q0)
+    pins = _select_pins(_character_rows(analysis, q0, jac0), q0)
     reduced = _ReducedSystem(system, pins, q0[list(pins)])
     qr = q0[reduced.free].copy()
+    jr = jac0[:, reduced.free]
 
-    v0 = reduced.tangent(qr, None)
-    plus = _probe_det_sign(fam, reduced, qr, v0, step_size)
+    v0 = reduced.tangent(qr, jr, None)
+    plus = _probe_det_sign(reduced, qr, v0, step_size)
     if plus != 1:
-        minus = _probe_det_sign(fam, reduced, qr, -v0, step_size)
+        minus = _probe_det_sign(reduced, qr, -v0, step_size)
         if minus == 1:
             v0 = -v0
         elif plus == 0 and minus == 0:
@@ -429,24 +491,24 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     if direction < 0:
         v0 = -v0
 
-    samples = [_sample_at(fam, 0.0, q0, 0.0)]
+    samples = [_sample_at(0.0, q0, 0.0, images0)]
     reason = "maxSteps"
     prev = v0
     t = 0.0
     base_det_sign = None
     for step in range(1, max_steps + 1):
-        v = reduced.tangent(qr, prev)
+        v = reduced.tangent(qr, jr, prev)
         q_pred = qr + step_size * v
-        qn, res = reduced.newton(qr, v, q_pred, NEWTON_TOL, NEWTON_MAX_ITER)
+        qn, res, jn, images = reduced.newton(qr, v, q_pred, NEWTON_TOL, NEWTON_MAX_ITER)
         if res > NEWTON_TOL:
             if step == 1:
                 raise ContinuationError(
                     f"Newton diverged at the first step (last residual {res:.3e})")
             reason = "newtonFailure"
             break
-        prev, qr = v, qn
+        prev, qr, jr = v, qn, jn
         t += step_size
-        sample = _sample_at(fam, t, reduced.expand(qr), res)
+        sample = _sample_at(t, reduced.expand(qr), res, images)
         samples.append(sample)
         if base_det_sign is None:
             base_det_sign = sample.det_sign
@@ -488,15 +550,18 @@ def glue_hnn(sample: RepSample, fam: FamilyInstance,
              pairs: tuple | None = None) -> GluedRepresentation:
     """Normalize the sample's conjugator into an HNN stable letter.
 
-    pairs defaults to the meridian and longitude pairs of the family; passing
-    a single pair flags the result as underdetermined (the centralizer of a
-    single pair is 2-dimensional).  Raises GluingError when no determinant-+1
-    real conjugator exists or the relation residuals exceed GLUE_TOL.
+    pairs defaults to the meridian and longitude pairs of the family, whose
+    images and joint conjugator the sample already stores (fam names the
+    family the sample belongs to); passing a single pair flags the result
+    as underdetermined (the centralizer of a single pair is 2-dimensional).
+    Raises GluingError when no determinant-+1 real conjugator exists or the
+    relation residuals exceed GLUE_TOL.
     """
-    im1, im2, il1, il2 = _word_images(fam, sample.ma, sample.mb)
     if pairs is None:
-        pairs = ((im1, im2), (il1, il2))
-    conj = solve_conjugator(list(pairs))
+        pairs = (sample.word_images[:2], sample.word_images[2:])
+        conj = sample.conjugator
+    else:
+        conj = solve_conjugator(list(pairs))
     if conj.det_sign != 1 or conj.candidate is None:
         raise GluingError(
             f"no determinant-+1 real conjugator at t={sample.t:.6g} "
@@ -506,8 +571,7 @@ def glue_hnn(sample: RepSample, fam: FamilyInstance,
         t_letter = t_letter.neg()
     underdetermined = conj.nullspace_dim >= 2
     rel = max(_relative_commutation(t_letter, a, b) for a, b in pairs)
-    longitude = im1 @ il1 @ im1.inverse() @ il1.inverse()
-    comm = _relative_commutation(t_letter, longitude, longitude)
+    comm = _relative_commutation(t_letter, sample.longitude, sample.longitude)
     if not underdetermined:
         if rel > GLUE_TOL:
             raise GluingError(

@@ -21,7 +21,15 @@ import sys
 
 import numpy as np
 
-from .arc import ContinuationError, GluingError, analyze_curve, continue_arc
+from .arc import (
+    ContinuationError,
+    GluingError,
+    _base_point,
+    _character_rows,
+    _EntrySystem,
+    analyze_curve,
+    continue_arc,
+)
 from .locus import (
     LocusError,
     csv_text,
@@ -30,7 +38,7 @@ from .locus import (
     locus_points,
     orderable_interval,
 )
-from .pretzel import gradient_at, make_family, verify_lemma
+from .pretzel import make_family, verify_lemma
 from .tracepoly import trace_polynomial
 from .words import WordSyntaxError, parse_word
 
@@ -119,21 +127,30 @@ def _cmd_verify(args) -> int:
 
 
 def _exactness_audit(fam) -> None:
-    """Exact curve analysis cross-checked against the float Jacobian."""
+    """Exact curve analysis cross-checked against the rows continuation solves.
+
+    At rho_n the matrix-route curve rows (traces of word products) and the
+    exact character-form rows (curve Jacobian times D(chi)) agree on
+    {det = 1}, so their difference must lie in the span of the two
+    determinant rows, and the constraints must vanish there.  Both tests are
+    relative to the largest curve-row entry.
+    """
     analysis = analyze_curve(fam)
     if analysis.rank != 2:
         raise ContinuationError(
             f"exact curve rank at the base character is {analysis.rank}, need 2")
-    exact_jac = np.array([[float(x) for x in row] for row in analysis.jacobian])
-    chi_f = tuple(float(c) for c in fam.chi)
-    float_jac = np.array([[float(g.evaluate(*chi_f)) for g in
-                           (eq.derivative(0), eq.derivative(1), eq.derivative(2))]
-                          for eq in fam.curve_eqs])
-    scale = max(1.0, float(np.max(np.abs(exact_jac))))
-    gap = float(np.max(np.abs(exact_jac - float_jac))) / scale
-    if gap > 1e-12:
+    q0 = _base_point(fam)
+    f, jac, _ = _EntrySystem(fam).evaluate(q0)
+    diff = (jac - _character_rows(analysis, q0, jac))[2:].T
+    det_rows = jac[:2].T
+    coef = np.linalg.lstsq(det_rows, diff, rcond=None)[0]
+    scale = max(1.0, float(np.max(np.abs(jac[2:]))))
+    gap = float(np.max(np.abs(det_rows @ coef - diff))) / scale
+    value = float(np.max(np.abs(f))) / scale
+    if gap > 1e-12 or value > 1e-12:
         raise ContinuationError(
-            f"exact/float Jacobian agreement audit failed (relative gap {gap:.3e})")
+            f"exact/matrix-route constraint audit failed (row gap {gap:.3e}, "
+            f"constraint value {value:.3e}, relative)")
 
 
 def _run_continuation(args):

@@ -9,6 +9,7 @@ import pytest
 from sl2arc.arc import (
     ContinuationError,
     GluingError,
+    _EntrySystem,
     analyze_curve,
     continue_arc,
     glue_hnn,
@@ -190,6 +191,80 @@ def test_zero_steps_returns_base_sample_only(fam1):
     arc = continue_arc(fam1, max_steps=0)
     assert len(arc.samples) == 1
     assert arc.termination_reason == "maxSteps"
+
+
+def _exact_images(fam, sample, words, inverse):
+    """Exact images of the named words at the sample's float entries, with
+    inverse letters taken as inverse(M) (a true inverse or the adjugate)."""
+    ma = Mat2(*(Fraction(x) for x in sample.ma.entries()))
+    mb = Mat2(*(Fraction(x) for x in sample.mb.entries()))
+    letters = {"a": ma, "b": mb, "A": inverse(ma), "B": inverse(mb)}
+    out = {}
+    for name in words:
+        image = Mat2.identity()
+        for ch in getattr(fam, name).spelled():
+            image = image @ letters[ch]
+        out[name] = image
+    return out
+
+
+_CURVE_PAIRS = (("m1", "m2"), ("l1", "l2"), ("m1l1", "m2l2"))
+_CURVE_WORDS = tuple(w for pair in _CURVE_PAIRS for w in pair)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_true_curve_residual_is_within_the_newton_tolerance(n, direction):
+    # the true residual |tr W1 - tr W2|, in exact arithmetic at the samples'
+    # float entries, must stay within the bound the reported residual claims
+    fam = make_family(n)
+    arc = continue_arc(fam, step_size=1e-3, max_steps=60, direction=direction)
+    assert arc.termination_reason == "maxSteps" and len(arc.samples) == 61
+    for s in arc.samples:
+        assert s.residual <= 1e-10
+        exact = _exact_images(fam, s, _CURVE_WORDS, Mat2.inverse)
+        for w1, w2 in _CURVE_PAIRS:
+            assert abs(exact[w1].trace() - exact[w2].trace()) <= Fraction(1, 10 ** 10)
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_fused_evaluation_matches_exact_traces_and_differences(n):
+    fam = make_family(n)
+    arc = continue_arc(fam, step_size=1e-3, max_steps=40, direction=1)
+    system = _EntrySystem(fam)
+    for s in arc.samples[::10]:
+        q = np.array(s.ma.entries() + s.mb.entries())
+        f, jac, images = system.evaluate(q)
+        exact = _exact_images(fam, s, _CURVE_WORDS, Mat2.adjugate)
+        scale = max(m.max_abs() for m in exact.values())
+        for row, (w1, w2) in enumerate(_CURVE_PAIRS):
+            want = exact[w1].trace() - exact[w2].trace()
+            assert abs(Fraction(f[2 + row]) - want) <= Fraction(1e-12) * Fraction(scale)
+        for name, image in zip(("m1", "m2", "l1", "l2"), images):
+            assert frobenius_distance(image, exact[name].to_float()) <= 1e-12 * scale
+        diffs = np.zeros((5, 8))
+        for j in range(8):
+            h = 1e-6 * max(1.0, abs(q[j]))
+            step = np.zeros(8)
+            step[j] = h
+            diffs[:, j] = (system.evaluate(q + step)[0] - system.evaluate(q - step)[0]) / (2 * h)
+        for got, want in zip(jac, diffs):
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(got))
+        gauge = _EntrySystem.gauge(q)
+        assert np.linalg.norm(gauge) == pytest.approx(1.0)
+        assert np.all(gauge[:4] == 0.0)
+        for row in jac[2:]:
+            assert abs(row @ gauge) <= 1e-12 * np.linalg.norm(row)
+
+
+def test_samples_store_their_word_images(fam1, arc1):
+    for s in (arc1.samples[0], arc1.samples[1], arc1.samples[-1]):
+        for name, image in s.images().items():
+            direct = evaluate(getattr(fam1, name), s.ma, s.mb)
+            assert frobenius_distance(image, direct) <= 1e-12 * direct.frobenius()
+        assert s.longitude.det() == pytest.approx(1.0, abs=1e-14)
+        assert float(s.longitude.trace()) == s.longitude_trace
+    assert arc1.longitude_images() == [s.longitude for s in arc1.samples]
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
 
+import sl2arc.cli
 from sl2arc.cli import main
 from sl2arc.locus import CSV_HEADER
+from sl2arc.pretzel import make_family
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +103,19 @@ def test_arc_exact_audit_runs(capsys):
     assert out.startswith(CSV_HEADER)
 
 
+def test_arc_exact_audit_rejects_words_that_disagree_with_the_polynomials(
+        monkeypatch, capsys):
+    # the n = 1 family with its curve polynomials listed in another order:
+    # the exact analysis is unchanged, but its rows no longer describe the
+    # word pairs that continuation evaluates
+    fam = make_family(1)
+    eqs = fam.curve_eqs
+    swapped = dataclasses.replace(fam, curve_eqs=(eqs[1], eqs[0], eqs[2]))
+    monkeypatch.setattr(sl2arc.cli, "make_family", lambda n: swapped)
+    assert main(["arc", "--n", "1", "--steps", "2", "--exact"]) == 3
+    assert "audit failed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["arc", "--n", "0", "--steps", "1"],
     ["arc", "--n", "1", "--steps", "-1"],
@@ -142,6 +158,16 @@ def test_interval_line_format(capsys):
     assert main(["interval", "--n", "1", "--steps", "40"]) == 0
     out = capsys.readouterr().out
     assert re.fullmatch(r"interval: \(-?[0-9.e+-]+, -?[0-9.e+-]+\)\n", out)
+
+
+@pytest.mark.parametrize("n, line", [
+    (1, "interval: (-0.363522, 0)\n"),
+    (2, "interval: (-0.191473, 0)\n"),
+    (3, "interval: (-0.114103, 0)\n"),
+])
+def test_interval_default_run_prints_the_documented_interval(n, line, capsys):
+    assert main(["interval", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == line
 
 
 def test_interval_empty_arc_is_numerical_failure(capsys):

@@ -19,6 +19,7 @@ from sl2arc.locus import (
 )
 from sl2arc.pretzel import make_family
 from sl2arc.sl2 import ConjugatorResult, Mat2, eigen_data
+from sl2arc.words import evaluate
 
 
 @pytest.fixture(scope="module")
@@ -175,10 +176,13 @@ def test_locus_empty_arc(fam1):
 
 
 def _fake_arc(fam, conjugator: Mat2, ma: Mat2, mb: Mat2) -> Arc:
+    images = tuple(evaluate(getattr(fam, w), ma, mb) for w in ("m1", "m2", "l1", "l2"))
+    im1, _, il1, _ = images
     sample = RepSample(
         t=0.1, ma=ma, mb=mb, character=(2.0, 2.0, 2.0), residual=0.0,
         conjugator=ConjugatorResult(1, conjugator, 1, 0.0),
-        longitude_trace=2.0, meridian_trace=abs(conjugator.trace()))
+        longitude_trace=2.0, meridian_trace=abs(conjugator.trace()),
+        word_images=images, longitude=im1 @ il1 @ im1.inverse() @ il1.inverse())
     return Arc(fam, (sample,), "maxSteps", 1, 1e-3, (0, 1))
 
 

@@ -70,7 +70,7 @@ from fractions import Fraction
 import numpy as np
 
 from .pretzel import FamilyInstance, gradient_at, hessian_at, outside_row_span
-from .sl2 import ConjugatorResult, Mat2, exact_nullspace, exact_rank, solve_conjugator
+from .sl2 import ConjugatorResult, Mat2, exact_nullspace, exact_rank, relation_residual, solve_conjugator
 from .tracepoly import trace_polynomial
 
 __all__ = [
@@ -529,39 +529,26 @@ class GluedRepresentation:
     """A sample promoted to the HNN extension: t-letter T with det T = +1,
     T rho(m1) T^-1 = rho(m2) and T rho(l1) T^-1 = rho(l2)."""
 
-    ma: Mat2
-    mb: Mat2
     t_letter: Mat2
     relation_residual: float
     longitude_commutation_residual: float
-    underdetermined: bool
-
-
-def _relative_commutation(t: Mat2, a: Mat2, b: Mat2) -> float:
-    """|| T a - b T || relative to the operator scale (amplification-aware)."""
-    scale = max(1.0, t.frobenius() * max(a.frobenius(), b.frobenius()))
-    return (t @ a - b @ t).frobenius() / scale
 
 
 GLUE_TOL = 1e-8
 
 
-def glue_hnn(sample: RepSample, fam: FamilyInstance,
-             pairs: tuple | None = None) -> GluedRepresentation:
-    """Normalize the sample's conjugator into an HNN stable letter.
+def glue_hnn(sample: RepSample, fam: FamilyInstance) -> GluedRepresentation:
+    """The gluing gate: normalize the sample's stored joint conjugator of the
+    meridian and longitude pairs into an HNN stable letter.
 
-    pairs defaults to the meridian and longitude pairs of the family, whose
-    images and joint conjugator the sample already stores (fam names the
-    family the sample belongs to); passing a single pair flags the result
-    as underdetermined (the centralizer of a single pair is 2-dimensional).
-    Raises GluingError when no determinant-+1 real conjugator exists or the
-    relation residuals exceed GLUE_TOL.
+    fam names the family the sample belongs to.  T is the conjugator with
+    determinant +1 and nonnegative trace; its relation residual is the one
+    solve_conjugator stored (negating T leaves it unchanged), and its
+    commutation with the sample's longitude is measured the same way.
+    Raises GluingError when no determinant-+1 real conjugator exists or
+    either residual exceeds GLUE_TOL.
     """
-    if pairs is None:
-        pairs = (sample.word_images[:2], sample.word_images[2:])
-        conj = sample.conjugator
-    else:
-        conj = solve_conjugator(list(pairs))
+    conj = sample.conjugator
     if conj.det_sign != 1 or conj.candidate is None:
         raise GluingError(
             f"no determinant-+1 real conjugator at t={sample.t:.6g} "
@@ -569,18 +556,15 @@ def glue_hnn(sample: RepSample, fam: FamilyInstance,
     t_letter = conj.candidate
     if t_letter.trace() < 0:
         t_letter = t_letter.neg()
-    underdetermined = conj.nullspace_dim >= 2
-    rel = max(_relative_commutation(t_letter, a, b) for a, b in pairs)
-    comm = _relative_commutation(t_letter, sample.longitude, sample.longitude)
-    if not underdetermined:
-        if rel > GLUE_TOL:
-            raise GluingError(
-                f"gluing relation residual {rel:.3e} exceeds {GLUE_TOL:.0e}")
-        if comm > GLUE_TOL:
-            raise GluingError(
-                f"stable letter fails to commute with the longitude ({comm:.3e})")
-    return GluedRepresentation(sample.ma, sample.mb, t_letter, rel, comm,
-                               underdetermined=underdetermined)
+    rel = conj.residual
+    comm = relation_residual(t_letter, [(sample.longitude, sample.longitude)])
+    if rel > GLUE_TOL:
+        raise GluingError(
+            f"gluing relation residual {rel:.3e} exceeds {GLUE_TOL:.0e}")
+    if comm > GLUE_TOL:
+        raise GluingError(
+            f"stable letter fails to commute with the longitude ({comm:.3e})")
+    return GluedRepresentation(t_letter, rel, comm)
 
 
 def irreducibility_margin(sample: RepSample) -> float:

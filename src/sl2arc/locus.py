@@ -9,9 +9,10 @@ common fixed directions of that peripheral pair give two locus points
 one per direction; the second branch is the negation of the first, because
 swapping the fixed point inverts both eigenvalues.  Branches are tracked
 continuously in t by matching fixed directions to the previous sample in
-projective distance.  Points enter the locus only when the meridian is
-hyperbolic (|trace| > 2 + 1e-9), the peripheral pair commutes to 1e-8
-relative scale, and the longitude's path-lifted translation number is 0
+projective distance.  Samples of conjugator class other than +1 are
+skipped; every other sample must pass the gluing gate arc.glue_hnn, which
+supplies T, and T must be hyperbolic (|trace| > 2 + 1e-9).  A point enters
+the locus only when the longitude's path-lifted translation number is 0
 (samples with other translation numbers belong to other components of the
 locus and are skipped, not errors).
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arc import Arc, _relative_commutation
+from .arc import Arc, glue_hnn
 from .sl2 import Mat2, eigen_data, translation_numbers_along_arc
 
 __all__ = [
@@ -51,14 +52,14 @@ __all__ = [
 ]
 
 HYPERBOLIC_MARGIN = 1e-9
-COMMUTATION_TOL = 1e-8
 HORIZONTAL_TOL = 1e-9
 TRANSLATION_TOL = 1e-9
 
 
 class LocusError(ValueError):
-    """A locus precondition failed (non-hyperbolic or non-commuting pair,
-    or an all-horizontal arc where a sloped one is required)."""
+    """A locus precondition failed (a non-hyperbolic meridian, longitude
+    translation numbers that cannot be evaluated, or an all-horizontal arc
+    where a sloped one is required)."""
 
 
 @dataclass(frozen=True)
@@ -147,32 +148,29 @@ def peripheral_point_pair(meridian: Mat2, longitude: Mat2,
 def locus_points(arc: Arc) -> LocusArc:
     """Extract both locus branches from an arc's glueable samples."""
     longitude_mats = arc.longitude_images()
-    translations = translation_numbers_along_arc(longitude_mats)
+    try:
+        translations = translation_numbers_along_arc(longitude_mats)
+    except (ArithmeticError, ValueError) as exc:
+        raise LocusError(f"longitude translation numbers failed: {exc}") from exc
     first: list = []
     second: list = []
     indices: list = []
     kept_translations: list = []
     prev_direction = None
     for idx, sample in enumerate(arc.samples):
-        conj = sample.conjugator
-        if conj.det_sign != 1 or conj.candidate is None:
+        if sample.det_sign != 1:
             continue
-        t_letter = conj.candidate
+        t_letter = glue_hnn(sample, arc.family).t_letter
         if abs(t_letter.trace()) <= 2.0 + HYPERBOLIC_MARGIN:
             raise LocusError(
                 f"meridian is not hyperbolic at t={sample.t:.6g} "
                 f"(|trace| = {abs(t_letter.trace()):.6g})")
-        longitude = longitude_mats[idx]
-        comm = _relative_commutation(t_letter, longitude, longitude)
-        if comm > COMMUTATION_TOL:
-            raise LocusError(
-                f"peripheral pair fails to commute at t={sample.t:.6g} ({comm:.3e})")
         trans = translations[idx]
         if trans.elliptic or abs(trans.value) > TRANSLATION_TOL:
             continue
         try:
             p1, p2, prev_direction = peripheral_point_pair(
-                t_letter, longitude, prev_direction)
+                t_letter, longitude_mats[idx], prev_direction)
         except LocusError as exc:
             raise LocusError(f"{exc} (at t={sample.t:.6g})") from None
         first.append(p1)

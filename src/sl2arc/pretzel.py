@@ -305,7 +305,8 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     at n = 100; row-span distance 7.7e-13, sigma_2 / sigma_1 2.6e-8, minor
     0.17), 75x above it.  A relative 1e-9 would not do: the tr(m1) row-span
     distance falls below it from n = 30.  The parabolic and conjugacy
-    verdicts use the defaults of classify and same_trace_conjugacy.
+    verdicts use classify and same_trace_conjugacy, whose float band is
+    sl2.TRACE_TOL.
 
     Failures become FAIL entries in the report rather than exceptions.
     """

@@ -23,6 +23,12 @@ import numpy as np
 
 _EXACT_TYPES = (int, Fraction)
 
+TRACE_TOL = 1e-9  # |trace| = 2 band, equal traces, the +-identity test in eigen_data
+NULLSPACE_TOL = 1e-8  # conjugator nullspace threshold, relative to sigma_1
+SINGULAR_DET_TOL = 1e-14  # singular candidate: |det| <= this * max(1, ||G||_F^2)
+CENTRAL_TOL = 1e-6  # Frobenius distance to +-identity for a central lift
+MAX_PATH_STEP = 0.5  # largest Frobenius gap between consecutive path matrices
+
 
 class ContinuityError(ValueError):
     """A matrix path is too coarse to lift its circle action continuously."""
@@ -142,11 +148,11 @@ def _check_unit_det(m: Mat2):
         raise ValueError(f"matrix must have determinant 1, got {det}")
 
 
-def classify(m: Mat2, tol: float = 1e-9) -> MatClass:
+def classify(m: Mat2) -> MatClass:
     """Elliptic, parabolic or hyperbolic by |trace| against 2.
 
-    Exact matrices are compared exactly; floats use a band of width tol
-    around |trace| = 2 for the parabolic verdict.
+    Exact matrices are compared exactly; floats use a band of width
+    TRACE_TOL around |trace| = 2 for the parabolic verdict.
     """
     _check_unit_det(m)
     t = m.trace()
@@ -156,7 +162,7 @@ def classify(m: Mat2, tol: float = 1e-9) -> MatClass:
             return MatClass.PARABOLIC
         return MatClass.ELLIPTIC if t < 2 else MatClass.HYPERBOLIC
     t = abs(float(t))
-    if abs(t - 2.0) <= tol:
+    if abs(t - 2.0) <= TRACE_TOL:
         return MatClass.PARABOLIC
     return MatClass.ELLIPTIC if t < 2.0 else MatClass.HYPERBOLIC
 
@@ -177,7 +183,7 @@ def _sign(x) -> int:
     return 0
 
 
-def same_trace_conjugacy(m1: Mat2, m2: Mat2, tol: float = 1e-9) -> Conjugacy:
+def same_trace_conjugacy(m1: Mat2, m2: Mat2) -> Conjugacy:
     """Is a determinant +1 or only a determinant -1 conjugator possible?
 
     For equal-trace non-hyperbolic pairs the sign of Delta = b - c decides:
@@ -189,9 +195,9 @@ def same_trace_conjugacy(m1: Mat2, m2: Mat2, tol: float = 1e-9) -> Conjugacy:
     if m1.exact and m2.exact:
         if t1 != t2:
             raise ValueError(f"traces differ: {t1} vs {t2}")
-    elif abs(float(t1) - float(t2)) > tol:
+    elif abs(float(t1) - float(t2)) > TRACE_TOL:
         raise ValueError(f"traces differ: {t1} vs {t2}")
-    c1, c2 = classify(m1, tol), classify(m2, tol)
+    c1, c2 = classify(m1), classify(m2)
     if c1 != c2 or c1 == MatClass.HYPERBOLIC:
         return Conjugacy.NOT_APPLICABLE
     s1, s2 = _sign(m1.delta()), _sign(m2.delta())
@@ -308,7 +314,7 @@ class ConjugatorResult:
     nullspace_dim: int
     candidate: Mat2 | None
     det_sign: int
-    residual: float
+    residual: float  # relation_residual(candidate, pairs)
 
     @property
     def det_sign_label(self) -> str:
@@ -343,22 +349,22 @@ def _det_bilinear(x: Mat2, y: Mat2):
     return ((x + y).det() - x.det() - y.det()) / 2
 
 
-def _residual(g: Mat2, pairs) -> float:
-    scale = g.frobenius()
-    if scale == 0:
-        return 0.0
-    worst = 0.0
-    for a, b in pairs:
-        r = (g @ a - b @ g).frobenius()
-        worst = max(worst, r)
-    return worst / scale
+def relation_residual(g: Mat2, pairs) -> float:
+    """max over pairs of ||G A - B G||_F / max(1, ||G||_F max(||A||_F, ||B||_F)).
+
+    Relative to the operator scale, so that large letters and large images
+    are not mistaken for failed relations.
+    """
+    g_norm = g.frobenius()
+    return max((g @ a - b @ g).frobenius() / max(1.0, g_norm * max(a.frobenius(), b.frobenius()))
+               for a, b in pairs)
 
 
-def solve_conjugator(pairs, tol: float = 1e-8, det_tol: float = 1e-14) -> ConjugatorResult:
+def solve_conjugator(pairs) -> ConjugatorResult:
     """Solve G A_i = B_i G jointly over all pairs.
 
     Exact pairs go through Fraction elimination, float pairs through an SVD
-    with nullspace threshold tol (relative to the largest singular value).
+    with nullspace threshold NULLSPACE_TOL times the largest singular value.
     The candidate is scaled to |det| = 1 when an invertible solution exists;
     when the whole solution space consists of singular matrices the result
     reports det_sign = 0 and an unscaled witness.
@@ -372,7 +378,7 @@ def solve_conjugator(pairs, tol: float = 1e-8, det_tol: float = 1e-14) -> Conjug
     else:
         arr = np.array([[float(x) for x in row] for row in rows], dtype=float)
         _, sig, vt = np.linalg.svd(arr)
-        cutoff = tol * (sig[0] if len(sig) and sig[0] > 0 else 1.0)
+        cutoff = NULLSPACE_TOL * (sig[0] if len(sig) and sig[0] > 0 else 1.0)
         null = [vt[i] for i in range(4) if i >= len(sig) or sig[i] <= cutoff]
         basis = [_vec_to_mat(v, False) for v in null]
     dim = len(basis)
@@ -381,16 +387,16 @@ def solve_conjugator(pairs, tol: float = 1e-8, det_tol: float = 1e-14) -> Conjug
 
     def finish(g: Mat2) -> ConjugatorResult:
         det = g.det()
-        if (exact and det == 0) or (not exact and abs(float(det)) <= det_tol * max(1.0, g.frobenius() ** 2)):
-            return ConjugatorResult(dim, g, 0, _residual(g, pairs))
+        if (exact and det == 0) or (not exact and abs(float(det)) <= SINGULAR_DET_TOL * max(1.0, g.frobenius() ** 2)):
+            return ConjugatorResult(dim, g, 0, relation_residual(g, pairs))
         s = 1 if det > 0 else -1
         if exact:
             root = _exact_sqrt(abs(Fraction(det)))
             if root is not None:
                 scaled = g.scale(1 / root)
-                return ConjugatorResult(dim, scaled, s, _residual(scaled, pairs))
+                return ConjugatorResult(dim, scaled, s, relation_residual(scaled, pairs))
         scaled = g.scale(1.0 / math.sqrt(abs(float(det))))
-        return ConjugatorResult(dim, scaled, s, _residual(scaled, pairs))
+        return ConjugatorResult(dim, scaled, s, relation_residual(scaled, pairs))
 
     if dim == 1:
         return finish(basis[0])
@@ -410,7 +416,7 @@ def solve_conjugator(pairs, tol: float = 1e-8, det_tol: float = 1e-14) -> Conjug
         proj = coords.T @ (coords @ np.array([1.0, 0.0, 0.0, 1.0]))
         if np.linalg.norm(proj) > 0.5:
             g = _vec_to_mat(proj / np.linalg.norm(proj), False)
-            if abs(g.det()) > det_tol:
+            if abs(g.det()) > SINGULAR_DET_TOL:
                 return finish(g)
     candidates = list(basis)
     for i in range(dim):
@@ -418,14 +424,14 @@ def solve_conjugator(pairs, tol: float = 1e-8, det_tol: float = 1e-14) -> Conjug
             candidates.append(basis[i] + basis[j])
             candidates.append(basis[i] - basis[j])
     best = max(candidates, key=lambda g: abs(float(g.det())))
-    if (exact and best.det() == 0) or (not exact and abs(float(best.det())) <= det_tol):
+    if (exact and best.det() == 0) or (not exact and abs(float(best.det())) <= SINGULAR_DET_TOL):
         form_zero = all(
-            _det_bilinear(basis[i], basis[j]) == 0 if exact else abs(float(_det_bilinear(basis[i], basis[j]))) <= det_tol
+            _det_bilinear(basis[i], basis[j]) == 0 if exact else abs(float(_det_bilinear(basis[i], basis[j]))) <= SINGULAR_DET_TOL
             for i in range(dim)
             for j in range(i, dim)
         )
         if form_zero:
-            return ConjugatorResult(dim, basis[0], 0, _residual(basis[0], pairs))
+            return ConjugatorResult(dim, basis[0], 0, relation_residual(basis[0], pairs))
     return finish(best)
 
 
@@ -483,7 +489,7 @@ def _eigvec(m: Mat2, lam, exact: bool):
     return _canon_float_dir(float(v[0]), float(v[1]))
 
 
-def eigen_data(m: Mat2, tol: float = 1e-9):
+def eigen_data(m: Mat2):
     """Eigenvalue/direction pairs for non-elliptic determinant-1 matrices.
 
     Hyperbolic: two pairs, the eigenvalue of larger magnitude first.
@@ -492,7 +498,7 @@ def eigen_data(m: Mat2, tol: float = 1e-9):
     canonical projective representatives: exact ones as coprime integer
     pairs, float ones as unit vectors, first nonzero component positive.
     """
-    cls = classify(m, tol)
+    cls = classify(m)
     if cls == MatClass.ELLIPTIC:
         raise ValueError("elliptic matrices have no real fixed direction")
     exact = m.exact
@@ -504,7 +510,7 @@ def eigen_data(m: Mat2, tol: float = 1e-9):
         else:
             lam = 1.0 if float(tr) > 0 else -1.0
         shifted = m - Mat2.identity(exact).scale(lam)
-        if (exact and all(x == 0 for x in shifted.entries())) or (not exact and shifted.frobenius() <= tol):
+        if (exact and all(x == 0 for x in shifted.entries())) or (not exact and shifted.frobenius() <= TRACE_TOL):
             return ((lam, (1, 0) if exact else (1.0, 0.0)),)
         return ((lam, _eigvec(m, lam, exact)),)
     if exact:
@@ -632,16 +638,16 @@ class LiftedElement:
         """Value at theta of the lift determined by the tracked anchor."""
         return _traverse(_as_tuple(self.base), self.base_theta, self.angle_track, theta)
 
-    def _near_central(self, tol: float = 1e-6):
+    def _near_central(self):
         ident = Mat2.identity(False)
         base = self.base.to_float()
-        if frobenius_distance(base, ident) <= tol:
+        if frobenius_distance(base, ident) <= CENTRAL_TOL:
             return True
-        if frobenius_distance(base, ident.scale(-1.0)) <= tol:
+        if frobenius_distance(base, ident.scale(-1.0)) <= CENTRAL_TOL:
             return True
         return False
 
-    def translation_number(self, tol: float = 1e-9) -> "PathTranslation":
+    def translation_number(self) -> "PathTranslation":
         """Translation number of the lift, in units of pi.
 
         Hyperbolic and parabolic endpoints give an exact integer read off at
@@ -652,10 +658,10 @@ class LiftedElement:
         if self._near_central():
             k = (self.angle_track - self.base_theta) / math.pi
             return PathTranslation(float(round(k)), False)
-        cls = classify(self.base, tol)
+        cls = classify(self.base)
         if cls == MatClass.ELLIPTIC:
             return PathTranslation(self._elliptic_rotation_number(), True)
-        lam, (vx, vy) = eigen_data(self.base, tol)[0]
+        lam, (vx, vy) = eigen_data(self.base)[0]
         th_star = _dir_angle(float(vx), float(vy))
         # place the fixed direction's lift within half a turn of the anchor
         th_star += math.pi * math.floor((self.base_theta - th_star) / math.pi + 0.5)
@@ -718,12 +724,12 @@ class PathTranslation(NamedTuple):
     elliptic: bool
 
 
-def lift_along_path(mats, base_theta: float = BASE_DIRECTION, max_step: float = 0.5) -> LiftedElement:
+def lift_along_path(mats, base_theta: float = BASE_DIRECTION) -> LiftedElement:
     """Track the circle action of a matrix path and lift its endpoint.
 
     The path should start at the identity (or at a matrix whose lift is
     declared to be translation-free); consecutive matrices must be closer
-    than max_step in Frobenius distance.
+    than MAX_PATH_STEP in Frobenius distance.
     """
     if not mats:
         raise ValueError("empty path")
@@ -732,7 +738,7 @@ def lift_along_path(mats, base_theta: float = BASE_DIRECTION, max_step: float = 
     alpha, _ = _image(first, base_theta)
     alpha += math.pi * round((base_theta - alpha) / math.pi)
     for prev, cur in zip(tuples, tuples[1:]):
-        if frobenius_distance(Mat2(*prev), Mat2(*cur)) >= max_step:
+        if frobenius_distance(Mat2(*prev), Mat2(*cur)) >= MAX_PATH_STEP:
             raise ContinuityError("consecutive path matrices are too far apart")
         alpha = _advance_track(prev, cur, base_theta, alpha)
     return LiftedElement(mats[-1] if isinstance(mats[-1], Mat2) else Mat2(*tuples[-1]), base_theta, alpha)

@@ -274,7 +274,6 @@ def test_samples_store_their_word_images(fam1, arc1):
 def test_glue_hnn_on_accepted_samples(fam1, arc1):
     for s in (arc1.samples[1], arc1.samples[100], arc1.samples[-1]):
         glued = glue_hnn(s, fam1)
-        assert not glued.underdetermined
         assert glued.relation_residual <= 1e-8
         assert glued.longitude_commutation_residual <= 1e-8
         assert glued.t_letter.det() == pytest.approx(1.0, abs=1e-9)
@@ -294,14 +293,6 @@ def test_glue_hnn_rejects_negative_class(fam1):
     arc = continue_arc(fam1, step_size=1e-3, max_steps=5, direction=-1)
     with pytest.raises(GluingError):
         glue_hnn(arc.samples[1], fam1)
-
-
-def test_glue_hnn_single_pair_is_underdetermined(fam1, arc1):
-    s = arc1.samples[50]
-    im1 = evaluate(fam1.m1, s.ma, s.mb)
-    im2 = evaluate(fam1.m2, s.ma, s.mb)
-    glued = glue_hnn(s, fam1, pairs=((im1, im2),))
-    assert glued.underdetermined
 
 
 def test_rank_gate_raises_for_degenerate_input():

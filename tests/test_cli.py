@@ -175,6 +175,19 @@ def test_interval_empty_arc_is_numerical_failure(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("n, cause", [
+    (9, "not close to an integer"),
+    (20, "determinant 1"),
+])
+def test_interval_longitude_translation_failure_is_numerical(n, cause, capsys):
+    # the longitude translation numbers cannot be evaluated on these arcs
+    assert main(["interval", "--n", str(n), "--steps", "20"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: longitude translation numbers failed:")
+    assert cause in err
+    assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # determinism
 

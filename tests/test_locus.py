@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
-from sl2arc.arc import Arc, RepSample, continue_arc
+from sl2arc.arc import Arc, GluingError, RepSample, continue_arc
 from sl2arc.locus import (
     CSV_HEADER,
     LocusError,
@@ -18,7 +19,7 @@ from sl2arc.locus import (
     svg_text,
 )
 from sl2arc.pretzel import make_family
-from sl2arc.sl2 import ConjugatorResult, Mat2, eigen_data
+from sl2arc.sl2 import ConjugatorResult, Mat2, eigen_data, relation_residual
 from sl2arc.words import evaluate
 
 
@@ -199,7 +200,20 @@ def test_locus_rejects_non_commuting_pair(fam1, arc1):
     # unrelated conjugator: the pair no longer commutes
     s = arc1.samples[50]
     arc = _fake_arc(fam1, _diag(3.0), s.ma, s.mb)
-    with pytest.raises(LocusError, match="commute"):
+    with pytest.raises(GluingError, match="commute"):
+        locus_points(arc)
+
+
+@pytest.mark.parametrize("k", [50, 200, 400])
+def test_locus_rejects_a_letter_that_commutes_but_does_not_glue(arc1, k):
+    # L^3 commutes with the longitude L but misses the gluing relations
+    # T m1 T^-1 = m2, T l1 T^-1 = l2; its stored residual is the true one
+    s = arc1.samples[k]
+    letter = s.longitude ** 3
+    pairs = [s.word_images[:2], s.word_images[2:]]
+    conj = ConjugatorResult(1, letter, 1, relation_residual(letter, pairs))
+    arc = dataclasses.replace(arc1, samples=(dataclasses.replace(s, conjugator=conj),))
+    with pytest.raises(GluingError, match="relation residual"):
         locus_points(arc)
 
 

@@ -25,7 +25,8 @@ gives the trace, the gradient through d tr(P X S)/dX = (S P)^T, and the
 word's image; the images of m1, m2, l1, l2 at the converged iterate become
 the sample's stored images, so no later stage rebuilds them.  On {det = 1}
 these rows agree with the character-form rows D(poly) . D(chi) up to
-multiples of the two determinant rows.
+multiples of the two determinant rows; continue_arc audits this at rho_n
+before every continuation.
 
 Gauge geometry.  Conjugating (Ma, Mb) by the centralizer of Ma moves matrix
 entries without moving the character: the flow fixes Ma and moves Mb by
@@ -459,7 +460,8 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     (probed one corrector step out on each side); -1 follows the opposite
     side.  Terminates on max_steps, on the meridian trace crossing
     trace_ceiling, on Newton failure, or on a change of conjugator
-    determinant class.
+    determinant class.  Raises ContinuationError when the exact curve data at
+    chi_n do not describe the constraints continuation solves.
     """
     if not 1e-6 <= step_size <= 1e-1:
         raise ValueError(f"step_size must lie in [1e-6, 1e-1], got {step_size}")
@@ -473,8 +475,23 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
 
     system = _EntrySystem(fam)
     q0 = _base_point(fam)
-    _, jac0, images0 = system.evaluate(q0)
-    pins = _select_pins(_character_rows(analysis, q0, jac0), q0)
+    f0, jac0, images0 = system.evaluate(q0)
+    rows = _character_rows(analysis, q0, jac0)
+    # Audit: at rho_n the matrix-route curve rows and the exact character-form
+    # rows agree on {det = 1}, so their difference lies in the span of the two
+    # determinant rows, and the constraints vanish; both relative to the
+    # largest curve-row entry.
+    diff = (jac0 - rows)[2:].T
+    det_rows = jac0[:2].T
+    coef = np.linalg.lstsq(det_rows, diff, rcond=None)[0]
+    scale = max(1.0, float(np.max(np.abs(jac0[2:]))))
+    gap = float(np.max(np.abs(det_rows @ coef - diff))) / scale
+    value = float(np.max(np.abs(f0))) / scale
+    if gap > 1e-12 or value > 1e-12:
+        raise ContinuationError(
+            f"exact/matrix-route constraint audit failed (row gap {gap:.3e}, "
+            f"constraint value {value:.3e}, relative)")
+    pins = _select_pins(rows, q0)
     reduced = _ReducedSystem(system, pins, q0[list(pins)])
     qr = q0[reduced.free].copy()
     jr = jac0[:, reduced.free]

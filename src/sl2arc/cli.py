@@ -19,17 +19,7 @@ import argparse
 import re
 import sys
 
-import numpy as np
-
-from .arc import (
-    ContinuationError,
-    GluingError,
-    _base_point,
-    _character_rows,
-    _EntrySystem,
-    analyze_curve,
-    continue_arc,
-)
+from .arc import ContinuationError, GluingError, continue_arc
 from .locus import (
     LocusError,
     csv_text,
@@ -70,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           default=True,
                           help="rational arithmetic (default on for verify)")
 
-    for name, needs_out in (("arc", False), ("locus", True), ("interval", False)):
+    for name in ("arc", "locus", "interval"):
         p = sub.add_parser(name)
         p.add_argument("--n", type=int, required=True, help="family index (>= 1)")
         p.add_argument("--steps", type=int, default=2000, help="max steps")
@@ -78,16 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--direction", type=int, choices=(1, -1), default=1)
         p.add_argument("--ceiling", type=float, default=1e6,
                        help="meridian trace termination ceiling")
-        p.add_argument("--exact", action=argparse.BooleanOptionalAction,
-                       default=False,
-                       help="audit the curve analysis in rational arithmetic "
-                            "before continuing (default off for continuation)")
         if name == "arc":
-            p.add_argument("--out", default=None,
-                           help="CSV path (stdout when omitted)")
-        if name == "locus":
-            p.add_argument("--out", required=needs_out, help="CSV path")
-            p.add_argument("--svg", default=None, help="SVG path")
+            p.add_argument("--out", help="CSV path (stdout when omitted)")
+        elif name == "locus":
+            p.add_argument("--out", required=True, help="CSV path")
+            p.add_argument("--svg", help="SVG path")
     return parser
 
 
@@ -126,66 +111,22 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
-def _exactness_audit(fam) -> None:
-    """Exact curve analysis cross-checked against the rows continuation solves.
-
-    At rho_n the matrix-route curve rows (traces of word products) and the
-    exact character-form rows (curve Jacobian times D(chi)) agree on
-    {det = 1}, so their difference must lie in the span of the two
-    determinant rows, and the constraints must vanish there.  Both tests are
-    relative to the largest curve-row entry.
-    """
-    analysis = analyze_curve(fam)
-    if analysis.rank != 2:
-        raise ContinuationError(
-            f"exact curve rank at the base character is {analysis.rank}, need 2")
-    q0 = _base_point(fam)
-    f, jac, _ = _EntrySystem(fam).evaluate(q0)
-    diff = (jac - _character_rows(analysis, q0, jac))[2:].T
-    det_rows = jac[:2].T
-    coef = np.linalg.lstsq(det_rows, diff, rcond=None)[0]
-    scale = max(1.0, float(np.max(np.abs(jac[2:]))))
-    gap = float(np.max(np.abs(det_rows @ coef - diff))) / scale
-    value = float(np.max(np.abs(f))) / scale
-    if gap > 1e-12 or value > 1e-12:
-        raise ContinuationError(
-            f"exact/matrix-route constraint audit failed (row gap {gap:.3e}, "
-            f"constraint value {value:.3e}, relative)")
-
-
 def _run_continuation(args):
-    if args.n < 1:
-        raise _UsageError(f"--n must be >= 1, got {args.n}")
-    if args.steps < 0:
-        raise _UsageError(f"--steps must be >= 0, got {args.steps}")
-    if not 1e-6 <= args.step_size <= 1e-1:
-        raise _UsageError(
-            f"--step-size must lie in [1e-6, 1e-1], got {args.step_size}")
-    fam = make_family(args.n)
-    if args.exact:
-        _exactness_audit(fam)
-    arc = continue_arc(fam, step_size=args.step_size, max_steps=args.steps,
-                       direction=args.direction, trace_ceiling=args.ceiling)
-    return fam, arc
+    return continue_arc(make_family(args.n), step_size=args.step_size,
+                        max_steps=args.steps, direction=args.direction,
+                        trace_ceiling=args.ceiling)
 
 
 def _cmd_arc(args) -> int:
-    _, arc = _run_continuation(args)
+    """arc and locus: the CSV on stdout without --out; otherwise the CSV file,
+    the SVG file when --svg is given, and a summary line."""
+    arc = _run_continuation(args)
     locus_arc = locus_points(arc)
     if args.out is None:
         sys.stdout.write(csv_text(arc, locus_arc))
-    else:
-        emit_csv(arc, locus_arc, args.out)
-        print(f"samples={len(arc.samples)} accepted={len(locus_arc.first)} "
-              f"termination={arc.termination_reason}")
-    return EXIT_OK
-
-
-def _cmd_locus(args) -> int:
-    _, arc = _run_continuation(args)
-    locus_arc = locus_points(arc)
+        return EXIT_OK
     emit_csv(arc, locus_arc, args.out)
-    if args.svg is not None:
+    if getattr(args, "svg", None) is not None:
         emit_svg(locus_arc, args.svg)
     print(f"samples={len(arc.samples)} accepted={len(locus_arc.first)} "
           f"termination={arc.termination_reason}")
@@ -193,8 +134,7 @@ def _cmd_locus(args) -> int:
 
 
 def _cmd_interval(args) -> int:
-    _, arc = _run_continuation(args)
-    locus_arc = locus_points(arc)
+    locus_arc = locus_points(_run_continuation(args))
     lo, hi = orderable_interval(locus_arc)
     print("interval: (%.6g, %.6g)" % (lo, hi))
     return EXIT_OK
@@ -204,7 +144,7 @@ _HANDLERS = {
     "trace": _cmd_trace,
     "verify": _cmd_verify,
     "arc": _cmd_arc,
-    "locus": _cmd_locus,
+    "locus": _cmd_arc,
     "interval": _cmd_interval,
 }
 

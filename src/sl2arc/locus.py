@@ -74,7 +74,7 @@ class LocusPoint:
 
 @dataclass(frozen=True)
 class LocusArc:
-    """Locus points per branch plus asymptote and interval diagnostics.
+    """Locus points per branch plus asymptote diagnostics.
 
     Points are ordered by u ascending on the first branch (the second branch
     and the parallel sample_indices / longitude_translations tuples share
@@ -92,7 +92,6 @@ class LocusArc:
     tail_min_u: float
     tail_monotone: bool
     tail_slope: float
-    interval_estimate: tuple
 
 
 def _projective_gap(v: tuple, w: tuple) -> float:
@@ -179,8 +178,7 @@ def locus_points(arc: Arc) -> LocusArc:
         kept_translations.append(trans.value)
 
     if not first:
-        return LocusArc((), (), (), (), 0.0, 0.0, 0.0, 0.0, True, math.nan,
-                        (0.0, 0.0))
+        return LocusArc((), (), (), (), 0.0, 0.0, 0.0, 0.0, True, math.nan)
     order = sorted(range(len(first)), key=lambda i: (first[i].u, indices[i]))
     first = [first[i] for i in order]
     second = [second[i] for i in order]
@@ -194,10 +192,6 @@ def locus_points(arc: Arc) -> LocusArc:
                    for i in range(len(tail_abs_w) - 1))
     tail_slopes = sorted(p.slope for p in tail)
     tail_slope = tail_slopes[len(tail_slopes) // 2]
-    try:
-        interval = orderable_interval_of_points(first)
-    except LocusError:
-        interval = (0.0, 0.0)
     return LocusArc(
         first=tuple(first),
         second=tuple(second),
@@ -209,7 +203,6 @@ def locus_points(arc: Arc) -> LocusArc:
         tail_min_u=min(p.u for p in tail),
         tail_monotone=monotone,
         tail_slope=tail_slope,
-        interval_estimate=interval,
     )
 
 

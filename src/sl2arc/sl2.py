@@ -724,6 +724,19 @@ class PathTranslation(NamedTuple):
     elliptic: bool
 
 
+def _tracked_angles(tuples, base_theta: float) -> list:
+    """Lifted angle of each path matrix applied to the base direction, tracked
+    continuously from the first; consecutive matrices must be closer than
+    MAX_PATH_STEP in Frobenius distance."""
+    alpha, _ = _image(tuples[0], base_theta)
+    angles = [alpha + math.pi * round((base_theta - alpha) / math.pi)]
+    for prev, cur in zip(tuples, tuples[1:]):
+        if math.dist(prev, cur) >= MAX_PATH_STEP:
+            raise ContinuityError("consecutive path matrices are too far apart")
+        angles.append(_advance_track(prev, cur, base_theta, angles[-1]))
+    return angles
+
+
 def lift_along_path(mats, base_theta: float = BASE_DIRECTION) -> LiftedElement:
     """Track the circle action of a matrix path and lift its endpoint.
 
@@ -734,13 +747,7 @@ def lift_along_path(mats, base_theta: float = BASE_DIRECTION) -> LiftedElement:
     if not mats:
         raise ValueError("empty path")
     tuples = [_as_tuple(m) for m in mats]
-    first = tuples[0]
-    alpha, _ = _image(first, base_theta)
-    alpha += math.pi * round((base_theta - alpha) / math.pi)
-    for prev, cur in zip(tuples, tuples[1:]):
-        if frobenius_distance(Mat2(*prev), Mat2(*cur)) >= MAX_PATH_STEP:
-            raise ContinuityError("consecutive path matrices are too far apart")
-        alpha = _advance_track(prev, cur, base_theta, alpha)
+    alpha = _tracked_angles(tuples, base_theta)[-1]
     return LiftedElement(mats[-1] if isinstance(mats[-1], Mat2) else Mat2(*tuples[-1]), base_theta, alpha)
 
 
@@ -754,10 +761,5 @@ def translation_numbers_along_arc(mats, base_theta: float = BASE_DIRECTION):
     if not mats:
         return []
     tuples = [_as_tuple(m) for m in mats]
-    alpha, _ = _image(tuples[0], base_theta)
-    alpha += math.pi * round((base_theta - alpha) / math.pi)
-    out = [LiftedElement(Mat2(*tuples[0]), base_theta, alpha).translation_number()]
-    for prev, cur in zip(tuples, tuples[1:]):
-        alpha = _advance_track(prev, cur, base_theta, alpha)
-        out.append(LiftedElement(Mat2(*cur), base_theta, alpha).translation_number())
-    return out
+    return [LiftedElement(Mat2(*m), base_theta, alpha).translation_number()
+            for m, alpha in zip(tuples, _tracked_angles(tuples, base_theta))]

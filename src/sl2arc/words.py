@@ -60,10 +60,6 @@ class Word:
         """Build a word from (generator, exponent) pairs, reducing as needed."""
         return Word(_reduce(pairs))
 
-    @staticmethod
-    def from_text(text: str, generators=DEFAULT_GENERATORS) -> "Word":
-        return parse_word(text, generators)
-
     def __mul__(self, other: "Word") -> "Word":
         return Word(_reduce(self.letters + other.letters))
 

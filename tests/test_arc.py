@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -304,3 +305,13 @@ def test_rank_gate_raises_for_degenerate_input():
         curve_eqs=(fam.curve_eqs[0], fam.curve_eqs[0], fam.curve_eqs[0]))
     with pytest.raises(ContinuationError):
         continue_arc(bad)
+
+
+def test_continuation_audits_its_base_point(fam1):
+    # the curve polynomials listed in another order leave the exact analysis
+    # unchanged, but its rows no longer describe the word pairs continuation
+    # evaluates
+    eqs = fam1.curve_eqs
+    swapped = dataclasses.replace(fam1, curve_eqs=(eqs[1], eqs[0], eqs[2]))
+    with pytest.raises(ContinuationError, match="audit failed"):
+        continue_arc(swapped, max_steps=2)

@@ -97,12 +97,6 @@ def test_arc_to_file_with_summary(tmp_path, capsys):
     assert len(lines) == 7 and lines[-1] == ""
 
 
-def test_arc_exact_audit_runs(capsys):
-    assert main(["arc", "--n", "1", "--steps", "2", "--exact"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith(CSV_HEADER)
-
-
 def test_arc_exact_audit_rejects_words_that_disagree_with_the_polynomials(
         monkeypatch, capsys):
     # the n = 1 family with its curve polynomials listed in another order:
@@ -112,7 +106,7 @@ def test_arc_exact_audit_rejects_words_that_disagree_with_the_polynomials(
     eqs = fam.curve_eqs
     swapped = dataclasses.replace(fam, curve_eqs=(eqs[1], eqs[0], eqs[2]))
     monkeypatch.setattr(sl2arc.cli, "make_family", lambda n: swapped)
-    assert main(["arc", "--n", "1", "--steps", "2", "--exact"]) == 3
+    assert main(["arc", "--n", "1", "--steps", "2"]) == 3
     assert "audit failed" in capsys.readouterr().err
 
 

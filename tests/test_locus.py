@@ -157,8 +157,7 @@ def test_locus_summary_fields_cohere(locus1):
     tail_len = max(1, len(locus1.first) // 5)
     tail = locus1.first[-tail_len:]
     assert locus1.tail_min_u == min(p.u for p in tail)
-    assert locus1.interval_estimate == orderable_interval(locus1)
-    lo, hi = locus1.interval_estimate
+    lo, hi = orderable_interval(locus1)
     assert lo == 0.0 or hi == 0.0
     assert lo < hi
 
@@ -167,7 +166,6 @@ def test_locus_empty_arc(fam1):
     arc = continue_arc(fam1, max_steps=0)
     locus = locus_points(arc)
     assert locus.first == ()
-    assert locus.interval_estimate == (0.0, 0.0)
     with pytest.raises(LocusError):
         orderable_interval(locus)
 

@@ -316,6 +316,16 @@ def test_coarse_path_rejected():
         lift_along_path([Mat2.identity(exact=False), rotation(3.0)])
 
 
+def test_both_path_entry_points_reject_a_coarse_path():
+    # rotation(3.5) has rotation number +1.114 from the identity; a tracker
+    # without the gap guard reads it as -0.886
+    path = [Mat2.identity(exact=False), rotation(3.5)]
+    with pytest.raises(ContinuityError):
+        lift_along_path(path)
+    with pytest.raises(ContinuityError):
+        translation_numbers_along_arc(path)
+
+
 def test_arc_prefix_values_are_monotone_for_rotations():
     vals = translation_numbers_along_arc(rotation_path(2 * math.pi), BASE_DIRECTION)
     nums = [v.value for v in vals]

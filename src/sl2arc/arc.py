@@ -43,11 +43,14 @@ choices freeze tr(Ma) or force Ma to stay triangular, stalling the arc at
 chi_n); among the feasible pairs the one with the largest fourth singular
 value wins.
 
-The arc tangent at each step is the kernel direction of the reduced
-Jacobian that maximizes character speed ||D(chi) v|| (the gauge flow has
-character speed zero), sign-matched to the previous tangent; the Jacobian
-is the one the corrector evaluated at the previous converged iterate, so
-a step costs one fused evaluation per Newton iterate and nothing more.
+The arc tangent at each step is the null vector of the reduced Jacobian of
+the previous converged iterate stacked over the unit gauge row (Allgower &
+Georg ch. 2), from one SVD, sign-matched to the previous tangent; as the
+gauge flow has character speed zero, it is the kernel direction of maximal
+character speed ||D(chi) v||.  The corrector starts at the Euler predictor,
+so one update reaches the tolerance and a step costs one SVD, one lstsq
+and two fused evaluations, the second giving the check, the word images
+and the next Jacobian.
 The initial orientation is probed one corrector step on each side: the
 direction flag +1 denotes the side whose joint conjugator has determinant
 +1 (a real stable letter exists, the arc glues to an HNN extension, and
@@ -125,11 +128,16 @@ class CurveAnalysis:
         return rows
 
 
+def _curve_jacobian(fam: FamilyInstance) -> tuple:
+    """The exact Jacobian of the curve equations at chi_n and its rank."""
+    jac = tuple(gradient_at(p, fam.chi) for p in fam.curve_eqs)
+    return jac, exact_rank([list(r) for r in jac])
+
+
 def analyze_curve(fam: FamilyInstance) -> CurveAnalysis:
     """Exact Jacobian, rank, kernel and Hessian-on-kernel of C_n at chi_n."""
     chi = fam.chi
-    jac = tuple(gradient_at(p, chi) for p in fam.curve_eqs)
-    rank = exact_rank([list(r) for r in jac])
+    jac, rank = _curve_jacobian(fam)
     kernel: tuple = ()
     if rank == 2:
         null = exact_nullspace([list(r) for r in jac])
@@ -321,25 +329,24 @@ class _ReducedSystem:
         return q
 
     def tangent(self, qr, jr, prev) -> np.ndarray:
-        """Kernel direction of the reduced Jacobian jr at qr with maximal
-        character speed, sign-matched to prev."""
-        kernel = np.linalg.svd(jr)[2][4:]
-        cg = self.system.char_grad(self.expand(qr))[:, self.free]
-        _, _, vt2 = np.linalg.svd(cg @ kernel.T)
-        v = kernel.T @ vt2[0]
-        v /= np.linalg.norm(v)
+        """Null vector of jr stacked over the unit reduced gauge row at qr,
+        sign-matched to prev: the kernel direction of jr orthogonal to the
+        gauge flow, which is the one of maximal character speed."""
+        aug = np.vstack((jr, self.system.gauge(self.expand(qr))[self.free]))
+        v = np.linalg.svd(aug)[2][-1]
         if prev is not None and float(np.dot(v, prev)) < 0.0:
             v = -v
         return v
 
-    def newton(self, qr, tau, q_pred, tol: float, max_iter: int) -> tuple:
-        """Correct qr onto {F = 0} inside the pseudo-arclength hyperplane,
-        with each update orthogonal to the gauge flow.
+    def newton(self, q_pred, tau, tol: float, max_iter: int) -> tuple:
+        """Correct the predictor q_pred onto {F = 0} inside the
+        pseudo-arclength hyperplane tau . (q - q_pred) = 0, with each update
+        orthogonal to the gauge flow.
 
         Returns (q, residual, reduced Jacobian at q, word images at q) for
         the last iterate, converged or not.
         """
-        q = np.array(qr, dtype=float)
+        q = np.array(q_pred, dtype=float)
         a = np.empty((7, len(self.free)))
         a[5] = tau
         b = np.zeros(7)
@@ -396,7 +403,7 @@ def _base_point(fam: FamilyInstance) -> np.ndarray:
     return np.array([float(x) for x in fam.rho_a.entries() + fam.rho_b.entries()])
 
 
-def _character_rows(analysis: CurveAnalysis, q0: np.ndarray, jac0: np.ndarray) -> np.ndarray:
+def _character_rows(jacobian: tuple, q0: np.ndarray, jac0: np.ndarray) -> np.ndarray:
     """Constraint rows at rho_n with the curve rows in character form: the
     exact curve Jacobian times D(chi), beside the two determinant rows.
 
@@ -405,7 +412,7 @@ def _character_rows(analysis: CurveAnalysis, q0: np.ndarray, jac0: np.ndarray) -
     the pins come from these rows.
     """
     rows = jac0.copy()
-    exact = np.array([[float(x) for x in row] for row in analysis.jacobian])
+    exact = np.array([[float(x) for x in row] for row in jacobian])
     rows[2:] = exact @ _EntrySystem.char_grad(q0)
     return rows
 
@@ -445,7 +452,7 @@ def _probe_det_sign(reduced: _ReducedSystem, qr0: np.ndarray,
     the other side's joint conjugator has determinant -1.  Returns 0 when the
     probe step fails or the conjugator stays singular.
     """
-    _, res, _, images = reduced.newton(qr0, v0, qr0 + h * v0, NEWTON_TOL, NEWTON_MAX_ITER)
+    _, res, _, images = reduced.newton(qr0 + h * v0, v0, NEWTON_TOL, NEWTON_MAX_ITER)
     if res > NEWTON_TOL:
         return 0
     return solve_conjugator([images[:2], images[2:]]).det_sign
@@ -469,14 +476,14 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
-    analysis = analyze_curve(fam)
-    if analysis.rank != 2:
-        raise ContinuationError(f"curve rank at chi_n is {analysis.rank}, need 2")
+    jacobian, rank = _curve_jacobian(fam)
+    if rank != 2:
+        raise ContinuationError(f"curve rank at chi_n is {rank}, need 2")
 
     system = _EntrySystem(fam)
     q0 = _base_point(fam)
     f0, jac0, images0 = system.evaluate(q0)
-    rows = _character_rows(analysis, q0, jac0)
+    rows = _character_rows(jacobian, q0, jac0)
     # Audit: at rho_n the matrix-route curve rows and the exact character-form
     # rows agree on {det = 1}, so their difference lies in the span of the two
     # determinant rows, and the constraints vanish; both relative to the
@@ -515,8 +522,7 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     base_det_sign = None
     for step in range(1, max_steps + 1):
         v = reduced.tangent(qr, jr, prev)
-        q_pred = qr + step_size * v
-        qn, res, jn, images = reduced.newton(qr, v, q_pred, NEWTON_TOL, NEWTON_MAX_ITER)
+        qn, res, jn, images = reduced.newton(qr + step_size * v, v, NEWTON_TOL, NEWTON_MAX_ITER)
         if res > NEWTON_TOL:
             if step == 1:
                 raise ContinuationError(

@@ -11,6 +11,7 @@ from sl2arc.arc import (
     ContinuationError,
     GluingError,
     _EntrySystem,
+    _ReducedSystem,
     analyze_curve,
     continue_arc,
     glue_hnn,
@@ -192,6 +193,58 @@ def test_zero_steps_returns_base_sample_only(fam1):
     arc = continue_arc(fam1, max_steps=0)
     assert len(arc.samples) == 1
     assert arc.termination_reason == "maxSteps"
+
+
+@pytest.mark.parametrize("n", [1, 21])
+def test_a_step_costs_two_evaluations_and_one_solve(n, monkeypatch):
+    fam = make_family(n)
+    counts = {"evaluate": 0, "lstsq": 0}
+    evaluate_entries = _EntrySystem.evaluate
+    lstsq = np.linalg.lstsq
+
+    def counted_evaluate(self, q):
+        counts["evaluate"] += 1
+        return evaluate_entries(self, q)
+
+    def counted_lstsq(*args, **kwargs):
+        counts["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(_EntrySystem, "evaluate", counted_evaluate)
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    totals = []
+    for steps in (100, 200):
+        counts.update(evaluate=0, lstsq=0)
+        arc = continue_arc(fam, step_size=1e-3, max_steps=steps, direction=1)
+        assert arc.termination_reason == "maxSteps" and len(arc.samples) == steps + 1
+        totals.append(dict(counts))
+    assert totals[1]["evaluate"] - totals[0]["evaluate"] == 200
+    assert totals[1]["lstsq"] - totals[0]["lstsq"] == 100
+
+
+def _max_character_speed_tangent(system, free, q, jr):
+    """The two-SVD reference: the unit vector of ker jr that maximizes
+    character speed ||D(chi) v||."""
+    kernel = np.linalg.svd(jr)[2][4:]
+    cg = system.char_grad(q)[:, free]
+    v = kernel.T @ np.linalg.svd(cg @ kernel.T)[2][0]
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n", [1, 7, 21])
+def test_tangent_is_the_max_character_speed_kernel_direction(n):
+    fam = make_family(n)
+    arc = continue_arc(fam, step_size=1e-3, max_steps=200, direction=1)
+    assert len(arc.samples) == 201
+    system = _EntrySystem(fam)
+    for s in arc.samples[::20]:
+        q = np.array(s.ma.entries() + s.mb.entries())
+        reduced = _ReducedSystem(system, arc.pins, q[list(arc.pins)])
+        qr = q[reduced.free]
+        jr = system.evaluate(q)[1][:, reduced.free]
+        reference = _max_character_speed_tangent(system, reduced.free, q, jr)
+        v = reduced.tangent(qr, jr, reference)
+        assert float(np.max(np.abs(v - reference))) <= 1e-11
 
 
 def _exact_images(fam, sample, words, inverse):

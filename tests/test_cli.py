@@ -6,9 +6,12 @@ import re
 import pytest
 
 import sl2arc.cli
+from sl2arc.arc import Arc, RepSample
 from sl2arc.cli import main
 from sl2arc.locus import CSV_HEADER
 from sl2arc.pretzel import make_family
+from sl2arc.sl2 import ConjugatorResult, Mat2
+from sl2arc.words import evaluate
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +174,6 @@ def test_interval_empty_arc_is_numerical_failure(capsys):
 
 @pytest.mark.parametrize("n, cause", [
     (9, "not close to an integer"),
-    (20, "determinant 1"),
 ])
 def test_interval_longitude_translation_failure_is_numerical(n, cause, capsys):
     # the longitude translation numbers cannot be evaluated on these arcs
@@ -179,6 +181,26 @@ def test_interval_longitude_translation_failure_is_numerical(n, cause, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: longitude translation numbers failed:")
     assert cause in err
+    assert err.count("\n") == 1
+
+
+def test_interval_longitude_off_unit_determinant_is_numerical(monkeypatch, capsys):
+    # a one-sample arc whose stored longitude has determinant 1 + 2e-9
+    fam = make_family(1)
+    ma = mb = Mat2.identity(exact=False)
+    images = tuple(evaluate(getattr(fam, w), ma, mb) for w in ("m1", "m2", "l1", "l2"))
+    longitude = Mat2(2.0, 0.0, 0.0, 0.5 + 1e-9)
+    sample = RepSample(
+        t=0.1, ma=ma, mb=mb, character=(2.0, 2.0, 2.0), residual=0.0,
+        conjugator=ConjugatorResult(1, Mat2(3.0, 0.0, 0.0, 1.0 / 3.0), 1, 0.0),
+        longitude_trace=float(longitude.trace()), meridian_trace=10.0 / 3.0,
+        word_images=images, longitude=longitude)
+    arc = Arc(fam, (sample,), "maxSteps", 1, 1e-3, (0, 1))
+    monkeypatch.setattr(sl2arc.cli, "continue_arc", lambda *args, **kwargs: arc)
+    assert main(["interval", "--n", "1", "--steps", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: longitude translation numbers failed:")
+    assert "determinant 1" in err
     assert err.count("\n") == 1
 
 

@@ -74,7 +74,7 @@ def make_family(n: int, cap: int = DEFAULT_N_CAP) -> FamilyInstance:
     n is capped (default 10^4) to bound trace-polynomial size; pass a larger
     cap explicitly to override.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > cap:
         raise ValueError(f"n = {n} exceeds the cap {cap}; pass cap explicitly to override")
@@ -157,20 +157,58 @@ def hessian_closed_form(n: int):
 # ----------------------------------------------------------------------
 # exact evaluation helpers
 
-def _exact_point(point):
-    return tuple(Fraction(c) for c in point)
+_HESSIAN_SLOTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _partials_at(poly: TracePolynomial, point, slots) -> list:
+    """Exact partials of poly at a rational point in one integer pass.
+
+    Each slot names the variables a partial differentiates by, one index
+    per order r (1 or 2).  Writing the point as p / d, with d the lcm of its
+    denominators, a term c x^e contributes c * (falling factorials of e) *
+    p^(e - delta) * d^(D + r - |e|) to each slot's integer sum, which is
+    thereby homogeneous of degree D = deg - r; one division by d^D ends it.
+    """
+    pt = [Fraction(c) for c in point]
+    d = math.lcm(*(c.denominator for c in pt))
+    order = len(slots[0])
+    deg = poly.degree()
+    top = max(deg - order, 0)
+    p = [c.numerator * (d // c.denominator) for c in pt]
+    px, py, pz = ([v ** e for e in range(deg + 1)] for v in p)
+    dpows = [d ** e for e in range(top + 1)]
+    falling = ([1] * (deg + 1), list(range(deg + 1)), [e * (e - 1) for e in range(deg + 1)])
+    drops = [tuple(slot.count(v) for v in range(3)) for slot in slots]
+    totals = [0] * len(slots)
+    for (i, j, k), c in poly.terms.items():
+        excess = i + j + k - order
+        if excess < 0:
+            continue
+        w = c * dpows[top - excess]
+        for s, (a, b, g) in enumerate(drops):
+            if i >= a and j >= b and k >= g:
+                f = w * falling[a][i] * falling[b][j] * falling[g][k]
+                totals[s] += f * px[i - a] * py[j - b] * pz[k - g]
+    return [Fraction(t, dpows[top]) for t in totals]
 
 
 def gradient_at(poly: TracePolynomial, point) -> tuple:
-    """Exact gradient of a polynomial at a rational point."""
-    pt = _exact_point(point)
-    return tuple(g.evaluate(*pt) for g in poly.gradient())
+    """Exact gradient of a polynomial at a rational point, as Fractions.
+
+    The terms are summed in integers over the point's common denominator
+    and divided once (see _partials_at); no derivative polynomial is built.
+    """
+    return tuple(_partials_at(poly, point, ((0,), (1,), (2,))))
 
 
 def hessian_at(poly: TracePolynomial, point):
-    """Exact Hessian of a polynomial at a rational point."""
-    pt = _exact_point(point)
-    return tuple(tuple(h.evaluate(*pt) for h in row) for row in poly.hessian())
+    """Exact Hessian of a polynomial at a rational point, as Fractions.
+
+    The six distinct second partials come from one integer pass over the
+    terms and one division each (see _partials_at).
+    """
+    h = dict(zip(_HESSIAN_SLOTS, _partials_at(poly, point, _HESSIAN_SLOTS)))
+    return tuple(tuple(h[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
 
 
 def _det3(m) -> Fraction:

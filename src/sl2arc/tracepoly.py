@@ -77,6 +77,9 @@ class TracePolynomial:
         return isinstance(other, TracePolynomial) and self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as its integer, since it compares equal to it
+        if set(self.terms) <= {(0, 0, 0)}:
+            return hash(self.terms.get((0, 0, 0), 0))
         return hash(frozenset(self.terms.items()))
 
     @property

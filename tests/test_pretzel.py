@@ -6,6 +6,8 @@ import pytest
 
 from sl2arc import pretzel
 from sl2arc.pretzel import (
+    gradient_at,
+    hessian_at,
     hessian_closed_form,
     image_closed_forms,
     jacobian_closed_form,
@@ -15,7 +17,7 @@ from sl2arc.pretzel import (
     verify_lemma,
 )
 from sl2arc.sl2 import Mat2
-from sl2arc.tracepoly import trace_polynomial
+from sl2arc.tracepoly import TracePolynomial, trace_polynomial
 from sl2arc.words import parse_word
 
 
@@ -42,6 +44,48 @@ def test_make_family_rejects_bad_n():
     with pytest.raises(ValueError):
         make_family(80, cap=79)
     make_family(80, cap=80)  # documented override of the default cap
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            make_family(flag)
+
+
+def _formal_partials(poly, point):
+    """Gradient and Hessian by evaluating the derivative polynomials in Fractions."""
+    pt = tuple(Fraction(c) for c in point)
+    grad = tuple(Fraction(g.evaluate(*pt)) for g in poly.gradient())
+    hess = tuple(tuple(Fraction(h.evaluate(*pt)) for h in row) for row in poly.hessian())
+    return grad, hess
+
+
+def _assert_partials_match(poly, point):
+    grad, hess = gradient_at(poly, point), hessian_at(poly, point)
+    assert (grad, hess) == _formal_partials(poly, point)
+    assert all(type(x) is Fraction for x in grad + hess[0] + hess[1] + hess[2])
+
+
+@pytest.mark.parametrize("n", [1, 7, 50, 100])
+def test_integer_partials_match_the_formal_derivatives(n):
+    fam = make_family(n)
+    polys = [*fam.curve_eqs, *(trace_polynomial(w) for w in (fam.m1, fam.m2, fam.longitude))]
+    for point in (fam.chi, (Fraction(1, 3), 2, Fraction(-5, 7)), (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6))):
+        for poly in polys:
+            _assert_partials_match(poly, point)
+
+
+def test_partials_of_zero_and_constant_polynomials_vanish():
+    for poly in (TracePolynomial(), TracePolynomial.constant(7)):
+        for point in ((-2, 4, -2), (Fraction(1, 3), 2, Fraction(-5, 7))):
+            assert gradient_at(poly, point) == (0, 0, 0)
+            assert hessian_at(poly, point) == ((0, 0, 0),) * 3
+            _assert_partials_match(poly, point)
+
+
+@pytest.mark.parametrize("n", [1, 7, 50])
+def test_exact_report_numbers_are_fractions(n):
+    rep = verify_lemma(n)
+    numbers = [x for row in rep.jacobian + rep.hessian for x in row]
+    numbers += [rep.minor, rep.hessian_on_kernel]
+    assert all(type(x) is Fraction for x in numbers)
 
 
 def test_curve_equations_vanish_at_chi_for_many_n():

@@ -48,6 +48,18 @@ def test_polynomial_ring_operations():
     assert (X * Y * Z).degree() == 3
 
 
+def test_constants_hash_as_their_integer():
+    two, zero = TracePolynomial.constant(2), TracePolynomial()
+    assert two == 2 and hash(two) == hash(2)
+    assert zero == 0 and hash(zero) == hash(0)
+    assert TracePolynomial.constant(0) == zero
+    assert len({two, 2}) == 1 and len({zero, 0}) == 1
+    assert {2: "two", 0: "zero"}[two] == "two"
+    assert {two: "two", zero: "zero"}[2] == "two"
+    assert {zero: "zero"}[0] == "zero"
+    assert len({X, Y, X * 1, two, zero}) == 4
+
+
 def test_evaluate_is_exact_on_rationals():
     p = trace_polynomial(parse_word("a^2 b"))
     v = p.evaluate(Fraction(1, 3), Fraction(2), Fraction(-5, 7))

@@ -12,13 +12,23 @@ strictly smaller pieces once the word is rotated to start at a repeated
 letter (traces are conjugation invariant, so cyclic rotation is free).
 Results are memoized under a canonical key, the least rotation of the
 cyclically reduced spelling or of its inverse.
+
+Only the root spelling is freely reduced letter by letter. A split cuts a
+key into subwords, which are already reduced, so a child key needs only the
+cancellation at its one junction, a cyclic reduction and two least
+rotations; a least rotation compares just the rotations that start at a
+longest run of the least letter. Each new key is split once, and its entry
+costs one sparse product plus one subtraction, built in a single dict. The
+power runs a^k give most entries as x*P - Q, whose one-term factor makes
+the product an exponent shift. Compiling a word therefore costs about its
+polynomial arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 
-from .words import Word
+from .words import Word, WordSyntaxError
 
 _VARS = "xyz"
 
@@ -30,6 +40,13 @@ class TracePolynomial:
 
     def __init__(self, terms=None):
         self.terms = {k: v for k, v in (terms or {}).items() if v}
+
+    @classmethod
+    def _of_nonzero(cls, terms: dict) -> "TracePolynomial":
+        """Wrap a term dict that has no zero coefficients, without a copy."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
 
     @staticmethod
     def constant(c: int) -> "TracePolynomial":
@@ -60,14 +77,7 @@ class TracePolynomial:
         return TracePolynomial({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return TracePolynomial({k: other * v for k, v in self.terms.items()})
-        out = {}
-        for (i1, j1, k1), c1 in self.terms.items():
-            for (i2, j2, k2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2, k1 + k2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return TracePolynomial(out)
+        return TracePolynomial._of_nonzero(_product(self.terms, _coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -159,6 +169,28 @@ def _coerce(p) -> TracePolynomial:
     raise TypeError(f"cannot combine TracePolynomial with {type(p).__name__}")
 
 
+def _product(p: dict, q: dict) -> dict:
+    """Nonzero terms of the product of two term dicts.
+
+    A one-term factor shifts the other factor's exponents. The terms come
+    in the order of the plain double loop with its zero sums removed, which
+    fixes the summation order of a float `evaluate`.
+    """
+    if len(p) == 1:
+        p, q = q, p
+    if len(q) == 1:
+        ((di, dj, dk), c0), = q.items()
+        return {(i + di, j + dj, k + dk): c * c0 for (i, j, k), c in p.items()}
+    out = {}
+    for (i1, j1, k1), c1 in p.items():
+        for (i2, j2, k2), c2 in q.items():
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            out[key] = out.get(key, 0) + c1 * c2
+    for key in [key for key, c in out.items() if not c]:
+        del out[key]
+    return out
+
+
 X = TracePolynomial.variable("x")
 Y = TracePolynomial.variable("y")
 Z = TracePolynomial.variable("z")
@@ -166,6 +198,9 @@ Z = TracePolynomial.variable("z")
 
 # ----------------------------------------------------------------------
 # spelling utilities (one character per letter, uppercase = inverse)
+
+_LETTERS = "ABab"  # in sorted order, which breaks ties in `_split`
+
 
 def _invert_spelling(s: str) -> str:
     return s[::-1].swapcase()
@@ -181,25 +216,54 @@ def _reduce_spelling(s: str) -> str:
     return "".join(out)
 
 
+def _join(u: str, v: str) -> str:
+    """Free reduction of u v for freely reduced u and v: only the junction cancels."""
+    m, top = 0, min(len(u), len(v))
+    while m < top and u[-1 - m] == v[m].swapcase():
+        m += 1
+    return u[: len(u) - m] + v[m:]
+
+
 def _cyclic_reduce(s: str) -> str:
     while len(s) >= 2 and s[0] == s[-1].swapcase():
         s = s[1:-1]
     return s
 
 
+_RUNS = {ch: re.compile(ch + "+") for ch in _LETTERS}
+
+
 def _least_rotation(s: str) -> str:
-    if len(s) <= 1:
+    """Lexicographically least rotation of s.
+
+    It starts at a longest cyclic run of the least letter, so only the
+    rotations starting at such a run are compared.
+    """
+    n = len(s)
+    if n <= 1:
         return s
     doubled = s + s
-    return min(doubled[i : i + len(s)] for i in range(len(s)))
+    run = max(_RUNS[min(s)].findall(doubled))
+    if len(run) >= n:
+        return s
+    i = doubled.find(run)
+    best = doubled[i : i + n]
+    i = doubled.find(run, i + 1)
+    while 0 <= i < n:
+        best = min(best, doubled[i : i + n])
+        i = doubled.find(run, i + 1)
+    return best
+
+
+def _key(s: str) -> str:
+    """Canonical key of a freely reduced spelling."""
+    s = _cyclic_reduce(s)
+    return min(_least_rotation(s), _least_rotation(_invert_spelling(s)))
 
 
 def _canonical_key(s: str) -> str:
     """Least rotation of the cyclically reduced spelling or of its inverse."""
-    s = _cyclic_reduce(_reduce_spelling(s))
-    if not s:
-        return ""
-    return min(_least_rotation(s), _least_rotation(_invert_spelling(s)))
+    return _key(_reduce_spelling(s))
 
 
 _BASE = {
@@ -216,50 +280,69 @@ def _split(key: str):
 
     Splits at the most repeated letter when one repeats; otherwise the key
     has pairwise distinct letters and an inverse letter is eliminated.
-    Non-base keys always admit one of the two moves.
+    Non-base keys always admit one of the two moves. The pieces are
+    subwords of the cyclically reduced key, so they are freely reduced.
     """
-    counts = {}
-    for ch in key:
-        counts[ch] = counts.get(ch, 0) + 1
-    letter = max(sorted(counts), key=counts.get)
+    counts = {ch: key.count(ch) for ch in _LETTERS}
+    letter = max(counts, key=counts.__getitem__)
     if counts[letter] >= 2:
         i = key.index(letter)
         rot = key[i:] + key[:i]
         j = rot.index(letter, 1)
         w1, w2 = rot[:j], rot[j:]
-        k3 = _canonical_key(_invert_spelling(w1) + w2)
-        return _canonical_key(w1), _canonical_key(w2), k3
+        return _key(w1), _key(w2), _key(_join(_invert_spelling(w1), w2))
     i = next((p for p, ch in enumerate(key) if ch.isupper()), None)
     if i is None:
         raise AssertionError(f"unsplittable key {key!r} should be a base case")
     rot = key[i:] + key[:i]
     u, rest = rot[0], rot[1:]
-    k3 = _canonical_key(u.swapcase() + rest)
-    return _canonical_key(u), _canonical_key(rest), k3
+    return _key(u), _key(rest), _key(_join(u.swapcase(), rest))
 
 
 _MEMO: dict = dict(_BASE)
 
 
+def _trace_step(p, q, r) -> TracePolynomial:
+    """p q - r in one dict: the product's, updated in place."""
+    terms = _product(p.terms, q.terms)
+    for mono, c in r.terms.items():
+        v = terms.get(mono, 0) - c
+        if v:
+            terms[mono] = v
+        else:
+            del terms[mono]
+    return TracePolynomial._of_nonzero(terms)
+
+
 def trace_of_spelling(s: str) -> TracePolynomial:
-    """Trace polynomial of a word given by its spelling (e.g. 'aaBab')."""
+    """Trace polynomial of a word given by its spelling (e.g. 'aaBab').
+
+    Raises WordSyntaxError (a ValueError) on a letter outside a, b, A, B.
+    """
+    rest = s.lstrip(_LETTERS)
+    if rest:
+        raise WordSyntaxError(f"unknown letter {rest[0]!r}", len(s) - len(rest))
     root = _canonical_key(s)
     if root in _MEMO:
         return _MEMO[root]
-    stack = [root]
+    # each entry is [key, children]; children are found on the first visit,
+    # and the second visit, after they are compiled, builds the key's entry
+    stack = [[root, None]]
     while stack:
-        key = stack[-1]
-        if key in _MEMO:
-            stack.pop()
-            continue
-        children = _split(key)
-        missing = [c for c in children if c not in _MEMO]
-        if missing:
-            stack.extend(missing)
-        else:
-            k1, k2, k3 = children
-            _MEMO[key] = _MEMO[k1] * _MEMO[k2] - _MEMO[k3]
-            stack.pop()
+        entry = stack[-1]
+        key, children = entry
+        if children is None:
+            if key in _MEMO:
+                stack.pop()
+                continue
+            children = entry[1] = _split(key)
+            missing = [[c, None] for c in children if c not in _MEMO]
+            if missing:
+                stack.extend(missing)
+                continue
+        k1, k2, k3 = children
+        _MEMO[key] = _trace_step(_MEMO[k1], _MEMO[k2], _MEMO[k3])
+        stack.pop()
     return _MEMO[root]
 
 

@@ -1,11 +1,24 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
+from sl2arc import tracepoly
+from sl2arc.pretzel import make_family
 from sl2arc.sl2 import Mat2
-from sl2arc.tracepoly import TracePolynomial, X, Y, Z, character_of, trace_polynomial
-from sl2arc.words import Word, commutator, evaluate, invert, parse_word
+from sl2arc.tracepoly import (
+    TracePolynomial,
+    X,
+    Y,
+    Z,
+    character_of,
+    trace_of_spelling,
+    trace_polynomial,
+)
+from sl2arc.words import Word, WordSyntaxError, commutator, evaluate, invert, parse_word
 
 from test_words import random_unimodular, random_word
 
@@ -46,6 +59,13 @@ def test_polynomial_ring_operations():
     assert (p - p).is_zero
     assert p.degree() == 2
     assert (X * Y * Z).degree() == 3
+    assert 2 * X == X * 2 == X + X
+    assert (X * 0).is_zero and (0 * p).is_zero
+    for bad in (Fraction(1, 2), 1.5):
+        for op in (lambda: X * bad, lambda: bad * X, lambda: X + bad, lambda: X - bad,
+                   lambda: bad - X):
+            with pytest.raises(TypeError, match="cannot combine"):
+                op()
 
 
 def test_constants_hash_as_their_integer():
@@ -124,3 +144,108 @@ def test_long_word_compiles():
     ma = Mat2(-1, 1, 0, -1)
     mb = Mat2(2 * n + 1, n, 2, 1)
     assert p.evaluate(*character_of(ma, mb)) == evaluate(w, ma, mb).trace()
+    rng = random.Random(60)
+    for n in (1, 7, 50, 100):
+        fam = make_family(n)
+        p = trace_polynomial(fam.longitude)
+        pairs = [(fam.rho_a, fam.rho_b)] + [(random_unimodular(rng), random_unimodular(rng))
+                                            for _ in range(3)]
+        for ma, mb in pairs:
+            assert p.evaluate(*character_of(ma, mb)) == evaluate(fam.longitude, ma, mb).trace()
+
+
+def test_unknown_letter_is_rejected():
+    with pytest.raises(WordSyntaxError, match=r"unknown letter 'c' \(position 2\)") as info:
+        trace_of_spelling("abcab")
+    assert isinstance(info.value, ValueError) and info.value.position == 2
+    with pytest.raises(ValueError, match=r"unknown letter ' ' \(position 0\)"):
+        trace_of_spelling(" a")
+
+
+# ----------------------------------------------------------------------
+# canonical keys against the plain definitions: free reduction letter by
+# letter, cyclic reduction, and the least of all rotations of the word and
+# of its inverse
+
+
+def _reference_key(s: str) -> str:
+    out = []
+    for ch in s:
+        if out and out[-1] == ch.swapcase():
+            out.pop()
+        else:
+            out.append(ch)
+    s = "".join(out)
+    while len(s) >= 2 and s[0] == s[-1].swapcase():
+        s = s[1:-1]
+    if not s:
+        return ""
+    return min(_reference_rotation(s), _reference_rotation(s[::-1].swapcase()))
+
+
+def _reference_rotation(s: str) -> str:
+    return min(((s + s)[i : i + len(s)] for i in range(len(s))), default=s)
+
+
+def _reference_split(key: str):
+    """The children of `key`, each reduced from scratch."""
+    letter = max(sorted(set(key)), key=key.count)
+    if key.count(letter) >= 2:
+        i = key.index(letter)
+        rot = key[i:] + key[:i]
+        j = rot.index(letter, 1)
+        w1, w2 = rot[:j], rot[j:]
+        pieces = (w1, w2, w1[::-1].swapcase() + w2)
+    else:
+        i = next(p for p, ch in enumerate(key) if ch.isupper())
+        rot = key[i:] + key[:i]
+        pieces = (rot[0], rot[1:], rot[0].swapcase() + rot[1:])
+    return tuple(map(_reference_key, pieces))
+
+
+def _check_keys(spellings):
+    keys = set()
+    for s in spellings:
+        assert tracepoly._least_rotation(s) == _reference_rotation(s), s
+        key = tracepoly._canonical_key(s)
+        assert key == _reference_key(s), s
+        keys.add(key)
+    splittable = keys - set(tracepoly._BASE)
+    for key in splittable:
+        assert tracepoly._split(key) == _reference_split(key), key
+    return splittable
+
+
+def test_canonical_keys_of_all_short_spellings():
+    spellings = ("".join(t) for length in range(9) for t in itertools.product("abAB", repeat=length))
+    assert len(_check_keys(spellings)) == 689
+
+
+def test_canonical_keys_of_long_random_spellings():
+    rng = random.Random(20261018)
+    spellings = []
+    for _ in range(300):
+        raw = [rng.choice("abAB") for _ in range(rng.randint(0, 220))]
+        spellings.append("".join(raw))
+        spellings.append(Word.from_pairs([(ch.lower(), 1 if ch.islower() else -1)
+                                          for ch in raw]).spelled())
+    # long runs of one letter, as in the family words a^(n+1) b a b
+    spellings += [f"{'a' * k}bab{'A' * j}B" for k in (1, 50, 101) for j in (0, 3, 101)]
+    _check_keys(spellings)
+
+
+def test_each_new_key_is_split_once(monkeypatch):
+    word = make_family(30).longitude
+    expected = trace_polynomial(word)
+    memo = dict(tracepoly._BASE)
+    splits = []
+    split = tracepoly._split
+
+    def counted_split(key):
+        splits.append(key)
+        return split(key)
+
+    monkeypatch.setattr(tracepoly, "_MEMO", memo)
+    monkeypatch.setattr(tracepoly, "_split", counted_split)
+    assert trace_polynomial(word) == expected
+    assert len(splits) == len(memo) - len(tracepoly._BASE) > 100

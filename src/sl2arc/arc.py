@@ -20,13 +20,18 @@ Constraint evaluation.  Each curve equation is tr W1 - tr W2 for a pair of
 the family's words, evaluated as the trace of a product of 2x2 matrices
 (an inverse letter is the adjugate, so F is a polynomial in the entries)
 rather than from the expanded trace polynomials, whose floating-point
-error grows far faster with n.  One prefix/suffix product pass per word
-gives the trace, the gradient through d tr(P X S)/dX = (S P)^T, and the
-word's image; the images of m1, m2, l1, l2 at the converged iterate become
-the sample's stored images, so no later stage rebuilds them.  On {det = 1}
-these rows agree with the character-form rows D(poly) . D(chi) up to
-multiples of the two determinant rows; continue_arc audits this at rho_n
-before every continuation.
+error grows far faster with n.  The six words are compiled once into
+letter codes, and the hot path runs on plain float 4-tuples: one
+prefix/suffix product pass per word, with the 2x2 products written out
+and the gradient summed in locals, gives the trace, the gradient through
+d tr(P X S)/dX = (S P)^T, and the word's image; F and J are then built
+with one array call each.  The images of m1, m2, l1, l2 at the converged
+iterate become the sample's stored images, so no later stage rebuilds
+them, and the longitude is multiplied out from them with true inverses.
+Mat2 objects appear only in the fields of the sample.  On {det = 1} these
+rows agree with the character-form rows D(poly) . D(chi) up to multiples
+of the two determinant rows; continue_arc audits this at rho_n before
+every continuation.
 
 Gauge geometry.  Conjugating (Ma, Mb) by the centralizer of Ma moves matrix
 entries without moving the character: the flow fixes Ma and moves Mb by
@@ -214,7 +219,7 @@ class Arc:
 
 _PIN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _CURVE_WORDS = ("m1", "m2", "l1", "l2", "m1l1", "m2l2")  # rows 2..4: pairs
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+_LETTER_CODES = {"a": 0, "A": 1, "b": 2, "B": 3}
 
 
 def _mul(x: tuple, y: tuple) -> tuple:
@@ -224,55 +229,64 @@ def _mul(x: tuple, y: tuple) -> tuple:
             x21 * y11 + x22 * y21, x21 * y12 + x22 * y22)
 
 
-def _trace_pass(spelling: str, letters: dict) -> tuple:
+def _inverse(x: tuple) -> tuple:
+    """True inverse of a float entry tuple, rounded as Mat2.inverse rounds it."""
+    a, b, c, d = x
+    k = 1.0 / (a * d - b * c)
+    return (k * d, k * -b, k * -c, k * a)
+
+
+def _trace_pass(codes: tuple, letters: tuple) -> tuple:
     """Trace, gradient and image of one word in a single product pass.
 
-    The gradient of tr(P X S) in the entries of X is (S P)^T, and an inverse
-    letter is the adjugate, whose entries (d, -b, -c, a) turn that into
-    (N22, -N21, -N12, N11) with N = S P.  Returns (trace, [8 partials over
-    q], image as an entry tuple).
+    codes spells the word in letter codes (0, 1, 2, 3 for a, A, b, B), which
+    index the four letter entry tuples in letters.  The gradient of
+    tr(P X S) in the entries of X is (S P)^T, and an inverse letter is the
+    adjugate, whose entries (d, -b, -c, a) turn N = S P into its adjugate
+    (N22, -N12, -N21, N11) before the transpose.  Returns (trace, the 8
+    partials over q, image as an entry tuple).
     """
-    mats = [letters[ch] for ch in spelling]
-    suffix = [_IDENTITY] * (len(mats) + 1)
-    for i in range(len(mats) - 1, -1, -1):
-        suffix[i] = _mul(mats[i], suffix[i + 1])
-    grad = [0.0] * 8
-    prefix = _IDENTITY
-    for i, ch in enumerate(spelling):
-        n11, n12, n21, n22 = _mul(suffix[i + 1], prefix)
-        k = 0 if ch in "aA" else 4
-        if ch.islower():
-            grad[k] += n11
-            grad[k + 1] += n21
-            grad[k + 2] += n12
-            grad[k + 3] += n22
+    mats = [letters[c] for c in codes]
+    s11, s12, s21, s22 = 1.0, 0.0, 0.0, 1.0
+    suffixes = [(s11, s12, s21, s22)]
+    for x11, x12, x21, x22 in reversed(mats):
+        s11, s12, s21, s22 = (x11 * s11 + x12 * s21, x11 * s12 + x12 * s22,
+                              x21 * s11 + x22 * s21, x21 * s12 + x22 * s22)
+        suffixes.append((s11, s12, s21, s22))
+    image = suffixes.pop()
+    g0 = g1 = g2 = g3 = g4 = g5 = g6 = g7 = 0.0
+    p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
+    # the suffix after letter i, S, runs from mats[1:] down to the identity
+    for code, (m11, m12, m21, m22), (s11, s12, s21, s22) in zip(codes, mats, reversed(suffixes)):
+        n11 = s11 * p11 + s12 * p21
+        n12 = s11 * p12 + s12 * p22
+        n21 = s21 * p11 + s22 * p21
+        n22 = s21 * p12 + s22 * p22
+        if code & 1:
+            n11, n12, n21, n22 = n22, -n12, -n21, n11
+        if code < 2:
+            g0 += n11
+            g1 += n21
+            g2 += n12
+            g3 += n22
         else:
-            grad[k] += n22
-            grad[k + 1] -= n21
-            grad[k + 2] -= n12
-            grad[k + 3] += n11
-        prefix = _mul(prefix, mats[i])
-    image = suffix[0]
-    return image[0] + image[3], grad, image
+            g4 += n11
+            g5 += n21
+            g6 += n12
+            g7 += n22
+        p11, p12, p21, p22 = (p11 * m11 + p12 * m21, p11 * m12 + p12 * m22,
+                              p21 * m11 + p22 * m21, p21 * m12 + p22 * m22)
+    return image[0] + image[3], (g0, g1, g2, g3, g4, g5, g6, g7), image
 
 
 class _EntrySystem:
     """F: R^8 -> R^5 (two unit-determinant equations, three curve equations
     tr W1 - tr W2) over q = (a11, a12, a21, a22, b11, b12, b21, b22), and
-    the character map chi(q) = (tr Ma, tr Mb, tr Ma Mb)."""
+    the Jacobian of the character map chi(q) = (tr Ma, tr Mb, tr Ma Mb)."""
 
     def __init__(self, fam: FamilyInstance):
-        self.spellings = tuple(getattr(fam, name).spelled() for name in _CURVE_WORDS)
-
-    @staticmethod
-    def mats(q) -> tuple:
-        return (Mat2(*(float(x) for x in q[:4])), Mat2(*(float(x) for x in q[4:])))
-
-    @staticmethod
-    def char(q) -> np.ndarray:
-        a11, a12, a21, a22, b11, b12, b21, b22 = q
-        return np.array([a11 + a22, b11 + b22,
-                         a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22])
+        self.codes = tuple(tuple(_LETTER_CODES[ch] for ch in getattr(fam, name).spelled())
+                           for name in _CURVE_WORDS)
 
     @staticmethod
     def char_grad(q) -> np.ndarray:
@@ -286,31 +300,28 @@ class _EntrySystem:
     @staticmethod
     def gauge(q) -> np.ndarray:
         """Unit tangent of conjugation by Ma: Ma stays, Mb moves by [Ma, Mb]."""
-        a11, a12, a21, a22, b11, b12, b21, b22 = q
-        g = np.zeros(8)
-        g[4:] = (a12 * b21 - b12 * a21,
-                 a11 * b12 + a12 * b22 - b11 * a12 - b12 * a22,
-                 a21 * b11 + a22 * b21 - b21 * a11 - b22 * a21,
-                 a21 * b12 - b21 * a12)
+        a11, a12, a21, a22, b11, b12, b21, b22 = map(float, q)
+        g = np.array((0.0, 0.0, 0.0, 0.0,
+                      a12 * b21 - b12 * a21,
+                      a11 * b12 + a12 * b22 - b11 * a12 - b12 * a22,
+                      a21 * b11 + a22 * b21 - b21 * a11 - b22 * a21,
+                      a21 * b12 - b21 * a12))
         return g / np.linalg.norm(g)
 
     def evaluate(self, q) -> tuple:
-        """(F, its 5x8 Jacobian, the Mat2 images of m1, m2, l1, l2)."""
-        a11, a12, a21, a22, b11, b12, b21, b22 = (float(x) for x in q)
-        letters = {"a": (a11, a12, a21, a22), "A": (a22, -a12, -a21, a11),
-                   "b": (b11, b12, b21, b22), "B": (b22, -b12, -b21, b11)}
-        passes = [_trace_pass(w, letters) for w in self.spellings]
-        f = np.empty(5)
-        jac = np.zeros((5, 8))
-        f[0] = a11 * a22 - a12 * a21 - 1.0
-        f[1] = b11 * b22 - b12 * b21 - 1.0
-        jac[0, :4] = (a22, -a21, -a12, a11)
-        jac[1, 4:] = (b22, -b21, -b12, b11)
-        for row in range(3):
-            (tr1, g1, _), (tr2, g2, _) = passes[2 * row], passes[2 * row + 1]
-            f[2 + row] = tr1 - tr2
-            jac[2 + row] = [x - y for x, y in zip(g1, g2)]
-        return f, jac, tuple(Mat2(*p[2]) for p in passes[:4])
+        """(F, its 5x8 Jacobian, the images of m1, m2, l1, l2 as entry tuples)."""
+        a11, a12, a21, a22, b11, b12, b21, b22 = map(float, q)
+        letters = ((a11, a12, a21, a22), (a22, -a12, -a21, a11),
+                   (b11, b12, b21, b22), (b22, -b12, -b21, b11))
+        (t1, g1, m1), (t2, g2, m2), (t3, g3, l1), (t4, g4, l2), (t5, g5, _), (t6, g6, _) = (
+            _trace_pass(codes, letters) for codes in self.codes)
+        f = np.array((a11 * a22 - a12 * a21 - 1.0, b11 * b22 - b12 * b21 - 1.0,
+                      t1 - t2, t3 - t4, t5 - t6))
+        zeros = (0.0, 0.0, 0.0, 0.0)
+        jac = np.array(((a22, -a21, -a12, a11) + zeros, zeros + (b22, -b21, -b12, b11),
+                        tuple(map(float.__sub__, g1, g2)), tuple(map(float.__sub__, g3, g4)),
+                        tuple(map(float.__sub__, g5, g6))))
+        return f, jac, (m1, m2, l1, l2)
 
 
 class _ReducedSystem:
@@ -319,20 +330,23 @@ class _ReducedSystem:
     def __init__(self, system: _EntrySystem, pins: tuple, pinned_values: np.ndarray):
         self.system = system
         self.pins = pins
-        self.free = [i for i in range(8) if i not in pins]
-        self.pinned_values = pinned_values
+        self.free = np.array([i for i in range(8) if i not in pins])
+        self.pinned = np.zeros(8)
+        self.pinned[list(pins)] = pinned_values
 
     def expand(self, qr) -> np.ndarray:
-        q = np.empty(8)
-        q[list(self.pins)] = self.pinned_values
+        q = self.pinned.copy()
         q[self.free] = qr
         return q
 
-    def tangent(self, qr, jr, prev) -> np.ndarray:
-        """Null vector of jr stacked over the unit reduced gauge row at qr,
-        sign-matched to prev: the kernel direction of jr orthogonal to the
-        gauge flow, which is the one of maximal character speed."""
-        aug = np.vstack((jr, self.system.gauge(self.expand(qr))[self.free]))
+    def tangent(self, q, jr, prev) -> np.ndarray:
+        """Null vector of jr stacked over the unit reduced gauge row at the
+        full entry vector q, sign-matched to prev: the kernel direction of jr
+        orthogonal to the gauge flow, which is the one of maximal character
+        speed."""
+        aug = np.empty((6, len(self.free)))
+        aug[:5] = jr
+        aug[5] = self.system.gauge(q)[self.free]
         v = np.linalg.svd(aug)[2][-1]
         if prev is not None and float(np.dot(v, prev)) < 0.0:
             v = -v
@@ -343,8 +357,9 @@ class _ReducedSystem:
         pseudo-arclength hyperplane tau . (q - q_pred) = 0, with each update
         orthogonal to the gauge flow.
 
-        Returns (q, residual, reduced Jacobian at q, word images at q) for
-        the last iterate, converged or not.
+        Returns (the full entry vector, residual, reduced Jacobian, word
+        images) at the last iterate: the converged one, the one after
+        max_iter updates, or the first whose residual is not finite.
         """
         q = np.array(q_pred, dtype=float)
         a = np.empty((7, len(self.free)))
@@ -355,9 +370,9 @@ class _ReducedSystem:
             f, jac, images = self.system.evaluate(full)
             jr = jac[:, self.free]
             extra = float(np.dot(tau, q - q_pred))
-            res = max(float(np.max(np.abs(f))), abs(extra))
-            if res <= tol or it == max_iter:
-                return q, res, jr, images
+            res = max(float(np.abs(f).max()), abs(extra))
+            if res <= tol or not math.isfinite(res) or it == max_iter:
+                return full, res, jr, images
             a[:5] = jr
             a[6] = self.system.gauge(full)[self.free]
             b[:5] = f
@@ -417,11 +432,18 @@ def _character_rows(jacobian: tuple, q0: np.ndarray, jac0: np.ndarray) -> np.nda
     return rows
 
 
+def _image_pairs(images: tuple) -> list:
+    """The meridian and longitude pairs of word images, as Mat2s."""
+    im1, im2, il1, il2 = (Mat2(*m) for m in images)
+    return [(im1, im2), (il1, il2)]
+
+
 def _sample_at(t: float, q, residual: float, images: tuple) -> RepSample:
-    ma, mb = _EntrySystem.mats(q)
-    im1, _, il1, _ = images
-    conj = solve_conjugator([images[:2], images[2:]])
-    longitude = im1 @ il1 @ im1.inverse() @ il1.inverse()
+    a11, a12, a21, a22, b11, b12, b21, b22 = map(float, q)
+    pairs = _image_pairs(images)
+    conj = solve_conjugator(pairs)
+    m1, _, l1, _ = images
+    longitude = _mul(_mul(_mul(m1, l1), _inverse(m1)), _inverse(l1))
     if conj.det_sign == 1 and conj.candidate is not None:
         meridian = abs(conj.candidate.trace())
     elif conj.det_sign == 0:
@@ -430,19 +452,19 @@ def _sample_at(t: float, q, residual: float, images: tuple) -> RepSample:
         meridian = math.nan
     return RepSample(
         t=t,
-        ma=ma,
-        mb=mb,
-        character=tuple(float(c) for c in _EntrySystem.char(q)),
+        ma=Mat2(a11, a12, a21, a22),
+        mb=Mat2(b11, b12, b21, b22),
+        character=(a11 + a22, b11 + b22, a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22),
         residual=residual,
         conjugator=conj,
-        longitude_trace=float(longitude.trace()),
+        longitude_trace=longitude[0] + longitude[3],
         meridian_trace=meridian,
-        word_images=images,
-        longitude=longitude,
+        word_images=pairs[0] + pairs[1],
+        longitude=Mat2(*longitude),
     )
 
 
-def _probe_det_sign(reduced: _ReducedSystem, qr0: np.ndarray,
+def _probe_det_sign(reduced: _ReducedSystem, q0: np.ndarray,
                     v0: np.ndarray, h: float) -> int:
     """Conjugator determinant class one corrector step along +v0.
 
@@ -452,10 +474,10 @@ def _probe_det_sign(reduced: _ReducedSystem, qr0: np.ndarray,
     the other side's joint conjugator has determinant -1.  Returns 0 when the
     probe step fails or the conjugator stays singular.
     """
-    _, res, _, images = reduced.newton(qr0 + h * v0, v0, NEWTON_TOL, NEWTON_MAX_ITER)
-    if res > NEWTON_TOL:
+    _, res, _, images = reduced.newton(q0[reduced.free] + h * v0, v0, NEWTON_TOL, NEWTON_MAX_ITER)
+    if not res <= NEWTON_TOL:
         return 0
-    return solve_conjugator([images[:2], images[2:]]).det_sign
+    return solve_conjugator(_image_pairs(images)).det_sign
 
 
 def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
@@ -466,9 +488,10 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     direction +1 follows the side whose joint conjugator has determinant +1
     (probed one corrector step out on each side); -1 follows the opposite
     side.  Terminates on max_steps, on the meridian trace crossing
-    trace_ceiling, on Newton failure, or on a change of conjugator
-    determinant class.  Raises ContinuationError when the exact curve data at
-    chi_n do not describe the constraints continuation solves.
+    trace_ceiling, on Newton failure (a residual above NEWTON_TOL or not
+    finite), or on a change of conjugator determinant class.  Raises
+    ContinuationError when Newton fails at the first step, or when the exact
+    curve data at chi_n do not describe the constraints continuation solves.
     """
     if not 1e-6 <= step_size <= 1e-1:
         raise ValueError(f"step_size must lie in [1e-6, 1e-1], got {step_size}")
@@ -500,13 +523,13 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
             f"constraint value {value:.3e}, relative)")
     pins = _select_pins(rows, q0)
     reduced = _ReducedSystem(system, pins, q0[list(pins)])
-    qr = q0[reduced.free].copy()
+    q = q0
     jr = jac0[:, reduced.free]
 
-    v0 = reduced.tangent(qr, jr, None)
-    plus = _probe_det_sign(reduced, qr, v0, step_size)
+    v0 = reduced.tangent(q, jr, None)
+    plus = _probe_det_sign(reduced, q, v0, step_size)
     if plus != 1:
-        minus = _probe_det_sign(reduced, qr, -v0, step_size)
+        minus = _probe_det_sign(reduced, q, -v0, step_size)
         if minus == 1:
             v0 = -v0
         elif plus == 0 and minus == 0:
@@ -521,17 +544,18 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     t = 0.0
     base_det_sign = None
     for step in range(1, max_steps + 1):
-        v = reduced.tangent(qr, jr, prev)
-        qn, res, jn, images = reduced.newton(qr + step_size * v, v, NEWTON_TOL, NEWTON_MAX_ITER)
-        if res > NEWTON_TOL:
+        v = reduced.tangent(q, jr, prev)
+        qn, res, jn, images = reduced.newton(q[reduced.free] + step_size * v, v,
+                                             NEWTON_TOL, NEWTON_MAX_ITER)
+        if not res <= NEWTON_TOL:
             if step == 1:
                 raise ContinuationError(
                     f"Newton diverged at the first step (last residual {res:.3e})")
             reason = "newtonFailure"
             break
-        prev, qr, jr = v, qn, jn
+        prev, q, jr = v, qn, jn
         t += step_size
-        sample = _sample_at(t, reduced.expand(qr), res, images)
+        sample = _sample_at(t, q, res, images)
         samples.append(sample)
         if base_det_sign is None:
             base_det_sign = sample.det_sign

@@ -55,7 +55,8 @@ class Mat2:
 
     @property
     def exact(self) -> bool:
-        return all(isinstance(x, _EXACT_TYPES) for x in (self.a, self.b, self.c, self.d))
+        return (isinstance(self.a, _EXACT_TYPES) and isinstance(self.b, _EXACT_TYPES)
+                and isinstance(self.c, _EXACT_TYPES) and isinstance(self.d, _EXACT_TYPES))
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -114,7 +115,7 @@ class Mat2:
         return out
 
     def frobenius(self) -> float:
-        return math.sqrt(float(self.a) ** 2 + float(self.b) ** 2 + float(self.c) ** 2 + float(self.d) ** 2)
+        return _frobenius(self.a, self.b, self.c, self.d)
 
     def max_abs(self) -> float:
         return max(abs(float(x)) for x in (self.a, self.b, self.c, self.d))
@@ -127,6 +128,11 @@ class Mat2:
 
     def __str__(self) -> str:
         return "[[{}, {}], [{}, {}]]".format(*(_fmt_entry(x) for x in self.entries()))
+
+
+def _frobenius(a, b, c, d) -> float:
+    """Frobenius norm of the entries, exact or float, in float."""
+    return math.sqrt(float(a) ** 2 + float(b) ** 2 + float(c) ** 2 + float(d) ** 2)
 
 
 def frobenius_distance(m: Mat2, n: Mat2) -> float:
@@ -322,19 +328,20 @@ class ConjugatorResult:
 
 
 def _intertwiner_rows(pairs):
-    """Rows of the linear system (G A - B G) = 0 in g = (g11, g12, g21, g22)."""
+    """Rows of the linear system (G A - B G) = 0 in g = (g11, g12, g21, g22),
+    four per pair, one for each entry (i, j) of G A - B G.
+
+    Each entry is summed from 0, the A terms before the B terms, so float
+    rows keep the sign of an exact zero.
+    """
     rows = []
     for a, b in pairs:
-        aa = ((a.a, a.b), (a.c, a.d))
-        bb = ((b.a, b.b), (b.c, b.d))
-        for i in range(2):
-            for j in range(2):
-                row = [0, 0, 0, 0]
-                for l in range(2):
-                    row[2 * i + l] += aa[l][j]
-                for k in range(2):
-                    row[2 * k + j] -= bb[i][k]
-                rows.append(row)
+        a11, a12, a21, a22 = a.entries()
+        b11, b12, b21, b22 = b.entries()
+        rows += ((0 + a11 - b11, 0 + a21, 0 - b12, 0),
+                 (0 + a12, 0 + a22 - b11, 0, 0 - b12),
+                 (0 - b21, 0, 0 + a11 - b22, 0 + a21),
+                 (0, 0 - b21, 0 + a12, 0 + a22 - b22))
     return rows
 
 
@@ -355,9 +362,19 @@ def relation_residual(g: Mat2, pairs) -> float:
     Relative to the operator scale, so that large letters and large images
     are not mistaken for failed relations.
     """
-    g_norm = g.frobenius()
-    return max((g @ a - b @ g).frobenius() / max(1.0, g_norm * max(a.frobenius(), b.frobenius()))
-               for a, b in pairs)
+    g11, g12, g21, g22 = g.entries()
+    g_norm = _frobenius(g11, g12, g21, g22)
+    worst = []
+    for a, b in pairs:
+        a11, a12, a21, a22 = a.entries()
+        b11, b12, b21, b22 = b.entries()
+        gap = _frobenius((g11 * a11 + g12 * a21) - (b11 * g11 + b12 * g21),
+                         (g11 * a12 + g12 * a22) - (b11 * g12 + b12 * g22),
+                         (g21 * a11 + g22 * a21) - (b21 * g11 + b22 * g21),
+                         (g21 * a12 + g22 * a22) - (b21 * g12 + b22 * g22))
+        scale = max(_frobenius(a11, a12, a21, a22), _frobenius(b11, b12, b21, b22))
+        worst.append(gap / max(1.0, g_norm * scale))
+    return max(worst)
 
 
 def solve_conjugator(pairs) -> ConjugatorResult:
@@ -376,8 +393,7 @@ def solve_conjugator(pairs) -> ConjugatorResult:
     if exact:
         basis = [_vec_to_mat(v, True) for v in exact_nullspace(rows)]
     else:
-        arr = np.array([[float(x) for x in row] for row in rows], dtype=float)
-        _, sig, vt = np.linalg.svd(arr)
+        _, sig, vt = np.linalg.svd(np.array(rows, dtype=float))
         cutoff = NULLSPACE_TOL * (sig[0] if len(sig) and sig[0] > 0 else 1.0)
         null = [vt[i] for i in range(4) if i >= len(sig) or sig[i] <= cutoff]
         basis = [_vec_to_mat(v, False) for v in null]

@@ -97,18 +97,14 @@ class TracePolynomial:
         return not self.terms
 
     def degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def evaluate(self, x, y, z):
         """Value at (x, y, z); exact inputs give exact results."""
         if not self.terms:
             return 0 * x
-        deg = [0, 0, 0]
-        for key in self.terms:
-            for i in range(3):
-                deg[i] = max(deg[i], key[i])
         pows = []
-        for v, top in zip((x, y, z), deg):
+        for v, top in zip((x, y, z), map(max, zip(*self.terms))):
             cache = [1]
             for _ in range(top):
                 cache.append(cache[-1] * v)

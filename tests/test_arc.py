@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 
 from sl2arc.arc import (
+    NEWTON_TOL,
     ContinuationError,
     GluingError,
     _EntrySystem,
     _ReducedSystem,
+    _trace_pass,
     analyze_curve,
     continue_arc,
     glue_hnn,
     irreducibility_margin,
 )
+from sl2arc.cli import main
 from sl2arc.pretzel import kernel_closed_form, make_family
 from sl2arc.sl2 import Mat2, frobenius_distance
 from sl2arc.words import evaluate
@@ -30,6 +33,13 @@ def fam1():
 @pytest.fixture(scope="module")
 def arc1(fam1):
     return continue_arc(fam1, step_size=1e-3, max_steps=600, direction=1)
+
+
+@pytest.fixture(scope="module")
+def arcs200():
+    """200-step determinant-+1 arcs, keyed by n."""
+    return {n: continue_arc(make_family(n), step_size=1e-3, max_steps=200, direction=1)
+            for n in (1, 7, 21)}
 
 
 # ----------------------------------------------------------------------
@@ -232,18 +242,17 @@ def _max_character_speed_tangent(system, free, q, jr):
 
 
 @pytest.mark.parametrize("n", [1, 7, 21])
-def test_tangent_is_the_max_character_speed_kernel_direction(n):
+def test_tangent_is_the_max_character_speed_kernel_direction(n, arcs200):
     fam = make_family(n)
-    arc = continue_arc(fam, step_size=1e-3, max_steps=200, direction=1)
+    arc = arcs200[n]
     assert len(arc.samples) == 201
     system = _EntrySystem(fam)
     for s in arc.samples[::20]:
         q = np.array(s.ma.entries() + s.mb.entries())
         reduced = _ReducedSystem(system, arc.pins, q[list(arc.pins)])
-        qr = q[reduced.free]
         jr = system.evaluate(q)[1][:, reduced.free]
         reference = _max_character_speed_tangent(system, reduced.free, q, jr)
-        v = reduced.tangent(qr, jr, reference)
+        v = reduced.tangent(q, jr, reference)
         assert float(np.max(np.abs(v - reference))) <= 1e-11
 
 
@@ -295,7 +304,7 @@ def test_fused_evaluation_matches_exact_traces_and_differences(n):
             want = exact[w1].trace() - exact[w2].trace()
             assert abs(Fraction(f[2 + row]) - want) <= Fraction(1e-12) * Fraction(scale)
         for name, image in zip(("m1", "m2", "l1", "l2"), images):
-            assert frobenius_distance(image, exact[name].to_float()) <= 1e-12 * scale
+            assert frobenius_distance(Mat2(*image), exact[name].to_float()) <= 1e-12 * scale
         diffs = np.zeros((5, 8))
         for j in range(8):
             h = 1e-6 * max(1.0, abs(q[j]))
@@ -309,6 +318,138 @@ def test_fused_evaluation_matches_exact_traces_and_differences(n):
         assert np.all(gauge[:4] == 0.0)
         for row in jac[2:]:
             assert abs(row @ gauge) <= 1e-12 * np.linalg.norm(row)
+
+
+# The product pass on letter strings with a _mul per product, and the
+# evaluation that filled F and J element by element: the references that the
+# coded pass and evaluate must match bit for bit.
+
+_REF_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
+def _reference_mul(x, y):
+    x11, x12, x21, x22 = x
+    y11, y12, y21, y22 = y
+    return (x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+            x21 * y11 + x22 * y21, x21 * y12 + x22 * y22)
+
+
+def _reference_trace_pass(spelling, letters):
+    mats = [letters[ch] for ch in spelling]
+    suffix = [_REF_IDENTITY] * (len(mats) + 1)
+    for i in range(len(mats) - 1, -1, -1):
+        suffix[i] = _reference_mul(mats[i], suffix[i + 1])
+    grad = [0.0] * 8
+    prefix = _REF_IDENTITY
+    for i, ch in enumerate(spelling):
+        n11, n12, n21, n22 = _reference_mul(suffix[i + 1], prefix)
+        k = 0 if ch in "aA" else 4
+        if ch.islower():
+            grad[k] += n11
+            grad[k + 1] += n21
+            grad[k + 2] += n12
+            grad[k + 3] += n22
+        else:
+            grad[k] += n22
+            grad[k + 1] -= n21
+            grad[k + 2] -= n12
+            grad[k + 3] += n11
+        prefix = _reference_mul(prefix, mats[i])
+    image = suffix[0]
+    return image[0] + image[3], grad, image
+
+
+def _reference_letters(q):
+    a11, a12, a21, a22, b11, b12, b21, b22 = (float(x) for x in q)
+    return {"a": (a11, a12, a21, a22), "A": (a22, -a12, -a21, a11),
+            "b": (b11, b12, b21, b22), "B": (b22, -b12, -b21, b11)}
+
+
+def _reference_evaluate(spellings, q):
+    a11, a12, a21, a22, b11, b12, b21, b22 = (float(x) for x in q)
+    passes = [_reference_trace_pass(w, _reference_letters(q)) for w in spellings]
+    f = np.empty(5)
+    jac = np.zeros((5, 8))
+    f[0] = a11 * a22 - a12 * a21 - 1.0
+    f[1] = b11 * b22 - b12 * b21 - 1.0
+    jac[0, :4] = (a22, -a21, -a12, a11)
+    jac[1, 4:] = (b22, -b21, -b12, b11)
+    for row in range(3):
+        (tr1, g1, _), (tr2, g2, _) = passes[2 * row], passes[2 * row + 1]
+        f[2 + row] = tr1 - tr2
+        jac[2 + row] = [x - y for x, y in zip(g1, g2)]
+    return f, jac, [p[2] for p in passes[:4]]
+
+
+def _bits(values) -> bytes:
+    """The IEEE-754 bytes of floats: comparing them with == is equality of
+    every value and of the sign of every zero."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 21])
+def test_coded_pass_and_evaluation_match_the_references_bit_for_bit(n, arcs200):
+    fam = make_family(n)
+    system = _EntrySystem(fam)
+    spellings = [getattr(fam, name).spelled() for name in _CURVE_WORDS]
+    samples = arcs200[n].samples[::10]
+    assert len(samples) == 21
+    for s in samples:
+        q = np.array(s.ma.entries() + s.mb.entries())
+        named = _reference_letters(q)
+        coded = tuple(named[ch] for ch in "aAbB")
+        for spelling, codes in zip(spellings, system.codes):
+            trace, grad, image = _trace_pass(codes, coded)
+            want_trace, want_grad, want_image = _reference_trace_pass(spelling, named)
+            assert _bits(trace) == _bits(want_trace)
+            assert _bits(grad) == _bits(want_grad)
+            assert _bits(image) == _bits(want_image)
+        f, jac, images = system.evaluate(q)
+        want_f, want_jac, want_images = _reference_evaluate(spellings, q)
+        assert _bits(f) == _bits(want_f)
+        assert _bits(jac) == _bits(want_jac)
+        assert _bits(images) == _bits(want_images)
+        assert _bits([m.entries() for m in s.word_images]) == _bits(want_images)
+
+
+@pytest.mark.parametrize("poisoned_after, outcome", [(40, "newtonFailure"), (3, "first step")])
+def test_a_non_finite_residual_ends_the_arc(poisoned_after, outcome, fam1, monkeypatch,
+                                           capfd, tmp_path):
+    # F turns NaN from evaluation poisoned_after + 1 on.  The base point and
+    # the +1 orientation probe take three evaluations, so 3 poisons the
+    # first step and 40 one some fifteen steps out.
+    evaluate_entries = _EntrySystem.evaluate
+    calls = [0]
+
+    def poisoned(self, q):
+        calls[0] += 1
+        f, jac, images = evaluate_entries(self, q)
+        if calls[0] > poisoned_after:
+            f = f.copy()
+            f[2] = math.nan
+        return f, jac, images
+
+    monkeypatch.setattr(_EntrySystem, "evaluate", poisoned)
+    argv = ["arc", "--n", "1", "--steps", "100", "--out", str(tmp_path / "arc.csv")]
+    if outcome == "newtonFailure":
+        arc = continue_arc(fam1, step_size=1e-3, max_steps=100, direction=1)
+        assert arc.termination_reason == "newtonFailure"
+        assert 2 < len(arc.samples) < 101
+        assert all(s.residual <= NEWTON_TOL for s in arc.samples)
+        calls[0] = 0
+        assert main(argv) == 0
+        out, err = capfd.readouterr()
+        assert out.endswith(" termination=newtonFailure\n")
+        assert err == ""
+    else:
+        with pytest.raises(ContinuationError, match="first step"):
+            continue_arc(fam1, step_size=1e-3, max_steps=100, direction=1)
+        calls[0] = 0
+        assert main(argv) == 3
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: Newton diverged at the first step (last residual nan)")
+        assert err.count("\n") == 1
 
 
 def test_samples_store_their_word_images(fam1, arc1):

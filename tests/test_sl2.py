@@ -4,14 +4,19 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from sl2arc import sl2
+from sl2arc.arc import continue_arc
+from sl2arc.pretzel import make_family
 from sl2arc.sl2 import (
     BASE_DIRECTION,
     Conjugacy,
     ContinuityError,
     Mat2,
     MatClass,
+    _intertwiner_rows,
     classify,
     conjugation_delta_formulas,
     eigen_data,
@@ -19,6 +24,7 @@ from sl2arc.sl2 import (
     exact_rank,
     frobenius_distance,
     lift_along_path,
+    relation_residual,
     rotation,
     same_trace_conjugacy,
     solve_conjugator,
@@ -244,6 +250,110 @@ def test_float_lane_matches_exact_lane():
     approx = solve_conjugator([(a.to_float(), b.to_float())])
     assert exact.det_sign == approx.det_sign == 1
     assert approx.residual < 1e-10
+
+
+# The Mat2 forms of the intertwiner rows, the relation residual and the
+# longitude: the references that the entry forms must match bit for bit.
+
+def _reference_intertwiner_rows(pairs):
+    rows = []
+    for a, b in pairs:
+        aa = ((a.a, a.b), (a.c, a.d))
+        bb = ((b.a, b.b), (b.c, b.d))
+        for i in range(2):
+            for j in range(2):
+                row = [0, 0, 0, 0]
+                for l in range(2):
+                    row[2 * i + l] += aa[l][j]
+                for k in range(2):
+                    row[2 * k + j] -= bb[i][k]
+                rows.append(row)
+    return rows
+
+
+def _reference_frobenius(m: Mat2) -> float:
+    return math.sqrt(float(m.a) ** 2 + float(m.b) ** 2 + float(m.c) ** 2 + float(m.d) ** 2)
+
+
+def _reference_relation_residual(g, pairs):
+    g_norm = _reference_frobenius(g)
+    return max(_reference_frobenius(g @ a - b @ g)
+               / max(1.0, g_norm * max(_reference_frobenius(a), _reference_frobenius(b)))
+               for a, b in pairs)
+
+
+def _bits(values) -> bytes:
+    """The IEEE-754 bytes of floats: comparing them with == is equality of
+    every value and of the sign of every zero."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _check_against_references(pair_lists, monkeypatch):
+    """Rows, residuals and whole solve_conjugator results of the entry forms
+    equal those of the Mat2 forms, with exact results equal as Fractions."""
+    results = [solve_conjugator(pairs) for pairs in pair_lists]
+    with monkeypatch.context() as patched:
+        patched.setattr(sl2, "_intertwiner_rows", _reference_intertwiner_rows)
+        patched.setattr(sl2, "relation_residual", _reference_relation_residual)
+        references = [solve_conjugator(pairs) for pairs in pair_lists]
+    for pairs, got, want in zip(pair_lists, results, references):
+        rows, want_rows = _intertwiner_rows(pairs), _reference_intertwiner_rows(pairs)
+        assert [list(r) for r in rows] == want_rows
+        if not all(a.exact and b.exact for a, b in pairs):
+            assert _bits(rows) == _bits(want_rows)
+        assert got == want
+        if got.candidate is not None:
+            assert _bits(got.candidate.entries()) == _bits(want.candidate.entries())
+            for g in (got.candidate, got.candidate.neg()):
+                for some in (pairs, pairs[:1], [(a, a) for a, _ in pairs]):
+                    residual = relation_residual(g, some)
+                    assert _bits(residual) == _bits(_reference_relation_residual(g, some))
+    return results
+
+
+@pytest.fixture(scope="module")
+def arc_samples():
+    """Every 10th sample of 200-step determinant-+1 arcs, keyed by n."""
+    return {n: continue_arc(make_family(n), step_size=1e-3, max_steps=200).samples[::10]
+            for n in (1, 7, 21)}
+
+
+@pytest.mark.parametrize("n", [1, 7, 21])
+def test_entry_forms_match_the_mat2_forms_on_arc_samples(n, arc_samples, monkeypatch):
+    samples = arc_samples[n]
+    assert len(samples) == 21
+    pair_lists = [[s.word_images[:2], s.word_images[2:]] for s in samples]
+    results = _check_against_references(pair_lists, monkeypatch)
+    for s, got in zip(samples, results):
+        assert s.conjugator == got
+        assert (s.det_sign, s.conjugator.residual) == (got.det_sign, got.residual)
+        im1, _, il1, _ = s.word_images
+        longitude = im1 @ il1 @ im1.inverse() @ il1.inverse()
+        assert _bits(s.longitude.entries()) == _bits(longitude.entries())
+        assert _bits(s.longitude_trace) == _bits(longitude.trace())
+    assert {s.det_sign for s in samples} == {0, 1}
+
+
+def test_exact_pairs_match_the_mat2_forms(monkeypatch):
+    rng = random.Random(81)
+    flip = Mat2(1, 0, 0, -1)
+    pair_lists = []
+    for _ in range(30):
+        g = random_unimodular(rng)
+        a = Mat2(*[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4)])
+        c = random_unimodular(rng)
+        pair_lists.append([(a, g @ a @ g.inverse())])
+        pair_lists.append([(a, g @ a @ g.inverse()), (c, g @ c @ g.inverse())])
+        pair_lists.append([(a, (g @ flip) @ a @ (g @ flip).inverse())])
+        pair_lists.append([(a, a)])
+    fam = make_family(3)
+    images = [fam.image(getattr(fam, w)) for w in ("m1", "m2", "l1", "l2")]
+    pair_lists.append([images[:2], images[2:]])
+    pair_lists.append([(Mat2(1, 1, 0, 1), Mat2(1, 1, 0, 1)), (Mat2(1, 2, 0, 1), Mat2(1, -2, 0, 1))])
+    results = _check_against_references(pair_lists, monkeypatch)
+    assert {r.det_sign for r in results} == {-1, 0, 1}
+    assert {r.nullspace_dim for r in results} >= {1, 2}
+    assert any(r.candidate.exact for r in results if r.candidate is not None)
 
 
 def test_exact_linear_algebra_helpers():

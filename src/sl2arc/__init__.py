@@ -19,9 +19,11 @@ from .sl2 import (
 )
 from .pretzel import (
     Assertion,
+    CurveAnalysis,
     FamilyInstance,
     LemmaReport,
     LinPresentation,
+    analyze_curve,
     gradient_at,
     hessian_at,
     image_closed_forms,
@@ -35,11 +37,9 @@ from .pretzel import (
 from .arc import (
     Arc,
     ContinuationError,
-    CurveAnalysis,
     GluedRepresentation,
     GluingError,
     RepSample,
-    analyze_curve,
     continue_arc,
     glue_hnn,
     irreducibility_margin,

@@ -1,11 +1,11 @@
-"""Curve analysis at chi_n and continuation of representation arcs.
+"""Continuation of representation arcs out of the limiting character.
 
 The family's limiting character chi_n sits on the curve C_n cut out by the
-three trace-difference equations.  This module provides:
+three trace-difference equations.  The exact curve data there live in
+pretzel (analyze_curve is re-exported here); continuation takes from them
+only the exact Jacobian, for its rank gate and its pin choice.  This module
+provides:
 
-  * analyze_curve -- exact Jacobian / rank / kernel / Hessian data of C_n at
-    chi_n, plus local-coordinate verdicts for tr(m1), tr(m2), tr(m1 l1)
-    (true iff the word's gradient lies outside the Jacobian row span);
   * continue_arc -- a pseudo-arclength predictor-corrector that transports an
     actual representation (not just a character) away from rho_n through the
     8-dimensional space of (Ma, Mb) entries, subject to the 5 constraints
@@ -16,8 +16,8 @@ three trace-difference equations.  This module provides:
   * irreducibility_margin -- |tr rho([m1, l1]) - 2|, which must stay positive
     off the limiting character.
 
-Constraint evaluation.  Each curve equation is tr W1 - tr W2 for a pair of
-the family's words, evaluated as the trace of a product of 2x2 matrices
+Constraint evaluation.  Each curve equation is tr W1 - tr W2 for one of
+the family's curve_pairs, evaluated as the trace of a product of 2x2 matrices
 (an inverse letter is the adjugate, so F is a polynomial in the entries)
 rather than from the expanded trace polynomials, whose floating-point
 error grows far faster with n.  The six words are compiled once into
@@ -74,18 +74,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .pretzel import FamilyInstance, gradient_at, hessian_at, outside_row_span
-from .sl2 import ConjugatorResult, Mat2, exact_nullspace, exact_rank, relation_residual, solve_conjugator
-from .tracepoly import trace_polynomial
+from .pretzel import FamilyInstance, analyze_curve, curve_jacobian
+from .sl2 import ConjugatorResult, Mat2, exact_rank, relation_residual, solve_conjugator
 
 __all__ = [
     "Arc",
     "ContinuationError",
-    "CurveAnalysis",
     "GluedRepresentation",
     "GluingError",
     "RepSample",
@@ -102,67 +99,6 @@ class ContinuationError(RuntimeError):
 
 class GluingError(ValueError):
     """The sample does not glue to a real HNN extension."""
-
-
-# ----------------------------------------------------------------------
-# curve analysis at chi_n
-
-@dataclass(frozen=True)
-class CurveAnalysis:
-    """Exact first- and second-order data of C_n at chi_n.
-
-    kernel_basis is normalized so its first coordinate is 12, the scale at
-    which the kernel vector is integral for every n of the family;
-    hessian_on_kernel is v^T H v for that vector, with H the Hessian of the
-    longitude trace tr([m1, l1]).
-    """
-
-    jacobian: tuple
-    rank: int
-    kernel_basis: tuple
-    hessian_on_kernel: Fraction
-    local_coordinate_verdicts: dict
-
-    def kv_lines(self) -> list:
-        rows = ["rank=%d" % self.rank,
-                "kernel=(%s)" % ", ".join(str(k) for k in self.kernel_basis),
-                "hessian_on_kernel=%s" % self.hessian_on_kernel]
-        for name in sorted(self.local_coordinate_verdicts):
-            rows.append("local_coordinate[%s]=%s"
-                        % (name, str(self.local_coordinate_verdicts[name]).lower()))
-        return rows
-
-
-def _curve_jacobian(fam: FamilyInstance) -> tuple:
-    """The exact Jacobian of the curve equations at chi_n and its rank."""
-    jac = tuple(gradient_at(p, fam.chi) for p in fam.curve_eqs)
-    return jac, exact_rank([list(r) for r in jac])
-
-
-def analyze_curve(fam: FamilyInstance) -> CurveAnalysis:
-    """Exact Jacobian, rank, kernel and Hessian-on-kernel of C_n at chi_n."""
-    chi = fam.chi
-    jac, rank = _curve_jacobian(fam)
-    kernel: tuple = ()
-    if rank == 2:
-        null = exact_nullspace([list(r) for r in jac])
-        if len(null) != 1:
-            raise ContinuationError("curve kernel at chi_n is not one-dimensional")
-        v = null[0]
-        if v[0] == 0:
-            raise ContinuationError("curve kernel has vanishing leading coordinate")
-        scale = Fraction(12, 1) / Fraction(v[0])
-        kernel = tuple(Fraction(x) * scale for x in v)
-    commutator_trace = trace_polynomial(fam.longitude)
-    hess = hessian_at(commutator_trace, chi)
-    hval = Fraction(0)
-    if kernel:
-        hval = sum(kernel[i] * hess[i][j] * kernel[j] for i in range(3) for j in range(3))
-    verdicts = {}
-    for name, word in (("tr_m1", fam.m1), ("tr_m2", fam.m2), ("tr_m1l1", fam.m1l1)):
-        grad = gradient_at(trace_polynomial(word), chi)
-        verdicts[name] = outside_row_span([list(r) for r in jac], list(grad))
-    return CurveAnalysis(jac, rank, kernel, hval, verdicts)
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +154,6 @@ class Arc:
 # the constraint system in entry space
 
 _PIN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_CURVE_WORDS = ("m1", "m2", "l1", "l2", "m1l1", "m2l2")  # rows 2..4: pairs
 _LETTER_CODES = {"a": 0, "A": 1, "b": 2, "B": 3}
 
 
@@ -285,8 +220,8 @@ class _EntrySystem:
     the Jacobian of the character map chi(q) = (tr Ma, tr Mb, tr Ma Mb)."""
 
     def __init__(self, fam: FamilyInstance):
-        self.codes = tuple(tuple(_LETTER_CODES[ch] for ch in getattr(fam, name).spelled())
-                           for name in _CURVE_WORDS)
+        self.codes = tuple(tuple(_LETTER_CODES[ch] for ch in word.spelled())
+                           for pair in fam.curve_pairs for word in pair)
 
     @staticmethod
     def char_grad(q) -> np.ndarray:
@@ -499,7 +434,8 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
-    jacobian, rank = _curve_jacobian(fam)
+    jacobian = curve_jacobian(fam)
+    rank = exact_rank(jacobian)
     if rank != 2:
         raise ContinuationError(f"curve rank at chi_n is {rank}, need 2")
 

@@ -1,14 +1,21 @@
-"""The (-3, 3, 2n+1) pretzel family and its exact verification report.
+"""The (-3, 3, 2n+1) pretzel family, its exact curve data and its
+verification report.
 
 For each n >= 1 the family instance packages:
 
   * four free-group words m1 = a^{n+1}bab, m2 = a^{n+1}ba, l1 = b^-1 a b,
     l2 = b^-1 a b a, generating the two punctured-torus peripheral pairs
-    that an HNN stable letter must conjugate onto each other;
+    that an HNN stable letter must conjugate onto each other; they are read
+    off the two relators of lin_presentation(-2, 1, n), m1 and l1 from the
+    t-conjugated sides and m2 and l2 from the plain sides;
   * the explicit representation rho_n(a) = [[-1,1],[0,-1]],
     rho_n(b) = [[2n+1,n],[2,1]] with character chi_n = (-2, 2n+2, -2n);
-  * the curve C_n inside character space cut out by the three equations
-    tr(m1) = tr(m2), tr(l1) = tr(l2), tr(m1 l1) = tr(m2 l2).
+  * the curve C_n inside character space cut out by tr W1 = tr W2 for the
+    three curve_pairs (m1, m2), (l1, l2) and (m1 l1, m2 l2).
+
+analyze_curve reports the exact data of C_n at chi_n; verify_lemma and
+arc.continue_arc take the Jacobian, trace gradients and longitude Hessian
+from the same helpers.
 
 verify_lemma checks, in exact rational arithmetic, that the representation
 sits on C_n exactly as the closed-form analysis predicts: matrix images match
@@ -28,12 +35,12 @@ corrected form against direct matrix products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .sl2 import Conjugacy, Mat2, MatClass, classify, exact_rank, same_trace_conjugacy
+from .sl2 import Conjugacy, Mat2, MatClass, classify, exact_nullspace, exact_rank, same_trace_conjugacy
 from .tracepoly import TracePolynomial, trace_polynomial
 from .words import Word, commutator, evaluate, parse_word
 
@@ -63,6 +70,11 @@ class FamilyInstance:
     def m2l2(self) -> Word:
         return self.m2 * self.l2
 
+    @property
+    def curve_pairs(self) -> tuple:
+        """The word pairs (W1, W2) whose trace differences tr W1 - tr W2 cut out C_n."""
+        return (self.m1, self.m2), (self.l1, self.l2), (self.m1l1, self.m2l2)
+
     def image(self, word: Word) -> Mat2:
         """Image of a word under rho_n (exact)."""
         return evaluate(word, self.rho_a, self.rho_b)
@@ -71,27 +83,21 @@ class FamilyInstance:
 def make_family(n: int, cap: int = DEFAULT_N_CAP) -> FamilyInstance:
     """Build the family instance for n >= 1.
 
-    n is capped (default 10^4) to bound trace-polynomial size; pass a larger
-    cap explicitly to override.
+    The boundary words are the two relators of lin_presentation(-2, 1, n):
+    m1 and l1 are the t-conjugated sides, m2 and l2 the plain sides.  n is
+    capped (default 10^4) to bound trace-polynomial size; pass a larger cap
+    explicitly to override.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > cap:
         raise ValueError(f"n = {n} exceeds the cap {cap}; pass cap explicitly to override")
-    m1 = parse_word(f"a^{n + 1} b a b")
-    m2 = parse_word(f"a^{n + 1} b a")
-    l1 = parse_word("b^-1 a b")
-    l2 = parse_word("b^-1 a b a")
-    longitude = commutator(m1, l1)
-    rho_a = Mat2(-1, 1, 0, -1)
-    rho_b = Mat2(2 * n + 1, n, 2, 1)
-    chi = (-2, 2 * n + 2, -2 * n)
-    curve_eqs = (
-        trace_polynomial(m1) - trace_polynomial(m2),
-        trace_polynomial(l1) - trace_polynomial(l2),
-        trace_polynomial(m1 * l1) - trace_polynomial(m2 * l2),
-    )
-    return FamilyInstance(n, m1, m2, l1, l2, longitude, rho_a, rho_b, chi, curve_eqs)
+    (tm1, m2), (tl1, l2) = lin_presentation(-2, 1, n).parsed_sides()
+    m1, l1 = (Word(w.letters[1:-1]) for w in (tm1, tl1))  # strip t ... t^-1
+    fam = FamilyInstance(n, m1, m2, l1, l2, commutator(m1, l1), Mat2(-1, 1, 0, -1),
+                         Mat2(2 * n + 1, n, 2, 1), (-2, 2 * n + 2, -2 * n), ())
+    eqs = tuple(trace_polynomial(w1) - trace_polynomial(w2) for w1, w2 in fam.curve_pairs)
+    return replace(fam, curve_eqs=eqs)
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +228,70 @@ def _det3(m) -> Fraction:
 def outside_row_span(rows, vector) -> bool:
     """True when vector is not a rational combination of the rows."""
     return exact_rank(list(rows) + [list(vector)]) > exact_rank(rows)
+
+
+# ----------------------------------------------------------------------
+# exact curve data at chi_n
+
+def curve_jacobian(fam: FamilyInstance) -> tuple:
+    """The exact Jacobian of the three curve equations at chi_n, as Fraction rows."""
+    return tuple(gradient_at(eq, fam.chi) for eq in fam.curve_eqs)
+
+
+def _trace_gradient(fam: FamilyInstance, word: Word) -> tuple:
+    """The exact gradient of tr(word) at chi_n."""
+    return gradient_at(trace_polynomial(word), fam.chi)
+
+
+def _longitude_hessian(fam: FamilyInstance):
+    """The exact Hessian of the longitude trace tr([m1, l1]) at chi_n."""
+    return hessian_at(trace_polynomial(fam.longitude), fam.chi)
+
+
+@dataclass(frozen=True)
+class CurveAnalysis:
+    """Exact first- and second-order data of C_n at chi_n.
+
+    kernel_basis is normalized so its first coordinate is 12, the scale at
+    which the kernel vector is integral for every n of the family;
+    hessian_on_kernel is v^T H v for that vector, with H the Hessian of the
+    longitude trace tr([m1, l1]).
+    """
+
+    jacobian: tuple
+    rank: int
+    kernel_basis: tuple
+    hessian_on_kernel: Fraction
+    local_coordinate_verdicts: dict
+
+    def kv_lines(self) -> list:
+        rows = ["rank=%d" % self.rank,
+                "kernel=(%s)" % ", ".join(str(k) for k in self.kernel_basis),
+                "hessian_on_kernel=%s" % self.hessian_on_kernel]
+        for name in sorted(self.local_coordinate_verdicts):
+            rows.append("local_coordinate[%s]=%s"
+                        % (name, str(self.local_coordinate_verdicts[name]).lower()))
+        return rows
+
+
+def analyze_curve(fam: FamilyInstance) -> CurveAnalysis:
+    """Exact Jacobian, rank, kernel and Hessian-on-kernel of C_n at chi_n,
+    plus local-coordinate verdicts for tr(m1), tr(m2) and tr(m1 l1): true
+    iff the word's gradient lies outside the Jacobian row span."""
+    jac = curve_jacobian(fam)
+    rank = exact_rank(jac)
+    kernel: tuple = ()
+    hval = Fraction(0)
+    if rank == 2:
+        (v,) = exact_nullspace(jac)  # rank 2 on three columns leaves one null vector
+        if v[0] == 0:
+            raise ValueError("curve kernel has vanishing leading coordinate")
+        kernel = tuple(12 * x / v[0] for x in v)
+        hess = _longitude_hessian(fam)
+        hval = sum(kernel[i] * hess[i][j] * kernel[j] for i in range(3) for j in range(3))
+    verdicts = {name: outside_row_span(jac, _trace_gradient(fam, word))
+                for name, word in (("tr_m1", fam.m1), ("tr_m2", fam.m2), ("tr_m1l1", fam.m1l1))}
+    return CurveAnalysis(jac, rank, kernel, hval, verdicts)
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +450,7 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     vanish = all(cmp.zero(r, _abs_terms_at(eq, chi)) for r, eq in zip(residues, fam.curve_eqs))
     rep.add("curve_equations_vanish_at_chi", vanish, f"residues {residues}")
 
-    jac = tuple(tuple(map(cmp.value, gradient_at(eq, fam.chi))) for eq in fam.curve_eqs)
+    jac = tuple(tuple(map(cmp.value, row)) for row in curve_jacobian(fam))
     rep.jacobian = jac
     rep.add(
         "jacobian_matches_closed_form",
@@ -404,7 +474,7 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     rep.add("kernel_vector_annihilated", annihilated, f"products {tuple(str(p) for p in products)}")
 
     grads = {
-        name: tuple(map(cmp.value, gradient_at(trace_polynomial(word), fam.chi)))
+        name: tuple(map(cmp.value, _trace_gradient(fam, word)))
         for name, word in (("tr_m2", fam.m2), ("tr_m1", fam.m1))
     }
     rep.add(
@@ -417,7 +487,7 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
         rep.local_coordinates[name] = out
         rep.add(f"{name}_local_coordinate", out, "gradient outside Jacobian row span" if out else "gradient inside row span")
 
-    hess = tuple(tuple(map(cmp.value, row)) for row in hessian_at(trace_polynomial(fam.longitude), fam.chi))
+    hess = tuple(tuple(map(cmp.value, row)) for row in _longitude_hessian(fam))
     rep.hessian = hess
     rep.add(
         "hessian_matches_closed_form",

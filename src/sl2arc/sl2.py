@@ -291,21 +291,6 @@ def exact_nullspace(rows):
     return basis
 
 
-def exact_solve(rows, rhs):
-    """Solve A x = rhs over Fractions; returns one solution or None."""
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    ncols = len(rows[0])
-    rref, pivots = exact_rref(aug)
-    for row in rref:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        if pc < ncols:
-            x[pc] = rref[r][ncols]
-    return tuple(x)
-
-
 # ----------------------------------------------------------------------
 # conjugator solving
 
@@ -423,9 +408,7 @@ def solve_conjugator(pairs) -> ConjugatorResult:
     # whole space.
     ident = Mat2.identity(exact)
     if exact:
-        cols = [[g.a for g in basis], [g.b for g in basis], [g.c for g in basis], [g.d for g in basis]]
-        combo = exact_solve(cols, [1, 0, 0, 1])
-        if combo is not None:
+        if exact_rank([*(g.entries() for g in basis), ident.entries()]) == dim:
             return finish(ident)
     else:
         coords = np.array([[float(x) for x in g.entries()] for g in basis])
@@ -724,15 +707,19 @@ class LiftedElement:
                 p = start
             except ValueError:
                 pass  # elliptic: any start works
-        half = p
-        # invariant: fp = F(p); each pass advances (p, F(p)) -> (F(p), F(F(p)))
+        # The iterate is p + k pi with fp = F(p).  As F(x + pi) = F(x) + pi,
+        # the next iterate F(p) + k pi is carried by its representative
+        # nearest p, so each traversal spans at most half a turn.
+        k = 0
+        half = p, k
         for i in range(2 * iterations):
             if i == iterations:
-                half = p
-            nxt = fp
+                half = p, k
+            j = round((fp - p) / math.pi)
+            nxt = fp - j * math.pi
             fp = _traverse(mat, p, fp, nxt)
-            p = nxt
-        return (p - half) / (math.pi * iterations)
+            p, k = nxt, k + j
+        return (p - half[0] + (k - half[1]) * math.pi) / (math.pi * iterations)
 
 
 class PathTranslation(NamedTuple):

@@ -61,7 +61,7 @@ def test_analyze_curve_closed_forms(fam1):
         assert sum(r * k for r, k in zip(row, analysis.kernel_basis)) == 0
 
 
-@pytest.mark.parametrize("n", [2, 3, 7])
+@pytest.mark.parametrize("n", [2, 3, 7, 30, 50, 100])
 def test_analyze_curve_kernel_scaling_matches_closed_form(n):
     analysis = analyze_curve(make_family(n))
     closed = kernel_closed_form(n)

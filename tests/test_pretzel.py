@@ -34,6 +34,20 @@ def test_make_family_populates_documented_fields():
     assert fam.longitude == fam.m1 * fam.l1 * fam.m1.inverse() * fam.l1.inverse()
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 100])
+def test_make_family_words_match_their_literal_spellings(n):
+    # the words come from the relators of lin_presentation(-2, 1, n); these
+    # literals are the spellings they replaced
+    fam = make_family(n)
+    m1 = parse_word(f"a^{n + 1} b a b")
+    l1 = parse_word("b^-1 a b")
+    assert fam.m1 == m1
+    assert fam.m2 == parse_word(f"a^{n + 1} b a")
+    assert fam.l1 == l1
+    assert fam.l2 == parse_word("b^-1 a b a")
+    assert fam.longitude == m1 * l1 * m1.inverse() * l1.inverse()
+
+
 def test_make_family_rejects_bad_n():
     with pytest.raises(ValueError):
         make_family(0)

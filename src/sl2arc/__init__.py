@@ -11,10 +11,9 @@ from .sl2 import (
     classify,
     eigen_data,
     frobenius_distance,
-    lift_along_path,
     same_trace_conjugacy,
     solve_conjugator,
-    translation_number_along_path,
+    translation_number_by_iteration,
     translation_numbers_along_arc,
 )
 from .pretzel import (

@@ -207,18 +207,12 @@ def locus_points(arc: Arc) -> LocusArc:
 
 
 def orderable_interval_of_points(points) -> tuple:
-    """Interval of sampled slopes adjacent to 0.
-
-    Accepts LocusPoints or raw (u, w) pairs.
-    """
-    pts = [p if isinstance(p, LocusPoint)
-           else LocusPoint(p[0], p[1], "first", _slope(p[0], p[1]))
-           for p in points]
-    if not pts:
+    """Interval of sampled slopes of LocusPoints adjacent to 0."""
+    if not points:
         raise LocusError("empty locus arc has no slope interval")
-    if all(abs(p.w) <= HORIZONTAL_TOL for p in pts):
+    if all(abs(p.w) <= HORIZONTAL_TOL for p in points):
         raise LocusError("arc is horizontal: every |w| is below 1e-9")
-    slopes = [p.slope for p in pts if not math.isnan(p.slope)]
+    slopes = [p.slope for p in points if not math.isnan(p.slope)]
     if not slopes:
         raise LocusError("no finite slopes on the arc")
     lo, hi = min(slopes), max(slopes)

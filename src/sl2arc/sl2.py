@@ -8,7 +8,11 @@ projective line, parametrized by the angle theta in [0, pi) of the vector
 (cos theta, sin theta).  Determinant-1 matrices act by orientation-preserving
 homeomorphisms of that circle; a path of matrices starting at the identity
 lifts the endpoint to the universal cover, and the translation number of the
-lift is the asymptotic displacement per iterate in units of pi.
+lift is the asymptotic displacement per iterate in units of pi.  One angle
+track along the path pins the lift at every prefix:
+translation_numbers_along_arc reads each prefix off it in closed form, and
+translation_number_by_iteration is the iterate-limit reference for the
+endpoint.
 """
 
 from __future__ import annotations
@@ -620,108 +624,6 @@ def _as_tuple(m: Mat2):
     return (float(m.a), float(m.b), float(m.c), float(m.d))
 
 
-@dataclass
-class LiftedElement:
-    """Endpoint of a lifted matrix path.
-
-    base is the endpoint matrix; angle_track is the continuously tracked
-    lifted angle of base applied to the base direction, which pins down a
-    unique lift of the induced circle map.
-    """
-
-    base: Mat2
-    base_theta: float
-    angle_track: float
-
-    def lift_at(self, theta: float) -> float:
-        """Value at theta of the lift determined by the tracked anchor."""
-        return _traverse(_as_tuple(self.base), self.base_theta, self.angle_track, theta)
-
-    def _near_central(self):
-        ident = Mat2.identity(False)
-        base = self.base.to_float()
-        if frobenius_distance(base, ident) <= CENTRAL_TOL:
-            return True
-        if frobenius_distance(base, ident.scale(-1.0)) <= CENTRAL_TOL:
-            return True
-        return False
-
-    def translation_number(self) -> "PathTranslation":
-        """Translation number of the lift, in units of pi.
-
-        Hyperbolic and parabolic endpoints give an exact integer read off at
-        a fixed direction of the circle map; elliptic endpoints rotate with
-        no fixed direction, so the value is a non-integer real number and the
-        result is flagged as elliptic.
-        """
-        if self._near_central():
-            k = (self.angle_track - self.base_theta) / math.pi
-            return PathTranslation(float(round(k)), False)
-        cls = classify(self.base)
-        if cls == MatClass.ELLIPTIC:
-            return PathTranslation(self._elliptic_rotation_number(), True)
-        lam, (vx, vy) = eigen_data(self.base)[0]
-        th_star = _dir_angle(float(vx), float(vy))
-        # place the fixed direction's lift within half a turn of the anchor
-        th_star += math.pi * math.floor((self.base_theta - th_star) / math.pi + 0.5)
-        k_float = (self.lift_at(th_star) - th_star) / math.pi
-        k = round(k_float)
-        if abs(k_float - k) > 1e-6:
-            raise ArithmeticError(f"translation number {k_float} is not close to an integer")
-        return PathTranslation(float(k), False)
-
-    def _elliptic_rotation_number(self) -> float:
-        """Rotation number of an elliptic lift, in units of pi.
-
-        An elliptic matrix with trace 2 cos(phi0), phi0 in (0, pi), is
-        conjugate by a positive-determinant matrix to a rotation by +-phi0;
-        writing the eigenvector for e^{i phi0} as u + iw, the sense is
-        positive exactly when det[u w] < 0, which reduces to b < 0 (or c > 0
-        when b = 0).  The integer part is pinned by the tracked anchor: all
-        displacements of a fixed-point-free circle map lie in one open length
-        pi band together with the translation number.
-        """
-        base = self.base.to_float()
-        phi0 = math.acos(max(-1.0, min(1.0, base.trace() / 2.0)))
-        positive = base.b < 0.0 or (base.b == 0.0 and base.c > 0.0)
-        frac = phi0 / math.pi if positive else 1.0 - phi0 / math.pi
-        band = math.floor((self.angle_track - self.base_theta) / math.pi)
-        return band + frac
-
-    def translation_number_by_iteration(self, iterations: int = 1 << 16) -> float:
-        """Iterate-limit evaluation: displacement between iterates n and 2n
-        of the lifted map, divided by n pi.
-
-        The limit does not depend on the starting direction; for non-elliptic
-        endpoints a start near the attracting fixed direction is used so the
-        transient is negligible.
-        """
-        mat = _as_tuple(self.base)
-        p = self.base_theta
-        fp = self.angle_track  # lift value F(p)
-        if not self._near_central():
-            try:
-                _, (vx, vy) = eigen_data(self.base)[0]
-                start = _dir_angle(float(vx), float(vy)) + 0.05
-                fp = _traverse(mat, p, fp, start)
-                p = start
-            except ValueError:
-                pass  # elliptic: any start works
-        # The iterate is p + k pi with fp = F(p).  As F(x + pi) = F(x) + pi,
-        # the next iterate F(p) + k pi is carried by its representative
-        # nearest p, so each traversal spans at most half a turn.
-        k = 0
-        half = p, k
-        for i in range(2 * iterations):
-            if i == iterations:
-                half = p, k
-            j = round((fp - p) / math.pi)
-            nxt = fp - j * math.pi
-            fp = _traverse(mat, p, fp, nxt)
-            p, k = nxt, k + j
-        return (p - half[0] + (k - half[1]) * math.pi) / (math.pi * iterations)
-
-
 class PathTranslation(NamedTuple):
     value: float
     elliptic: bool
@@ -740,29 +642,94 @@ def _tracked_angles(tuples, base_theta: float) -> list:
     return angles
 
 
-def lift_along_path(mats, base_theta: float = BASE_DIRECTION) -> LiftedElement:
-    """Track the circle action of a matrix path and lift its endpoint.
+def _near_central(mat) -> bool:
+    """Is the entry tuple within CENTRAL_TOL of +-identity (Frobenius)?"""
+    a, b, c, d = mat
+    return (_frobenius(a - 1.0, b, c, d - 1.0) <= CENTRAL_TOL
+            or _frobenius(a + 1.0, b, c, d + 1.0) <= CENTRAL_TOL)
+
+
+def _prefix_translation(mat, alpha: float, base_theta: float) -> PathTranslation:
+    """Translation number, in units of pi, of the lift of the circle map of
+    the entry tuple mat whose value at base_theta is the tracked angle alpha.
+
+    A central endpoint reads the integer off alpha itself.  Hyperbolic and
+    parabolic endpoints give an exact integer read off at a fixed direction
+    of the circle map.  Elliptic endpoints rotate with no fixed direction:
+    an elliptic matrix with trace 2 cos(phi0), phi0 in (0, pi), is conjugate
+    by a positive-determinant matrix to a rotation by +-phi0, positive
+    exactly when b < 0 (or c > 0 when b = 0), and the integer part is pinned
+    by alpha, since all displacements of a fixed-point-free circle map lie
+    in one open length pi band together with the translation number.  The
+    value is then a non-integer real number, flagged as elliptic.
+    """
+    if _near_central(mat):
+        return PathTranslation(float(round((alpha - base_theta) / math.pi)), False)
+    m = Mat2(*mat)
+    if classify(m) == MatClass.ELLIPTIC:
+        a, b, c, d = mat
+        phi0 = math.acos(max(-1.0, min(1.0, (a + d) / 2.0)))
+        positive = b < 0.0 or (b == 0.0 and c > 0.0)
+        frac = phi0 / math.pi if positive else 1.0 - phi0 / math.pi
+        return PathTranslation(math.floor((alpha - base_theta) / math.pi) + frac, True)
+    _, (vx, vy) = eigen_data(m)[0]
+    th_star = _dir_angle(float(vx), float(vy))
+    # place the fixed direction's lift within half a turn of the anchor
+    th_star += math.pi * math.floor((base_theta - th_star) / math.pi + 0.5)
+    k_float = (_traverse(mat, base_theta, alpha, th_star) - th_star) / math.pi
+    k = round(k_float)
+    if abs(k_float - k) > 1e-6:
+        raise ArithmeticError(f"translation number {k_float} is not close to an integer")
+    return PathTranslation(float(k), False)
+
+
+def translation_numbers_along_arc(mats, base_theta: float = BASE_DIRECTION) -> list:
+    """Translation number of the lifted endpoint of every prefix of a matrix
+    path, read off one shared angle track.
 
     The path should start at the identity (or at a matrix whose lift is
     declared to be translation-free); consecutive matrices must be closer
-    than MAX_PATH_STEP in Frobenius distance.
+    than MAX_PATH_STEP in Frobenius distance, or ContinuityError is raised.
+    """
+    if not mats:
+        return []
+    tuples = [_as_tuple(m) for m in mats]
+    return [_prefix_translation(m, alpha, base_theta)
+            for m, alpha in zip(tuples, _tracked_angles(tuples, base_theta))]
+
+
+def translation_number_by_iteration(mats, base_theta: float = BASE_DIRECTION,
+                                    iterations: int = 1 << 16) -> float:
+    """Reference value for the path's endpoint: the displacement between
+    iterates n and 2n of the lifted map, divided by n pi.
+
+    The limit does not depend on the starting direction; for non-elliptic
+    endpoints a start near the attracting fixed direction is used so the
+    transient is negligible.
     """
     if not mats:
         raise ValueError("empty path")
     tuples = [_as_tuple(m) for m in mats]
-    alpha = _tracked_angles(tuples, base_theta)[-1]
-    return LiftedElement(mats[-1] if isinstance(mats[-1], Mat2) else Mat2(*tuples[-1]), base_theta, alpha)
-
-
-def translation_number_along_path(mats, base_theta: float = BASE_DIRECTION) -> PathTranslation:
-    """Translation number of the endpoint of a lifted matrix path."""
-    return lift_along_path(mats, base_theta).translation_number()
-
-
-def translation_numbers_along_arc(mats, base_theta: float = BASE_DIRECTION):
-    """Translation number at every prefix of a matrix path (one shared track)."""
-    if not mats:
-        return []
-    tuples = [_as_tuple(m) for m in mats]
-    return [LiftedElement(Mat2(*m), base_theta, alpha).translation_number()
-            for m, alpha in zip(tuples, _tracked_angles(tuples, base_theta))]
+    mat = tuples[-1]
+    p = base_theta
+    fp = _tracked_angles(tuples, base_theta)[-1]  # lift value F(p)
+    if not _near_central(mat):
+        m = Mat2(*mat)
+        if classify(m) != MatClass.ELLIPTIC:  # elliptic: any start works
+            _, (vx, vy) = eigen_data(m)[0]
+            start = _dir_angle(float(vx), float(vy)) + 0.05
+            fp = _traverse(mat, p, fp, start)
+            p = start
+    # The iterate is p + k pi with fp = F(p).  As F(x + pi) = F(x) + pi,
+    # the next iterate F(p) + k pi is carried by its representative
+    # nearest p, so each traversal spans at most half a turn.
+    k = 0
+    half = p, k
+    for i in range(2 * iterations):
+        if i == iterations:
+            half = p, k
+        j = round((fp - p) / math.pi)
+        nxt = fp - j * math.pi
+        fp = _traverse(mat, p, fp, nxt)
+        p, k = nxt, k + j
+    return (p - half[0] + (k - half[1]) * math.pi) / (math.pi * iterations)

@@ -24,8 +24,8 @@ from sl2arc.sl2 import (
     Conjugacy,
     Mat2,
     conjugation_delta_formulas,
-    lift_along_path,
     same_trace_conjugacy,
+    translation_number_by_iteration,
     translation_numbers_along_arc,
 )
 from sl2arc.tracepoly import trace_polynomial
@@ -212,9 +212,8 @@ def test_criterion_5_longitude_translation_numbers(health, n):
     assert {tr.value for tr in translations} <= {-1.0, 0.0, 1.0}
     # path-lift value against the iterate-limit evaluation on a subsample
     for k in (1, len(longs) // 2, len(longs) - 1):
-        lifted = lift_along_path(longs[: k + 1])
-        direct = lifted.translation_number().value
-        iterated = lifted.translation_number_by_iteration()
+        direct = translation_numbers_along_arc(longs[: k + 1])[-1].value
+        iterated = translation_number_by_iteration(longs[: k + 1])
         assert abs(direct - iterated) <= 1e-6
         assert abs(direct - translations[k].value) <= 1e-12
 

@@ -1,5 +1,7 @@
 """Every module of the package uses each name it imports, or exports it in
-__all__.  A stdlib ast scan stands in for a linter's unused-import rule."""
+__all__, and every private helper it defines is referenced somewhere in the
+package.  A stdlib ast scan stands in for a linter's unused-import and
+dead-code rules."""
 
 from __future__ import annotations
 
@@ -40,3 +42,43 @@ def test_every_import_is_used(module):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in used and name not in _exported(tree)}
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__") and name != "_"
+
+
+def _private_definitions(tree) -> dict:
+    """Private function, class and method names, and private module
+    constants, of one module -> line of definition."""
+    defs = {node.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and _private(node.name)}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        defs.update((t.id, node.lineno) for t in targets
+                    if isinstance(t, ast.Name) and _private(t.id))
+    return defs
+
+
+def _referenced(tree) -> set:
+    """Names read, attributes read and names imported anywhere in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_helper_is_referenced():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*(_referenced(tree) for tree in trees.values()))
+    dead = {f"{module}:{line} {name}"
+            for module, tree in trees.items()
+            for name, line in _private_definitions(tree).items() if name not in used}
+    assert not dead, f"private helpers never referenced in the package: {sorted(dead)}"

@@ -9,6 +9,7 @@ from sl2arc.arc import Arc, GluingError, RepSample, continue_arc
 from sl2arc.locus import (
     CSV_HEADER,
     LocusError,
+    LocusPoint,
     csv_text,
     emit_csv,
     emit_svg,
@@ -88,24 +89,28 @@ def test_point_pair_rejects_parabolic_meridian():
 # orderable_interval_of_points
 
 
+def _points(*uw):
+    return [LocusPoint(u, w, "first", -w / u) for u, w in uw]
+
+
 def test_interval_synthetic_positive_side():
-    pts = [(1.0, -0.5), (2.0, -0.25), (4.0, -0.1)]
+    pts = _points((1.0, -0.5), (2.0, -0.25), (4.0, -0.1))
     assert orderable_interval_of_points(pts) == (0.0, 0.5)
 
 
 def test_interval_synthetic_negative_side():
-    pts = [(1.0, 0.5), (2.0, 0.25)]
+    pts = _points((1.0, 0.5), (2.0, 0.25))
     assert orderable_interval_of_points(pts) == (-0.5, 0.0)
 
 
 def test_interval_picks_the_wider_side():
-    pts = [(1.0, -0.5), (1.0, 0.3)]
+    pts = _points((1.0, -0.5), (1.0, 0.3))
     assert orderable_interval_of_points(pts) == (0.0, 0.5)
 
 
 def test_interval_horizontal_arc_raises():
     with pytest.raises(LocusError):
-        orderable_interval_of_points([(1.0, 0.0), (2.0, 5e-10)])
+        orderable_interval_of_points(_points((1.0, 0.0), (2.0, 5e-10)))
 
 
 def test_interval_empty_raises():

@@ -23,12 +23,11 @@ from sl2arc.sl2 import (
     exact_nullspace,
     exact_rank,
     frobenius_distance,
-    lift_along_path,
     relation_residual,
     rotation,
     same_trace_conjugacy,
     solve_conjugator,
-    translation_number_along_path,
+    translation_number_by_iteration,
     translation_numbers_along_arc,
 )
 
@@ -377,63 +376,83 @@ def stretch_path(t: float, steps: int = 40):
     return [Mat2(math.exp(t * i / steps), 0.0, 0.0, math.exp(-t * i / steps)) for i in range(steps + 1)]
 
 
+def endpoint(path, base_theta=BASE_DIRECTION):
+    return translation_numbers_along_arc(path, base_theta)[-1]
+
+
+def wrapped_stretch_path():
+    return rotation_path(math.pi) + [
+        Mat2(-math.exp(s * 0.05), 0.0, 0.0, -math.exp(-s * 0.05)) for s in range(1, 41)]
+
+
 def test_identity_path_has_translation_zero():
-    res = translation_number_along_path([Mat2.identity(exact=False)] * 2)
+    res = endpoint([Mat2.identity(exact=False)] * 2)
     assert res.value == 0.0 and not res.elliptic
 
 
 def test_half_turn_rotation_path_translates_by_one():
-    assert translation_number_along_path(rotation_path(math.pi)).value == 1.0
-    assert translation_number_along_path(rotation_path(2 * math.pi)).value == 2.0
-    assert translation_number_along_path(rotation_path(-math.pi)).value == -1.0
+    assert endpoint(rotation_path(math.pi)).value == 1.0
+    assert endpoint(rotation_path(2 * math.pi)).value == 2.0
+    assert endpoint(rotation_path(-math.pi)).value == -1.0
 
 
 def test_hyperbolic_path_translates_by_zero():
-    res = translation_number_along_path(stretch_path(2.0))
+    res = endpoint(stretch_path(2.0))
     assert res.value == 0.0 and not res.elliptic
 
 
 def test_wrapped_hyperbolic_path_translates_by_one():
-    path = rotation_path(math.pi)
-    tail = [Mat2(-math.exp(s * 0.05), 0, 0, -math.exp(-s * 0.05)).to_float() for s in range(1, 41)]
-    res = translation_number_along_path(path + tail)
+    res = endpoint(wrapped_stretch_path())
     assert res.value == 1.0 and not res.elliptic
 
 
 def test_elliptic_endpoint_is_flagged_with_rotation_number():
-    res = translation_number_along_path(rotation_path(0.9))
+    res = endpoint(rotation_path(0.9))
     assert res.elliptic
     assert res.value == pytest.approx(0.9 / math.pi, abs=1e-9)
 
 
-def test_iteration_estimate_agrees_with_closed_form():
-    lifted = lift_along_path(rotation_path(math.pi) + [
-        Mat2(-math.exp(s * 0.05), 0, 0, -math.exp(-s * 0.05)) for s in range(1, 41)
-    ])
-    closed = lifted.translation_number()
-    iterated = lifted.translation_number_by_iteration(1 << 14)
-    assert abs(closed.value - iterated) < 1e-6
+@pytest.mark.parametrize("path", [
+    rotation_path(0.9),
+    rotation_path(math.pi),
+    rotation_path(2 * math.pi),
+    stretch_path(2.0),
+    wrapped_stretch_path(),
+], ids=["rotation-0.9", "rotation-pi", "rotation-2pi", "stretch", "wrapped-stretch"])
+def test_iteration_estimate_agrees_with_closed_form(path):
+    iterated = translation_number_by_iteration(path, iterations=1 << 14)
+    assert abs(endpoint(path).value - iterated) <= 1e-6
 
 
 def test_base_point_independence():
     path = rotation_path(math.pi)
     for theta in (0.1, 1.0, 2.5):
-        assert translation_number_along_path(path, base_theta=theta).value == 1.0
+        assert endpoint(path, base_theta=theta).value == 1.0
 
 
 def test_coarse_path_rejected():
-    with pytest.raises(ValueError):
-        lift_along_path([Mat2.identity(exact=False), rotation(3.0)])
-
-
-def test_both_path_entry_points_reject_a_coarse_path():
     # rotation(3.5) has rotation number +1.114 from the identity; a tracker
     # without the gap guard reads it as -0.886
-    path = [Mat2.identity(exact=False), rotation(3.5)]
-    with pytest.raises(ContinuityError):
-        lift_along_path(path)
-    with pytest.raises(ContinuityError):
+    for theta in (3.0, 3.5):
+        path = [Mat2.identity(exact=False), rotation(theta)]
+        with pytest.raises(ContinuityError):
+            translation_numbers_along_arc(path)
+        with pytest.raises(ContinuityError):
+            translation_number_by_iteration(path)
+
+
+def test_path_ending_off_unit_determinant_raises():
+    path = [Mat2.identity(exact=False), Mat2(1.2, 0.0, 0.0, 1.2)]
+    with pytest.raises(ValueError, match="determinant 1"):
         translation_numbers_along_arc(path)
+    with pytest.raises(ValueError, match="determinant 1"):
+        translation_number_by_iteration(path)
+
+
+def test_empty_path():
+    assert translation_numbers_along_arc([]) == []
+    with pytest.raises(ValueError, match="empty path"):
+        translation_number_by_iteration([])
 
 
 def test_arc_prefix_values_are_monotone_for_rotations():

@@ -48,14 +48,16 @@ choices freeze tr(Ma) or force Ma to stay triangular, stalling the arc at
 chi_n); among the feasible pairs the one with the largest fourth singular
 value wins.
 
-The arc tangent at each step is the null vector of the reduced Jacobian of
-the previous converged iterate stacked over the unit gauge row (Allgower &
-Georg ch. 2), from one SVD, sign-matched to the previous tangent; as the
-gauge flow has character speed zero, it is the kernel direction of maximal
-character speed ||D(chi) v||.  The corrector starts at the Euler predictor,
-so one update reaches the tolerance and a step costs one SVD, one lstsq
-and two fused evaluations, the second giving the check, the word images
-and the next Jacobian.
+The arc tangent is the kernel direction of the reduced Jacobian orthogonal
+to the unit gauge row (Allgower & Georg ch. 2-3); as the gauge flow has
+character speed zero, it is the kernel direction of maximal character speed
+||D(chi) v||.  At the base point it comes from one SVD; after that, the
+lstsq call that solves the bordered matrix [jr; tau; gauge] for a Newton
+update also solves it for e_tau, which gives the next tangent with its sign
+fixed by tau . t = 1.  The corrector starts at the Euler predictor, so one
+update reaches the tolerance and a step costs one fused evaluation, one
+lstsq and one value-only pass (F and the word images) to check the update,
+and no SVD.
 The initial orientation is probed one corrector step on each side: the
 direction flag +1 denotes the side whose joint conjugator has determinant
 +1 (a real stable letter exists, the arc glues to an HNN extension, and
@@ -171,6 +173,19 @@ def _inverse(x: tuple) -> tuple:
     return (k * d, k * -b, k * -c, k * a)
 
 
+def _suffix_products(mats: list) -> list:
+    """The suffix products of a word's letter matrices, from the identity
+    (empty suffix) up to the whole product (the word's image), multiplied
+    right to left."""
+    s11, s12, s21, s22 = 1.0, 0.0, 0.0, 1.0
+    suffixes = [(s11, s12, s21, s22)]
+    for x11, x12, x21, x22 in reversed(mats):
+        s11, s12, s21, s22 = (x11 * s11 + x12 * s21, x11 * s12 + x12 * s22,
+                              x21 * s11 + x22 * s21, x21 * s12 + x22 * s22)
+        suffixes.append((s11, s12, s21, s22))
+    return suffixes
+
+
 def _trace_pass(codes: tuple, letters: tuple) -> tuple:
     """Trace, gradient and image of one word in a single product pass.
 
@@ -182,12 +197,7 @@ def _trace_pass(codes: tuple, letters: tuple) -> tuple:
     partials over q, image as an entry tuple).
     """
     mats = [letters[c] for c in codes]
-    s11, s12, s21, s22 = 1.0, 0.0, 0.0, 1.0
-    suffixes = [(s11, s12, s21, s22)]
-    for x11, x12, x21, x22 in reversed(mats):
-        s11, s12, s21, s22 = (x11 * s11 + x12 * s21, x11 * s12 + x12 * s22,
-                              x21 * s11 + x22 * s21, x21 * s12 + x22 * s22)
-        suffixes.append((s11, s12, s21, s22))
+    suffixes = _suffix_products(mats)
     image = suffixes.pop()
     g0 = g1 = g2 = g3 = g4 = g5 = g6 = g7 = 0.0
     p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
@@ -212,6 +222,21 @@ def _trace_pass(codes: tuple, letters: tuple) -> tuple:
         p11, p12, p21, p22 = (p11 * m11 + p12 * m21, p11 * m12 + p12 * m22,
                               p21 * m11 + p22 * m21, p21 * m12 + p22 * m22)
     return image[0] + image[3], (g0, g1, g2, g3, g4, g5, g6, g7), image
+
+
+def _letters(q: tuple) -> tuple:
+    """The entry tuples of a, A, b, B (inverse letters as adjugates)."""
+    a11, a12, a21, a22, b11, b12, b21, b22 = q
+    return ((a11, a12, a21, a22), (a22, -a12, -a21, a11),
+            (b11, b12, b21, b22), (b22, -b12, -b21, b11))
+
+
+def _constraints(q: tuple, traces) -> np.ndarray:
+    """F from the entries and the six word traces."""
+    a11, a12, a21, a22, b11, b12, b21, b22 = q
+    t1, t2, t3, t4, t5, t6 = traces
+    return np.array((a11 * a22 - a12 * a21 - 1.0, b11 * b22 - b12 * b21 - 1.0,
+                     t1 - t2, t3 - t4, t5 - t6))
 
 
 class _EntrySystem:
@@ -245,18 +270,24 @@ class _EntrySystem:
 
     def evaluate(self, q) -> tuple:
         """(F, its 5x8 Jacobian, the images of m1, m2, l1, l2 as entry tuples)."""
-        a11, a12, a21, a22, b11, b12, b21, b22 = map(float, q)
-        letters = ((a11, a12, a21, a22), (a22, -a12, -a21, a11),
-                   (b11, b12, b21, b22), (b22, -b12, -b21, b11))
+        q = tuple(map(float, q))
+        a11, a12, a21, a22, b11, b12, b21, b22 = q
+        letters = _letters(q)
         (t1, g1, m1), (t2, g2, m2), (t3, g3, l1), (t4, g4, l2), (t5, g5, _), (t6, g6, _) = (
             _trace_pass(codes, letters) for codes in self.codes)
-        f = np.array((a11 * a22 - a12 * a21 - 1.0, b11 * b22 - b12 * b21 - 1.0,
-                      t1 - t2, t3 - t4, t5 - t6))
         zeros = (0.0, 0.0, 0.0, 0.0)
         jac = np.array(((a22, -a21, -a12, a11) + zeros, zeros + (b22, -b21, -b12, b11),
                         tuple(map(float.__sub__, g1, g2)), tuple(map(float.__sub__, g3, g4)),
                         tuple(map(float.__sub__, g5, g6))))
-        return f, jac, (m1, m2, l1, l2)
+        return _constraints(q, (t1, t2, t3, t4, t5, t6)), jac, (m1, m2, l1, l2)
+
+    def values(self, q) -> tuple:
+        """(F, the images of m1, m2, l1, l2): evaluate without the Jacobian,
+        bit for bit equal to its F and images."""
+        q = tuple(map(float, q))
+        letters = _letters(q)
+        images = [_suffix_products([letters[c] for c in codes])[-1] for codes in self.codes]
+        return _constraints(q, [m[0] + m[3] for m in images]), tuple(images[:4])
 
 
 class _ReducedSystem:
@@ -274,45 +305,59 @@ class _ReducedSystem:
         q[self.free] = qr
         return q
 
-    def tangent(self, q, jr, prev) -> np.ndarray:
+    def tangent(self, q, jr) -> np.ndarray:
         """Null vector of jr stacked over the unit reduced gauge row at the
-        full entry vector q, sign-matched to prev: the kernel direction of jr
+        full entry vector q, of either sign: the kernel direction of jr
         orthogonal to the gauge flow, which is the one of maximal character
         speed."""
         aug = np.empty((6, len(self.free)))
         aug[:5] = jr
         aug[5] = self.system.gauge(q)[self.free]
-        v = np.linalg.svd(aug)[2][-1]
-        if prev is not None and float(np.dot(v, prev)) < 0.0:
-            v = -v
-        return v
+        return np.linalg.svd(aug)[2][-1]
 
     def newton(self, q_pred, tau, tol: float, max_iter: int) -> tuple:
         """Correct the predictor q_pred onto {F = 0} inside the
         pseudo-arclength hyperplane tau . (q - q_pred) = 0, with each update
         orthogonal to the gauge flow.
 
-        Returns (the full entry vector, residual, reduced Jacobian, word
-        images) at the last iterate: the converged one, the one after
-        max_iter updates, or the first whose residual is not finite.
+        Each iteration makes one lstsq solve of the bordered matrix
+        [jr; tau; gauge] with two right-hand sides: (F, tau . (q - q_pred),
+        0) gives the update, and e_tau (1 in the tau row) gives the unit
+        kernel direction of jr orthogonal to the gauge flow with
+        tau . t > 0, the next step's tangent (Allgower & Georg ch. 2-3).
+        Each updated iterate is checked by a value-only pass; only when that
+        misses tol does a full evaluation follow, for the next solve.
+
+        Returns (the full entry vector, residual, word images, tangent) at
+        the last iterate: the converged one, the one after max_iter updates,
+        or the first whose residual is not finite.  The tangent comes from
+        the last solve, and is tau itself when q_pred is returned unsolved.
         """
         q = np.array(q_pred, dtype=float)
         a = np.empty((7, len(self.free)))
         a[5] = tau
-        b = np.zeros(7)
+        b = np.zeros((7, 2))
+        b[5, 1] = 1.0
+        full = self.expand(q)
+        f, jac, images = self.system.evaluate(full)
+        tangent = tau
         for it in range(max_iter + 1):
-            full = self.expand(q)
-            f, jac, images = self.system.evaluate(full)
-            jr = jac[:, self.free]
             extra = float(np.dot(tau, q - q_pred))
             res = max(float(np.abs(f).max()), abs(extra))
             if res <= tol or not math.isfinite(res) or it == max_iter:
-                return full, res, jr, images
-            a[:5] = jr
+                return full, res, images, tangent
+            if jac is None:
+                f, jac, images = self.system.evaluate(full)
+            a[:5] = jac[:, self.free]
             a[6] = self.system.gauge(full)[self.free]
-            b[:5] = f
-            b[5] = extra
-            q = q + np.linalg.lstsq(a, -b, rcond=1e-12)[0]
+            b[:5, 0] = -f
+            b[5, 0] = -extra
+            x = np.linalg.lstsq(a, b, rcond=1e-12)[0]
+            q = q + x[:, 0]
+            tangent = x[:, 1] / np.linalg.norm(x[:, 1])
+            full = self.expand(q)
+            f, images = self.system.values(full)
+            jac = None
 
 
 NEWTON_TOL = 1e-10
@@ -409,7 +454,7 @@ def _probe_det_sign(reduced: _ReducedSystem, q0: np.ndarray,
     the other side's joint conjugator has determinant -1.  Returns 0 when the
     probe step fails or the conjugator stays singular.
     """
-    _, res, _, images = reduced.newton(q0[reduced.free] + h * v0, v0, NEWTON_TOL, NEWTON_MAX_ITER)
+    _, res, images, _ = reduced.newton(q0[reduced.free] + h * v0, v0, NEWTON_TOL, NEWTON_MAX_ITER)
     if not res <= NEWTON_TOL:
         return 0
     return solve_conjugator(_image_pairs(images)).det_sign
@@ -459,13 +504,10 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
             f"constraint value {value:.3e}, relative)")
     pins = _select_pins(rows, q0)
     reduced = _ReducedSystem(system, pins, q0[list(pins)])
-    q = q0
-    jr = jac0[:, reduced.free]
-
-    v0 = reduced.tangent(q, jr, None)
-    plus = _probe_det_sign(reduced, q, v0, step_size)
+    v0 = reduced.tangent(q0, jac0[:, reduced.free])
+    plus = _probe_det_sign(reduced, q0, v0, step_size)
     if plus != 1:
-        minus = _probe_det_sign(reduced, q, -v0, step_size)
+        minus = _probe_det_sign(reduced, q0, -v0, step_size)
         if minus == 1:
             v0 = -v0
         elif plus == 0 and minus == 0:
@@ -476,20 +518,18 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
 
     samples = [_sample_at(0.0, q0, 0.0, images0)]
     reason = "maxSteps"
-    prev = v0
+    q, v = q0, v0
     t = 0.0
     base_det_sign = None
     for step in range(1, max_steps + 1):
-        v = reduced.tangent(q, jr, prev)
-        qn, res, jn, images = reduced.newton(q[reduced.free] + step_size * v, v,
-                                             NEWTON_TOL, NEWTON_MAX_ITER)
+        q, res, images, v = reduced.newton(q[reduced.free] + step_size * v, v,
+                                           NEWTON_TOL, NEWTON_MAX_ITER)
         if not res <= NEWTON_TOL:
             if step == 1:
                 raise ContinuationError(
                     f"Newton diverged at the first step (last residual {res:.3e})")
             reason = "newtonFailure"
             break
-        prev, q, jr = v, qn, jn
         t += step_size
         sample = _sample_at(t, q, res, images)
         samples.append(sample)

@@ -94,6 +94,9 @@ class LocusArc:
     tail_slope: float
 
 
+_EMPTY = LocusArc((), (), (), (), 0.0, 0.0, 0.0, 0.0, True, math.nan)
+
+
 def _projective_gap(v: tuple, w: tuple) -> float:
     """Distance between unit directions modulo sign."""
     plus = math.hypot(v[0] - w[0], v[1] - w[1])
@@ -145,7 +148,13 @@ def peripheral_point_pair(meridian: Mat2, longitude: Mat2,
 
 
 def locus_points(arc: Arc) -> LocusArc:
-    """Extract both locus branches from an arc's glueable samples."""
+    """Extract both locus branches from an arc's glueable samples.
+
+    An arc with no determinant-+1 sample gives the empty LocusArc without
+    reading its longitudes' translation numbers.
+    """
+    if not any(sample.det_sign == 1 for sample in arc.samples):
+        return _EMPTY
     longitude_mats = arc.longitude_images()
     try:
         translations = translation_numbers_along_arc(longitude_mats)
@@ -178,7 +187,7 @@ def locus_points(arc: Arc) -> LocusArc:
         kept_translations.append(trans.value)
 
     if not first:
-        return LocusArc((), (), (), (), 0.0, 0.0, 0.0, 0.0, True, math.nan)
+        return _EMPTY
     order = sorted(range(len(first)), key=lambda i: (first[i].u, indices[i]))
     first = [first[i] for i in order]
     second = [second[i] for i in order]

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import sl2arc.arc as arc_module
 from sl2arc.arc import (
     NEWTON_TOL,
     ContinuationError,
@@ -205,31 +207,138 @@ def test_zero_steps_returns_base_sample_only(fam1):
     assert arc.termination_reason == "maxSteps"
 
 
+def _count_step_work(monkeypatch) -> dict:
+    """Count Jacobian evaluations, value passes, and the lstsq and svd calls
+    made through arc's numpy (not those of sl2 or pretzel)."""
+    counts = {"evaluate": 0, "values": 0, "lstsq": 0, "svd": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(_EntrySystem, "evaluate", counted("evaluate", _EntrySystem.evaluate))
+    monkeypatch.setattr(_EntrySystem, "values", counted("values", _EntrySystem.values))
+    linalg = types.ModuleType(np.linalg.__name__)
+    linalg.__dict__.update(vars(np.linalg))
+    linalg.lstsq = counted("lstsq", np.linalg.lstsq)
+    linalg.svd = counted("svd", np.linalg.svd)
+    proxy = types.ModuleType(np.__name__)
+    proxy.__dict__.update(vars(np))
+    proxy.linalg = linalg
+    monkeypatch.setattr(arc_module, "np", proxy)
+    return counts
+
+
 @pytest.mark.parametrize("n", [1, 21])
-def test_a_step_costs_two_evaluations_and_one_solve(n, monkeypatch):
+def test_a_step_costs_one_jacobian_one_value_pass_and_one_solve(n, monkeypatch):
     fam = make_family(n)
-    counts = {"evaluate": 0, "lstsq": 0}
-    evaluate_entries = _EntrySystem.evaluate
-    lstsq = np.linalg.lstsq
-
-    def counted_evaluate(self, q):
-        counts["evaluate"] += 1
-        return evaluate_entries(self, q)
-
-    def counted_lstsq(*args, **kwargs):
-        counts["lstsq"] += 1
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(_EntrySystem, "evaluate", counted_evaluate)
-    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    counts = _count_step_work(monkeypatch)
     totals = []
     for steps in (100, 200):
-        counts.update(evaluate=0, lstsq=0)
+        counts.update(evaluate=0, values=0, lstsq=0, svd=0)
         arc = continue_arc(fam, step_size=1e-3, max_steps=steps, direction=1)
         assert arc.termination_reason == "maxSteps" and len(arc.samples) == steps + 1
         totals.append(dict(counts))
-    assert totals[1]["evaluate"] - totals[0]["evaluate"] == 200
-    assert totals[1]["lstsq"] - totals[0]["lstsq"] == 100
+    assert {k: totals[1][k] - totals[0][k] for k in counts} == {
+        "evaluate": 100, "values": 100, "lstsq": 100, "svd": 0}
+
+
+def _reference_newton(self, q_pred, tau, tol, max_iter):
+    """The step without the bordered tangent: a full evaluation at every
+    iterate, a one-right-hand-side lstsq update, and the next tangent from
+    the SVD at the accepted point, sign-matched to tau."""
+    q = np.array(q_pred, dtype=float)
+    a = np.empty((7, len(self.free)))
+    a[5] = tau
+    b = np.zeros(7)
+    for it in range(max_iter + 1):
+        full = self.expand(q)
+        f, jac, images = self.system.evaluate(full)
+        jr = jac[:, self.free]
+        extra = float(np.dot(tau, q - q_pred))
+        res = max(float(np.abs(f).max()), abs(extra))
+        if res <= tol or not math.isfinite(res) or it == max_iter:
+            if not res <= tol:
+                return full, res, images, tau
+            v = self.tangent(full, jr)
+            return full, res, images, v if float(np.dot(v, tau)) >= 0.0 else -v
+        a[:5] = jr
+        a[6] = self.system.gauge(full)[self.free]
+        b[:5] = f
+        b[5] = extra
+        q = q + np.linalg.lstsq(a, -b, rcond=1e-12)[0]
+
+
+def _reference_arc(fam, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ReducedSystem, "newton", _reference_newton)
+        return continue_arc(fam, **kwargs)
+
+
+def _relative_gaps(arc, reference) -> tuple:
+    """The largest relative gaps of the characters and of the finite
+    meridian traces between two arcs of the same length."""
+    char_gap = max(abs(x - y) / max(1.0, abs(y))
+                   for s, r in zip(arc.samples, reference.samples)
+                   for x, y in zip(s.character, r.character))
+    meridian_gap = max((abs(s.meridian_trace - r.meridian_trace) / r.meridian_trace
+                        for s, r in zip(arc.samples, reference.samples)
+                        if math.isfinite(r.meridian_trace)), default=0.0)
+    return char_gap, meridian_gap
+
+
+def _assert_matches_reference(arc, reference, char_bound, meridian_bound):
+    assert arc.termination_reason == reference.termination_reason
+    assert len(arc.samples) == len(reference.samples)
+    assert [s.det_sign for s in arc.samples] == [s.det_sign for s in reference.samples]
+    assert all(s.residual <= NEWTON_TOL for s in arc.samples)
+    char_gap, meridian_gap = _relative_gaps(arc, reference)
+    assert char_gap <= char_bound
+    assert meridian_gap <= meridian_bound
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("n", [1, 7, 21])
+def test_the_bordered_tangent_step_matches_the_reference_step(n, direction, arcs200):
+    # The tangent comes from the Jacobian at the last iterate rather than at
+    # the accepted point, which moves the arc within the corrector's
+    # tolerance.  Largest measured gaps: characters 1.04e-11 (n = 1,
+    # direction -1; bound margin 9.6x) and meridian traces 9.6e-9 (n = 21,
+    # direction +1; margin 10x).
+    fam = make_family(n)
+    arc = (arcs200[n] if direction == 1 else
+           continue_arc(fam, step_size=1e-3, max_steps=200, direction=direction))
+    reference = _reference_arc(fam, step_size=1e-3, max_steps=200, direction=direction)
+    assert arc.termination_reason == "maxSteps" and len(arc.samples) == 201
+    _assert_matches_reference(arc, reference, char_bound=1e-10, meridian_bound=1e-7)
+
+
+def test_the_second_newton_iteration_solves_on_a_fresh_jacobian(fam1, monkeypatch):
+    # steps of 0.02 at n = 1 take two Newton iterations each
+    counts = _count_step_work(monkeypatch)
+    arc = continue_arc(fam1, step_size=0.02, max_steps=500, direction=1)
+    assert arc.termination_reason == "maxSteps" and len(arc.samples) == 501
+    assert counts["lstsq"] > 500
+    # every Newton solve follows one Jacobian evaluation; the base-point
+    # evaluation, which no solve follows, pairs with the audit's lstsq
+    assert counts["lstsq"] == counts["evaluate"]
+    reference = _reference_arc(fam1, step_size=0.02, max_steps=500, direction=1)
+    # measured gaps: characters 1.8e-11 (bound margin 5.6x), meridian traces
+    # 4.4e-12 (margin 23x); residuals stay within NEWTON_TOL = 1e-10
+    _assert_matches_reference(arc, reference, char_bound=1e-10, meridian_bound=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 7, 21])
+def test_the_value_pass_matches_evaluate_bit_for_bit(n, arcs200):
+    system = _EntrySystem(make_family(n))
+    for s in arcs200[n].samples[::10]:
+        q = np.array(s.ma.entries() + s.mb.entries())
+        f, _, images = system.evaluate(q)
+        want_f, want_images = system.values(q)
+        assert _bits(f) == _bits(want_f)
+        assert _bits(images) == _bits(want_images)
 
 
 def _max_character_speed_tangent(system, free, q, jr):
@@ -252,8 +361,9 @@ def test_tangent_is_the_max_character_speed_kernel_direction(n, arcs200):
         reduced = _ReducedSystem(system, arc.pins, q[list(arc.pins)])
         jr = system.evaluate(q)[1][:, reduced.free]
         reference = _max_character_speed_tangent(system, reduced.free, q, jr)
-        v = reduced.tangent(q, jr, reference)
-        assert float(np.max(np.abs(v - reference))) <= 1e-11
+        v = reduced.tangent(q, jr)
+        assert min(float(np.max(np.abs(v - reference))),
+                   float(np.max(np.abs(v + reference)))) <= 1e-11
 
 
 def _exact_images(fam, sample, words, inverse):
@@ -415,9 +525,9 @@ def test_coded_pass_and_evaluation_match_the_references_bit_for_bit(n, arcs200):
 @pytest.mark.parametrize("poisoned_after, outcome", [(40, "newtonFailure"), (3, "first step")])
 def test_a_non_finite_residual_ends_the_arc(poisoned_after, outcome, fam1, monkeypatch,
                                            capfd, tmp_path):
-    # F turns NaN from evaluation poisoned_after + 1 on.  The base point and
-    # the +1 orientation probe take three evaluations, so 3 poisons the
-    # first step and 40 one some fifteen steps out.
+    # F turns NaN from Jacobian evaluation poisoned_after + 1 on.  The base
+    # point and the two orientation probes take three evaluations, so 3
+    # poisons the first step and 40 the thirty-eighth.
     evaluate_entries = _EntrySystem.evaluate
     calls = [0]
 

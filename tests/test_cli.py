@@ -145,6 +145,18 @@ def test_locus_writes_csv_and_svg(tmp_path, capsys):
     assert svg.startswith("<svg ") and svg.endswith("</svg>\n")
 
 
+@pytest.mark.parametrize("n", [9, 21])
+def test_locus_of_a_minus_arc_has_no_points(n, tmp_path, capsys):
+    # the -1 side never glues, so its translation numbers are never read
+    csv_path = tmp_path / "locus.csv"
+    argv = ["locus", "--n", str(n), "--steps", "200", "--direction", "-1", "--out", str(csv_path)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == "samples=201 accepted=0 termination=maxSteps\n"
+    assert err == ""
+    assert csv_path.read_text() == CSV_HEADER + "\n"
+
+
 def test_locus_requires_out(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["locus", "--n", "1", "--steps", "5"])

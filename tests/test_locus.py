@@ -20,7 +20,13 @@ from sl2arc.locus import (
     svg_text,
 )
 from sl2arc.pretzel import make_family
-from sl2arc.sl2 import ConjugatorResult, Mat2, eigen_data, relation_residual
+from sl2arc.sl2 import (
+    ConjugatorResult,
+    Mat2,
+    eigen_data,
+    relation_residual,
+    translation_numbers_along_arc,
+)
 from sl2arc.words import evaluate
 
 
@@ -173,6 +179,19 @@ def test_locus_empty_arc(fam1):
     assert locus.first == ()
     with pytest.raises(LocusError):
         orderable_interval(locus)
+
+
+def test_locus_of_a_minus_arc_skips_its_translation_numbers():
+    # no sample of this -1 arc glues, and its longitude translation numbers
+    # miss an integer by 2.2e-6, so reading them would raise
+    arc = continue_arc(make_family(9), step_size=1e-3, max_steps=200, direction=-1)
+    assert arc.termination_reason == "maxSteps" and len(arc.samples) == 201
+    assert all(s.det_sign != 1 for s in arc.samples)
+    with pytest.raises(ArithmeticError, match="not close to an integer"):
+        translation_numbers_along_arc(arc.longitude_images())
+    locus = locus_points(arc)
+    assert locus.first == locus.second == locus.sample_indices == ()
+    assert locus.longitude_translations == ()
 
 
 # ----------------------------------------------------------------------

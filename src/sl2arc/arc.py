@@ -21,14 +21,14 @@ the family's curve_pairs, evaluated as the trace of a product of 2x2 matrices
 (an inverse letter is the adjugate, so F is a polynomial in the entries)
 rather than from the expanded trace polynomials, whose floating-point
 error grows far faster with n.  The six words are compiled once into
-letter codes, and the hot path runs on plain float 4-tuples: one
+letter codes, and the hot path runs on float entry tuples: one
 prefix/suffix product pass per word, with the 2x2 products written out
 and the gradient summed in locals, gives the trace, the gradient through
 d tr(P X S)/dX = (S P)^T, and the word's image; F and J are then built
 with one array call each.  The images of m1, m2, l1, l2 at the converged
-iterate become the sample's stored images, so no later stage rebuilds
-them, and the longitude is multiplied out from them with true inverses.
-Mat2 objects appear only in the fields of the sample.  On {det = 1} these
+iterate become the sample's stored images (a Mat2 is its entry tuple), so
+no later stage rebuilds them, and the longitude is m1 l1 m1^-1 l1^-1 of
+those images with true inverses.  On {det = 1} these
 rows agree with the character-form rows D(poly) . D(chi) up to multiples
 of the two determinant rows; continue_arc audits this at rho_n before
 every continuation.
@@ -157,20 +157,6 @@ class Arc:
 
 _PIN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _LETTER_CODES = {"a": 0, "A": 1, "b": 2, "B": 3}
-
-
-def _mul(x: tuple, y: tuple) -> tuple:
-    x11, x12, x21, x22 = x
-    y11, y12, y21, y22 = y
-    return (x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
-            x21 * y11 + x22 * y21, x21 * y12 + x22 * y22)
-
-
-def _inverse(x: tuple) -> tuple:
-    """True inverse of a float entry tuple, rounded as Mat2.inverse rounds it."""
-    a, b, c, d = x
-    k = 1.0 / (a * d - b * c)
-    return (k * d, k * -b, k * -c, k * a)
 
 
 def _suffix_products(mats: list) -> list:
@@ -412,18 +398,11 @@ def _character_rows(jacobian: tuple, q0: np.ndarray, jac0: np.ndarray) -> np.nda
     return rows
 
 
-def _image_pairs(images: tuple) -> list:
-    """The meridian and longitude pairs of word images, as Mat2s."""
-    im1, im2, il1, il2 = (Mat2(*m) for m in images)
-    return [(im1, im2), (il1, il2)]
-
-
 def _sample_at(t: float, q, residual: float, images: tuple) -> RepSample:
     a11, a12, a21, a22, b11, b12, b21, b22 = map(float, q)
-    pairs = _image_pairs(images)
-    conj = solve_conjugator(pairs)
-    m1, _, l1, _ = images
-    longitude = _mul(_mul(_mul(m1, l1), _inverse(m1)), _inverse(l1))
+    m1, m2, l1, l2 = map(Mat2._make, images)
+    conj = solve_conjugator([(m1, m2), (l1, l2)])
+    longitude = m1 @ l1 @ m1.inverse() @ l1.inverse()
     if conj.det_sign == 1 and conj.candidate is not None:
         meridian = abs(conj.candidate.trace())
     elif conj.det_sign == 0:
@@ -437,10 +416,10 @@ def _sample_at(t: float, q, residual: float, images: tuple) -> RepSample:
         character=(a11 + a22, b11 + b22, a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22),
         residual=residual,
         conjugator=conj,
-        longitude_trace=longitude[0] + longitude[3],
+        longitude_trace=longitude.trace(),
         meridian_trace=meridian,
-        word_images=pairs[0] + pairs[1],
-        longitude=Mat2(*longitude),
+        word_images=(m1, m2, l1, l2),
+        longitude=longitude,
     )
 
 
@@ -454,10 +433,10 @@ def _probe_det_sign(reduced: _ReducedSystem, q0: np.ndarray,
     the other side's joint conjugator has determinant -1.  Returns 0 when the
     probe step fails or the conjugator stays singular.
     """
-    _, res, images, _ = reduced.newton(q0[reduced.free] + h * v0, v0, NEWTON_TOL, NEWTON_MAX_ITER)
+    q, res, images, _ = reduced.newton(q0[reduced.free] + h * v0, v0, NEWTON_TOL, NEWTON_MAX_ITER)
     if not res <= NEWTON_TOL:
         return 0
-    return solve_conjugator(_image_pairs(images)).det_sign
+    return _sample_at(h, q, res, images).det_sign
 
 
 def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
@@ -469,7 +448,8 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     (probed one corrector step out on each side); -1 follows the opposite
     side.  Terminates on max_steps, on the meridian trace crossing
     trace_ceiling, on Newton failure (a residual above NEWTON_TOL or not
-    finite), or on a change of conjugator determinant class.  Raises
+    finite), or on a change of conjugator determinant class; trace_ceiling
+    must exceed 2, the least hyperbolic |trace|, and may be inf.  Raises
     ContinuationError when Newton fails at the first step, or when the exact
     curve data at chi_n do not describe the constraints continuation solves.
     """
@@ -479,6 +459,8 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    if not trace_ceiling > 2.0:
+        raise ValueError(f"trace_ceiling must exceed 2 (a hyperbolic |trace|), got {trace_ceiling}")
     jacobian = curve_jacobian(fam)
     rank = exact_rank(jacobian)
     if rank != 2:

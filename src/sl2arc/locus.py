@@ -132,7 +132,7 @@ def peripheral_point_pair(meridian: Mat2, longitude: Mat2,
         raise LocusError("meridian eigendata degenerate: need two distinct "
                          "real fixed directions")
     if prev_direction is None:
-        chosen = 0 if abs(pairs[0][0]) >= abs(pairs[1][0]) else 1
+        chosen = 0  # eigen_data puts the larger |eigenvalue| first
     else:
         gaps = [_projective_gap(prev_direction, p[1]) for p in pairs]
         chosen = 0 if gaps[0] <= gaps[1] else 1

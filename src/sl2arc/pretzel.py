@@ -44,7 +44,7 @@ from .sl2 import Conjugacy, Mat2, MatClass, classify, exact_nullspace, exact_ran
 from .tracepoly import TracePolynomial, trace_polynomial
 from .words import Word, commutator, evaluate, parse_word
 
-DEFAULT_N_CAP = 10_000
+N_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -80,18 +80,17 @@ class FamilyInstance:
         return evaluate(word, self.rho_a, self.rho_b)
 
 
-def make_family(n: int, cap: int = DEFAULT_N_CAP) -> FamilyInstance:
+def make_family(n: int) -> FamilyInstance:
     """Build the family instance for n >= 1.
 
     The boundary words are the two relators of lin_presentation(-2, 1, n):
     m1 and l1 are the t-conjugated sides, m2 and l2 the plain sides.  n is
-    capped (default 10^4) to bound trace-polynomial size; pass a larger cap
-    explicitly to override.
+    at most N_CAP = 10^4, which bounds trace-polynomial size.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the cap {cap}; pass cap explicitly to override")
+    if n > N_CAP:
+        raise ValueError(f"n = {n} exceeds the cap {N_CAP}")
     (tm1, m2), (tl1, l2) = lin_presentation(-2, 1, n).parsed_sides()
     m1, l1 = (Word(w.letters[1:-1]) for w in (tm1, tl1))  # strip t ... t^-1
     fam = FamilyInstance(n, m1, m2, l1, l2, commutator(m1, l1), Mat2(-1, 1, 0, -1),

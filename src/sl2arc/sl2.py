@@ -3,6 +3,11 @@ used by the rest of the package: trace classification, the Delta = b - c
 conjugacy barometer, conjugator solving, eigendata, and translation numbers
 of lifted circle maps.
 
+Mat2 is the one 2x2 representation: a NamedTuple, so a matrix is its entry
+tuple (a, b, c, d).  + and - are the matrix sum and difference, @ is the
+product, and * is not defined.  The path tracker runs on float Mat2s as
+given and makes exact input float once.
+
 Conventions.  A matrix [[a, b], [c, d]] acts on directions [x : y] in the
 projective line, parametrized by the angle theta in [0, pi) of the vector
 (cos theta, sin theta).  Determinant-1 matrices act by orientation-preserving
@@ -44,9 +49,9 @@ def _fmt_entry(x):
     return repr(x)
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """Immutable 2x2 matrix with int/Fraction (exact) or float entries."""
+class Mat2(NamedTuple):
+    """Immutable 2x2 matrix [[a, b], [c, d]] with int/Fraction (exact) or
+    float entries; it is its own entry tuple (a, b, c, d)."""
 
     a: object
     b: object
@@ -59,52 +64,64 @@ class Mat2:
 
     @property
     def exact(self) -> bool:
-        return (isinstance(self.a, _EXACT_TYPES) and isinstance(self.b, _EXACT_TYPES)
-                and isinstance(self.c, _EXACT_TYPES) and isinstance(self.d, _EXACT_TYPES))
+        a, b, c, d = self
+        return (isinstance(a, _EXACT_TYPES) and isinstance(b, _EXACT_TYPES)
+                and isinstance(c, _EXACT_TYPES) and isinstance(d, _EXACT_TYPES))
 
     def det(self):
-        return self.a * self.d - self.b * self.c
+        a, b, c, d = self
+        return a * d - b * c
 
     def trace(self):
-        return self.a + self.d
+        return self[0] + self[3]
 
     def delta(self):
         """The conjugacy barometer Delta = b - c (upper right minus lower left)."""
-        return self.b - self.c
+        return self[1] - self[2]
 
     def __matmul__(self, o: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
+        a, b, c, d = self
+        e, f, g, h = o
+        return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def __add__(self, o: "Mat2") -> "Mat2":
-        return Mat2(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        a, b, c, d = self
+        e, f, g, h = o
+        return Mat2(a + e, b + f, c + g, d + h)
 
     def __sub__(self, o: "Mat2") -> "Mat2":
-        return Mat2(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+        a, b, c, d = self
+        e, f, g, h = o
+        return Mat2(a - e, b - f, c - g, d - h)
+
+    def __mul__(self, o):
+        return NotImplemented  # no tuple repetition, and no scalar product
+
+    __rmul__ = __mul__
 
     def scale(self, k) -> "Mat2":
-        return Mat2(k * self.a, k * self.b, k * self.c, k * self.d)
+        a, b, c, d = self
+        return Mat2(k * a, k * b, k * c, k * d)
 
     def neg(self) -> "Mat2":
         return self.scale(-1)
 
     def adjugate(self) -> "Mat2":
-        return Mat2(self.d, -self.b, -self.c, self.a)
+        a, b, c, d = self
+        return Mat2(d, -b, -c, a)
 
     def inverse(self) -> "Mat2":
-        det = self.det()
+        a, b, c, d = self
+        det = a * d - b * c
         if det == 0:
             raise ZeroDivisionError("matrix is singular")
-        adj = self.adjugate()
         if self.exact:
             if det == 1:
-                return adj
-            return Mat2(*(Fraction(x, 1) / det for x in (adj.a, adj.b, adj.c, adj.d)))
-        return adj.scale(1.0 / det)
+                return Mat2(d, -b, -c, a)
+            return Mat2(Fraction(d, 1) / det, Fraction(-b, 1) / det,
+                        Fraction(-c, 1) / det, Fraction(a, 1) / det)
+        k = 1.0 / det
+        return Mat2(k * d, k * -b, k * -c, k * a)
 
     def __pow__(self, k: int) -> "Mat2":
         if k < 0:
@@ -119,19 +136,20 @@ class Mat2:
         return out
 
     def frobenius(self) -> float:
-        return _frobenius(self.a, self.b, self.c, self.d)
+        return _frobenius(*self)
 
     def max_abs(self) -> float:
-        return max(abs(float(x)) for x in (self.a, self.b, self.c, self.d))
+        return max(abs(float(x)) for x in self)
 
     def to_float(self) -> "Mat2":
-        return Mat2(float(self.a), float(self.b), float(self.c), float(self.d))
+        a, b, c, d = self
+        return Mat2(float(a), float(b), float(c), float(d))
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
+    def entries(self) -> tuple:
+        return tuple(self)
 
     def __str__(self) -> str:
-        return "[[{}, {}], [{}, {}]]".format(*(_fmt_entry(x) for x in self.entries()))
+        return "[[{}, {}], [{}, {}]]".format(*(_fmt_entry(x) for x in self))
 
 
 def _frobenius(a, b, c, d) -> float:
@@ -334,12 +352,6 @@ def _intertwiner_rows(pairs):
     return rows
 
 
-def _vec_to_mat(v, exact: bool) -> Mat2:
-    if exact:
-        return Mat2(*v)
-    return Mat2(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
-
-
 def _det_bilinear(x: Mat2, y: Mat2):
     """B(X, Y) with B(X, X) = det X; polarization of the determinant form."""
     return ((x + y).det() - x.det() - y.det()) / 2
@@ -380,12 +392,11 @@ def solve_conjugator(pairs) -> ConjugatorResult:
     exact = all(a.exact and b.exact for a, b in pairs)
     rows = _intertwiner_rows(pairs)
     if exact:
-        basis = [_vec_to_mat(v, True) for v in exact_nullspace(rows)]
+        basis = [Mat2(*v) for v in exact_nullspace(rows)]
     else:
         _, sig, vt = np.linalg.svd(np.array(rows, dtype=float))
         cutoff = NULLSPACE_TOL * (sig[0] if len(sig) and sig[0] > 0 else 1.0)
-        null = [vt[i] for i in range(4) if i >= len(sig) or sig[i] <= cutoff]
-        basis = [_vec_to_mat(v, False) for v in null]
+        basis = [Mat2(*vt[i].tolist()) for i in range(4) if i >= len(sig) or sig[i] <= cutoff]
     dim = len(basis)
     if dim == 0:
         return ConjugatorResult(0, None, 0, 0.0)
@@ -418,7 +429,7 @@ def solve_conjugator(pairs) -> ConjugatorResult:
         coords = np.array([[float(x) for x in g.entries()] for g in basis])
         proj = coords.T @ (coords @ np.array([1.0, 0.0, 0.0, 1.0]))
         if np.linalg.norm(proj) > 0.5:
-            g = _vec_to_mat(proj / np.linalg.norm(proj), False)
+            g = Mat2(*(proj / np.linalg.norm(proj)).tolist())
             if abs(g.det()) > SINGULAR_DET_TOL:
                 return finish(g)
     candidates = list(basis)
@@ -620,22 +631,18 @@ def _advance_track(m_from, m_to, theta0: float, alpha: float, depth: int = 0) ->
     return _advance_track(mid, m_to, theta0, alpha_mid, depth + 1)
 
 
-def _as_tuple(m: Mat2):
-    return (float(m.a), float(m.b), float(m.c), float(m.d))
-
-
 class PathTranslation(NamedTuple):
     value: float
     elliptic: bool
 
 
-def _tracked_angles(tuples, base_theta: float) -> list:
+def _tracked_angles(mats, base_theta: float) -> list:
     """Lifted angle of each path matrix applied to the base direction, tracked
     continuously from the first; consecutive matrices must be closer than
     MAX_PATH_STEP in Frobenius distance."""
-    alpha, _ = _image(tuples[0], base_theta)
+    alpha, _ = _image(mats[0], base_theta)
     angles = [alpha + math.pi * round((base_theta - alpha) / math.pi)]
-    for prev, cur in zip(tuples, tuples[1:]):
+    for prev, cur in zip(mats, mats[1:]):
         if math.dist(prev, cur) >= MAX_PATH_STEP:
             raise ContinuityError("consecutive path matrices are too far apart")
         angles.append(_advance_track(prev, cur, base_theta, angles[-1]))
@@ -643,7 +650,7 @@ def _tracked_angles(tuples, base_theta: float) -> list:
 
 
 def _near_central(mat) -> bool:
-    """Is the entry tuple within CENTRAL_TOL of +-identity (Frobenius)?"""
+    """Is the matrix within CENTRAL_TOL of +-identity (Frobenius)?"""
     a, b, c, d = mat
     return (_frobenius(a - 1.0, b, c, d - 1.0) <= CENTRAL_TOL
             or _frobenius(a + 1.0, b, c, d + 1.0) <= CENTRAL_TOL)
@@ -651,7 +658,7 @@ def _near_central(mat) -> bool:
 
 def _prefix_translation(mat, alpha: float, base_theta: float) -> PathTranslation:
     """Translation number, in units of pi, of the lift of the circle map of
-    the entry tuple mat whose value at base_theta is the tracked angle alpha.
+    the float matrix mat whose value at base_theta is the tracked angle alpha.
 
     A central endpoint reads the integer off alpha itself.  Hyperbolic and
     parabolic endpoints give an exact integer read off at a fixed direction
@@ -665,14 +672,13 @@ def _prefix_translation(mat, alpha: float, base_theta: float) -> PathTranslation
     """
     if _near_central(mat):
         return PathTranslation(float(round((alpha - base_theta) / math.pi)), False)
-    m = Mat2(*mat)
-    if classify(m) == MatClass.ELLIPTIC:
+    if classify(mat) == MatClass.ELLIPTIC:
         a, b, c, d = mat
         phi0 = math.acos(max(-1.0, min(1.0, (a + d) / 2.0)))
         positive = b < 0.0 or (b == 0.0 and c > 0.0)
         frac = phi0 / math.pi if positive else 1.0 - phi0 / math.pi
         return PathTranslation(math.floor((alpha - base_theta) / math.pi) + frac, True)
-    _, (vx, vy) = eigen_data(m)[0]
+    _, (vx, vy) = eigen_data(mat)[0]
     th_star = _dir_angle(float(vx), float(vy))
     # place the fixed direction's lift within half a turn of the anchor
     th_star += math.pi * math.floor((base_theta - th_star) / math.pi + 0.5)
@@ -693,9 +699,9 @@ def translation_numbers_along_arc(mats, base_theta: float = BASE_DIRECTION) -> l
     """
     if not mats:
         return []
-    tuples = [_as_tuple(m) for m in mats]
+    mats = [m.to_float() if m.exact else m for m in mats]
     return [_prefix_translation(m, alpha, base_theta)
-            for m, alpha in zip(tuples, _tracked_angles(tuples, base_theta))]
+            for m, alpha in zip(mats, _tracked_angles(mats, base_theta))]
 
 
 def translation_number_by_iteration(mats, base_theta: float = BASE_DIRECTION,
@@ -709,17 +715,15 @@ def translation_number_by_iteration(mats, base_theta: float = BASE_DIRECTION,
     """
     if not mats:
         raise ValueError("empty path")
-    tuples = [_as_tuple(m) for m in mats]
-    mat = tuples[-1]
+    mats = [m.to_float() if m.exact else m for m in mats]
+    mat = mats[-1]
     p = base_theta
-    fp = _tracked_angles(tuples, base_theta)[-1]  # lift value F(p)
-    if not _near_central(mat):
-        m = Mat2(*mat)
-        if classify(m) != MatClass.ELLIPTIC:  # elliptic: any start works
-            _, (vx, vy) = eigen_data(m)[0]
-            start = _dir_angle(float(vx), float(vy)) + 0.05
-            fp = _traverse(mat, p, fp, start)
-            p = start
+    fp = _tracked_angles(mats, base_theta)[-1]  # lift value F(p)
+    if not _near_central(mat) and classify(mat) != MatClass.ELLIPTIC:  # elliptic: any start works
+        _, (vx, vy) = eigen_data(mat)[0]
+        start = _dir_angle(float(vx), float(vy)) + 0.05
+        fp = _traverse(mat, p, fp, start)
+        p = start
     # The iterate is p + k pi with fp = F(p).  As F(x + pi) = F(x) + pi,
     # the next iterate F(p) + k pi is carried by its representative
     # nearest p, so each traversal spans at most half a turn.

@@ -201,6 +201,17 @@ def test_invalid_arguments_are_rejected(fam1):
         continue_arc(fam1, max_steps=-1)
 
 
+@pytest.mark.parametrize("ceiling", [1.5, 2.0, -1.0, math.nan])
+def test_trace_ceiling_must_exceed_two(fam1, ceiling):
+    with pytest.raises(ValueError, match="trace_ceiling"):
+        continue_arc(fam1, max_steps=5, trace_ceiling=ceiling)
+
+
+def test_an_infinite_trace_ceiling_is_no_ceiling(fam1):
+    arc = continue_arc(fam1, max_steps=5, trace_ceiling=math.inf)
+    assert arc.termination_reason == "maxSteps" and len(arc.samples) == 6
+
+
 def test_zero_steps_returns_base_sample_only(fam1):
     arc = continue_arc(fam1, max_steps=0)
     assert len(arc.samples) == 1

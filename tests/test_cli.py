@@ -118,6 +118,9 @@ def test_arc_exact_audit_rejects_words_that_disagree_with_the_polynomials(
     ["arc", "--n", "1", "--steps", "-1"],
     ["arc", "--n", "1", "--step-size", "1"],
     ["arc", "--n", "1", "--step-size", "1e-9"],
+    ["interval", "--n", "1", "--steps", "50", "--ceiling", "1.5"],
+    ["interval", "--n", "1", "--steps", "50", "--ceiling", "nan"],
+    ["arc", "--n", "1", "--steps", "5", "--ceiling", "2"],
 ])
 def test_arc_usage_errors(argv, capsys):
     assert main(argv) == 2

@@ -55,9 +55,6 @@ def test_make_family_rejects_bad_n():
         make_family(-3)
     with pytest.raises(ValueError):
         make_family(10_001)
-    with pytest.raises(ValueError):
-        make_family(80, cap=79)
-    make_family(80, cap=80)  # documented override of the default cap
     for flag in (True, False):
         with pytest.raises(ValueError):
             make_family(flag)

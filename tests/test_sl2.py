@@ -50,6 +50,39 @@ def test_exact_arithmetic_stays_exact():
     assert not m.to_float().exact
 
 
+def test_mat2_is_its_entry_tuple():
+    m = Mat2(1, 2, 3, 4)
+    assert isinstance(m, tuple)
+    assert tuple(m) == (1, 2, 3, 4)
+    a, b, c, d = Mat2(0.5, -1.0, 2.0, 0.0)
+    assert (a, b, c, d) == (0.5, -1.0, 2.0, 0.0)
+    assert type(m.entries()) is tuple and m.entries() == (1, 2, 3, 4)
+    assert m.entries() + m.entries() == (1, 2, 3, 4, 1, 2, 3, 4)
+
+
+def test_mat2_sum_and_difference_are_entrywise():
+    m, n = Mat2(1, 2, 3, 4), Mat2(10, 20, 30, 40)
+    assert m + n == Mat2(11, 22, 33, 44) and len(m + n) == 4
+    assert n - m == Mat2(9, 18, 27, 36) and len(n - m) == 4
+    assert type(m + n) is Mat2 and type(n - m) is Mat2
+
+
+@pytest.mark.parametrize("product", [lambda m: m * 2, lambda m: 2 * m, lambda m: m * m],
+                         ids=["m*2", "2*m", "m*m"])
+def test_mat2_has_no_star_product(product):
+    with pytest.raises(TypeError):
+        product(Mat2(1, 2, 3, 4))
+
+
+def test_mat2_str_and_repr_formats():
+    exact = Mat2(Fraction(1, 2), -3, Fraction(4, 1), 2)
+    assert str(exact) == "[[1/2, -3], [4, 2]]"
+    assert repr(exact) == "Mat2(a=Fraction(1, 2), b=-3, c=Fraction(4, 1), d=2)"
+    floats = Mat2(0.1, -2.0, 1e-17, float("inf"))
+    assert str(floats) == "[[0.1, -2.0], [1e-17, inf]]"
+    assert repr(floats) == "Mat2(a=0.1, b=-2.0, c=1e-17, d=inf)"
+
+
 def test_delta_is_b_minus_c():
     assert Mat2(1, 7, 3, 1).delta() == 4
     assert rotation(0.25).delta() == pytest.approx(-2 * math.sin(0.25))

@@ -13,9 +13,13 @@ For each n >= 1 the family instance packages:
   * the curve C_n inside character space cut out by tr W1 = tr W2 for the
     three curve_pairs (m1, m2), (l1, l2) and (m1 l1, m2 l2).
 
-analyze_curve reports the exact data of C_n at chi_n; verify_lemma and
-arc.continue_arc take the Jacobian, trace gradients and longitude Hessian
-from the same helpers.
+analyze_curve reports the exact data of C_n at chi_n, and verify_lemma
+checks it through the same helpers; arc.continue_arc takes only
+curve_jacobian.  The longitude Hessian comes by the chain rule from Fricke's
+identity tr[U, V] = p^2 + q^2 + r^2 - pqr - 2 (p, q, r = tr U, tr V, tr UV),
+so the polynomial of [m1, l1] is never compiled.  At chi_n the closed forms
+give (p, q, r) = (-2s, -2, 2s) with s = (-1)^n, where the identity's first
+partials vanish: only the gradients of tr m1, tr l1 and tr m1 l1 enter.
 
 verify_lemma checks, in exact rational arithmetic, that the representation
 sits on C_n exactly as the closed-form analysis predicts: matrix images match
@@ -242,9 +246,34 @@ def _trace_gradient(fam: FamilyInstance, word: Word) -> tuple:
     return gradient_at(trace_polynomial(word), fam.chi)
 
 
-def _longitude_hessian(fam: FamilyInstance):
+def _commutator_hessian(u: Word, v: Word, point, gradients=None):
+    """The exact Hessian of tr([u, v]) at a rational point, as Fractions.
+
+    tr[U, V] = k(tr U, tr V, tr UV) with k(p, q, r) = p^2 + q^2 + r^2 - pqr - 2
+    (Goldman, "Trace coordinates on Fricke spaces of some simple hyperbolic
+    surfaces", 2009), so with P_i the trace polynomials of u, v, uv and J
+    their gradient rows the Hessian is sum_i k_i Hess(P_i) + J^T Hess(k) J.
+    Hess(P_i) is taken only when k_i is not exactly 0.  gradients maps words
+    to gradients at point the caller already has.
+    """
+    words = (u, v, u * v)
+    polys = [trace_polynomial(w) for w in words]
+    known = gradients or {}
+    jac = [known[w] if w in known else gradient_at(poly, point) for w, poly in zip(words, polys)]
+    p, q, r = (poly.evaluate(*point) for poly in polys)
+    hk = ((2, -r, -q), (-r, 2, -p), (-q, -p, 2))
+    hj = [[sum(hk[i][j] * jac[j][b] for j in range(3)) for b in range(3)] for i in range(3)]
+    hess = [[sum(jac[i][a] * hj[i][b] for i in range(3)) for b in range(3)] for a in range(3)]
+    for k, poly in zip((2 * p - q * r, 2 * q - p * r, 2 * r - p * q), polys):
+        if k:
+            hp = hessian_at(poly, point)
+            hess = [[h + k * x for h, x in zip(row, prow)] for row, prow in zip(hess, hp)]
+    return tuple(map(tuple, hess))
+
+
+def _longitude_hessian(fam: FamilyInstance, gradients):
     """The exact Hessian of the longitude trace tr([m1, l1]) at chi_n."""
-    return hessian_at(trace_polynomial(fam.longitude), fam.chi)
+    return _commutator_hessian(fam.m1, fam.l1, fam.chi, gradients)
 
 
 @dataclass(frozen=True)
@@ -278,6 +307,8 @@ def analyze_curve(fam: FamilyInstance) -> CurveAnalysis:
     plus local-coordinate verdicts for tr(m1), tr(m2) and tr(m1 l1): true
     iff the word's gradient lies outside the Jacobian row span."""
     jac = curve_jacobian(fam)
+    words = {"tr_m1": fam.m1, "tr_m2": fam.m2, "tr_m1l1": fam.m1l1}
+    grads = {word: _trace_gradient(fam, word) for word in words.values()}
     rank = exact_rank(jac)
     kernel: tuple = ()
     hval = Fraction(0)
@@ -286,10 +317,9 @@ def analyze_curve(fam: FamilyInstance) -> CurveAnalysis:
         if v[0] == 0:
             raise ValueError("curve kernel has vanishing leading coordinate")
         kernel = tuple(12 * x / v[0] for x in v)
-        hess = _longitude_hessian(fam)
+        hess = _longitude_hessian(fam, grads)
         hval = sum(kernel[i] * hess[i][j] * kernel[j] for i in range(3) for j in range(3))
-    verdicts = {name: outside_row_span(jac, _trace_gradient(fam, word))
-                for name, word in (("tr_m1", fam.m1), ("tr_m2", fam.m2), ("tr_m1l1", fam.m1l1))}
+    verdicts = {name: outside_row_span(jac, grads[word]) for name, word in words.items()}
     return CurveAnalysis(jac, rank, kernel, hval, verdicts)
 
 
@@ -472,10 +502,9 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     annihilated = all(cmp.zero(p, s) for p, s in zip(products, scales))
     rep.add("kernel_vector_annihilated", annihilated, f"products {tuple(str(p) for p in products)}")
 
-    grads = {
-        name: tuple(map(cmp.value, _trace_gradient(fam, word)))
-        for name, word in (("tr_m2", fam.m2), ("tr_m1", fam.m1))
-    }
+    words = {"tr_m2": fam.m2, "tr_m1": fam.m1}
+    exact_grads = {word: _trace_gradient(fam, word) for word in words.values()}
+    grads = {name: tuple(map(cmp.value, exact_grads[word])) for name, word in words.items()}
     rep.add(
         "gradient_tr_m2_matches_closed_form",
         cmp.agree(grads["tr_m2"], gradient_m2_closed_form(n)),
@@ -486,7 +515,7 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
         rep.local_coordinates[name] = out
         rep.add(f"{name}_local_coordinate", out, "gradient outside Jacobian row span" if out else "gradient inside row span")
 
-    hess = tuple(tuple(map(cmp.value, row)) for row in _longitude_hessian(fam))
+    hess = tuple(tuple(map(cmp.value, row)) for row in _longitude_hessian(fam, exact_grads))
     rep.hessian = hess
     rep.add(
         "hessian_matches_closed_form",

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from sl2arc import pretzel
 from sl2arc.pretzel import (
+    _commutator_hessian,
+    analyze_curve,
     gradient_at,
     hessian_at,
     hessian_closed_form,
@@ -18,7 +22,9 @@ from sl2arc.pretzel import (
 )
 from sl2arc.sl2 import Mat2
 from sl2arc.tracepoly import TracePolynomial, trace_polynomial
-from sl2arc.words import parse_word
+from sl2arc.words import commutator, parse_word
+
+from test_words import random_word
 
 
 def test_make_family_populates_documented_fields():
@@ -97,6 +103,47 @@ def test_exact_report_numbers_are_fractions(n):
     numbers = [x for row in rep.jacobian + rep.hessian for x in row]
     numbers += [rep.minor, rep.hessian_on_kernel]
     assert all(type(x) is Fraction for x in numbers)
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)) + [50])
+def test_commutator_hessian_equals_the_longitude_polynomials_hessian(n):
+    fam = make_family(n)
+    hess = _commutator_hessian(fam.m1, fam.l1, fam.chi)
+    assert hess == hessian_at(trace_polynomial(fam.longitude), fam.chi)
+    assert all(type(x) is Fraction for row in hess for x in row)
+
+
+def test_commutator_hessian_at_random_words_and_rational_points():
+    rng = random.Random(20261018)
+    live = 0
+    for _ in range(40):
+        u, v = random_word(rng, 8), random_word(rng, 8)
+        point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3))
+        hess = _commutator_hessian(u, v, point)
+        assert hess == hessian_at(trace_polynomial(commutator(u, v)), point)
+        assert all(type(x) is Fraction for row in hess for x in row)
+        p, q, r = (trace_polynomial(w).evaluate(*point) for w in (u, v, u * v))
+        live += any((2 * p - q * r, 2 * q - p * r, 2 * r - p * q))
+    # most cases take the Hess(P_i) terms, so that branch is exercised
+    assert live >= 20
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_the_longitude_polynomial_is_never_compiled(n, monkeypatch):
+    fam = make_family(n)
+    compiled, passes = [], Counter()
+    monkeypatch.setattr(pretzel, "trace_polynomial", lambda w: compiled.append(w) or trace_polynomial(w))
+    monkeypatch.setattr(pretzel, "gradient_at", lambda poly, pt: passes.update([poly]) or gradient_at(poly, pt))
+    monkeypatch.setattr(pretzel, "hessian_at", lambda poly, pt: pytest.fail("Hessian pass at chi_n"))
+    for run in (lambda: verify_lemma(n), lambda: verify_lemma(n, exact=False),
+                lambda: analyze_curve(make_family(n))):
+        passes.clear()
+        run()
+        # each gradient (tr m1 and tr m1 l1 included) is computed once and shared
+        assert set(passes.values()) == {1}
+        assert len(passes) == 7
+    assert fam.longitude not in compiled
+    assert fam.m1 in compiled and fam.l1 in compiled
 
 
 def test_curve_equations_vanish_at_chi_for_many_n():

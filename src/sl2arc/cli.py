@@ -9,8 +9,9 @@ Subcommands:
   interval  continue an arc and print the orderable-slope interval near 0
 
 Exit codes: 0 success / all assertions pass, 1 verification failure,
-2 usage error, 3 numerical failure.  All output is deterministic for a
-fixed flag set: no timestamps, no environment lookups, stable ordering.
+2 usage error (an unwritable output path included), 3 numerical failure.
+All output is deterministic for a fixed flag set: no timestamps, no
+environment lookups, stable ordering.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .locus import (
     locus_points,
     orderable_interval,
 )
+from . import pretzel
 from .pretzel import make_family, verify_lemma
 from .tracepoly import trace_polynomial
 from .words import WordSyntaxError, parse_word
@@ -87,8 +89,8 @@ def _parse_range(text: str) -> tuple:
     if not m:
         raise _UsageError(f"malformed range {text!r}: expected A..B")
     lo, hi = int(m.group(1)), int(m.group(2))
-    if lo < 1 or hi < lo:
-        raise _UsageError(f"range {text!r} must satisfy 1 <= A <= B")
+    if lo < 1 or hi < lo or hi > pretzel.N_CAP:
+        raise _UsageError(f"range {text!r} must satisfy 1 <= A <= B <= {pretzel.N_CAP}")
     return lo, hi
 
 
@@ -157,7 +159,7 @@ def main(argv=None) -> int:
     except (ContinuationError, GluingError, LocusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (WordSyntaxError, _UsageError, ValueError) as exc:
+    except (WordSyntaxError, _UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

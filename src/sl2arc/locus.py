@@ -106,7 +106,7 @@ def _projective_gap(v: tuple, w: tuple) -> float:
 
 def _eigenvalue_at(m: Mat2, direction: tuple) -> float:
     """Eigenvalue of m on an (approximate) eigendirection, by component ratio."""
-    vx, vy = float(direction[0]), float(direction[1])
+    vx, vy = direction
     ix = (m.a * vx + m.b * vy, m.c * vx + m.d * vy)
     if abs(vx) >= abs(vy):
         return ix[0] / vx
@@ -138,13 +138,13 @@ def peripheral_point_pair(meridian: Mat2, longitude: Mat2,
         chosen = 0 if gaps[0] <= gaps[1] else 1
     lam_m, direction = pairs[chosen]
     other_lam, other_direction = pairs[1 - chosen]
-    u1 = math.log(abs(float(lam_m)))
+    u1 = math.log(abs(lam_m))
     w1 = math.log(abs(_eigenvalue_at(longitude, direction)))
-    u2 = math.log(abs(float(other_lam)))
+    u2 = math.log(abs(other_lam))
     w2 = math.log(abs(_eigenvalue_at(longitude, other_direction)))
     first = LocusPoint(u1, w1, "first", _slope(u1, w1))
     second = LocusPoint(u2, w2, "second", _slope(u2, w2))
-    return first, second, tuple(float(c) for c in direction)
+    return first, second, direction
 
 
 def locus_points(arc: Arc) -> LocusArc:

@@ -5,8 +5,13 @@ of lifted circle maps.
 
 Mat2 is the one 2x2 representation: a NamedTuple, so a matrix is its entry
 tuple (a, b, c, d).  + and - are the matrix sum and difference, @ is the
-product, and * is not defined.  The path tracker runs on float Mat2s as
-given and makes exact input float once.
+product, and * is not defined.
+
+Exact and float.  The exact family verifier's operations keep exact input
+exact: Mat2 arithmetic, classify, same_trace_conjugacy and the exact_rref
+family.  Everything numerical is float only: solve_conjugator, eigen_data
+and the translation-number readers round exact input to float once on entry
+and run on float Mat2s as given.
 
 Conventions.  A matrix [[a, b], [c, d]] acts on directions [x : y] in the
 projective line, parametrized by the angle theta in [0, pi) of the vector
@@ -352,11 +357,6 @@ def _intertwiner_rows(pairs):
     return rows
 
 
-def _det_bilinear(x: Mat2, y: Mat2):
-    """B(X, Y) with B(X, X) = det X; polarization of the determinant form."""
-    return ((x + y).det() - x.det() - y.det()) / 2
-
-
 def relation_residual(g: Mat2, pairs) -> float:
     """max over pairs of ||G A - B G||_F / max(1, ||G||_F max(||A||_F, ||B||_F)).
 
@@ -379,104 +379,59 @@ def relation_residual(g: Mat2, pairs) -> float:
 
 
 def solve_conjugator(pairs) -> ConjugatorResult:
-    """Solve G A_i = B_i G jointly over all pairs.
+    """Solve G A_i = B_i G jointly over all pairs, in floats.
 
-    Exact pairs go through Fraction elimination, float pairs through an SVD
-    with nullspace threshold NULLSPACE_TOL times the largest singular value.
-    The candidate is scaled to |det| = 1 when an invertible solution exists;
-    when the whole solution space consists of singular matrices the result
-    reports det_sign = 0 and an unscaled witness.
+    Exact pairs are rounded to float once on entry.  The solution space is
+    the nullspace of the intertwiner rows under an SVD with threshold
+    NULLSPACE_TOL times the largest singular value.  The candidate is scaled
+    to |det| = 1 when an invertible solution exists; when the whole solution
+    space consists of singular matrices the result reports det_sign = 0 and
+    an unscaled witness.
     """
     if not pairs:
         raise ValueError("at least one pair is required")
-    exact = all(a.exact and b.exact for a, b in pairs)
-    rows = _intertwiner_rows(pairs)
-    if exact:
-        basis = [Mat2(*v) for v in exact_nullspace(rows)]
-    else:
-        _, sig, vt = np.linalg.svd(np.array(rows, dtype=float))
-        cutoff = NULLSPACE_TOL * (sig[0] if len(sig) and sig[0] > 0 else 1.0)
-        basis = [Mat2(*vt[i].tolist()) for i in range(4) if i >= len(sig) or sig[i] <= cutoff]
+    pairs = [(a.to_float() if a.exact else a, b.to_float() if b.exact else b) for a, b in pairs]
+    _, sig, vt = np.linalg.svd(np.array(_intertwiner_rows(pairs), dtype=float))
+    cutoff = NULLSPACE_TOL * (sig[0] if sig[0] > 0 else 1.0)
+    basis = [Mat2(*vt[i].tolist()) for i in range(4) if sig[i] <= cutoff]
     dim = len(basis)
     if dim == 0:
         return ConjugatorResult(0, None, 0, 0.0)
 
     def finish(g: Mat2) -> ConjugatorResult:
         det = g.det()
-        if (exact and det == 0) or (not exact and abs(float(det)) <= SINGULAR_DET_TOL * max(1.0, g.frobenius() ** 2)):
+        if abs(det) <= SINGULAR_DET_TOL * max(1.0, g.frobenius() ** 2):
             return ConjugatorResult(dim, g, 0, relation_residual(g, pairs))
-        s = 1 if det > 0 else -1
-        if exact:
-            root = _exact_sqrt(abs(Fraction(det)))
-            if root is not None:
-                scaled = g.scale(1 / root)
-                return ConjugatorResult(dim, scaled, s, relation_residual(scaled, pairs))
-        scaled = g.scale(1.0 / math.sqrt(abs(float(det))))
-        return ConjugatorResult(dim, scaled, s, relation_residual(scaled, pairs))
+        scaled = g.scale(1.0 / math.sqrt(abs(det)))
+        return ConjugatorResult(dim, scaled, 1 if det > 0 else -1, relation_residual(scaled, pairs))
 
     if dim == 1:
         return finish(basis[0])
 
-    # Higher-dimensional solution space.  Prefer the identity when it lies in
-    # the span (centralizer-style inputs); otherwise hunt for an invertible
-    # combination, and report singular only if the det form vanishes on the
-    # whole space.
-    ident = Mat2.identity(exact)
-    if exact:
-        if exact_rank([*(g.entries() for g in basis), ident.entries()]) == dim:
-            return finish(ident)
-    else:
-        coords = np.array([[float(x) for x in g.entries()] for g in basis])
-        proj = coords.T @ (coords @ np.array([1.0, 0.0, 0.0, 1.0]))
-        if np.linalg.norm(proj) > 0.5:
-            g = Mat2(*(proj / np.linalg.norm(proj)).tolist())
-            if abs(g.det()) > SINGULAR_DET_TOL:
-                return finish(g)
+    # Higher-dimensional solution space.  Prefer the identity when it lies
+    # near the span (centralizer-style inputs); otherwise hunt for an
+    # invertible combination.  If every g_i and g_i +- g_j is singular, the
+    # determinant form B(g_i, g_j) = (det(g_i + g_j) - det(g_i - g_j)) / 4
+    # vanishes on the whole space, and basis[0] is the singular witness.
+    coords = np.array(basis)
+    proj = coords.T @ (coords @ np.array([1.0, 0.0, 0.0, 1.0]))
+    if np.linalg.norm(proj) > 0.5:
+        g = Mat2(*(proj / np.linalg.norm(proj)).tolist())
+        if abs(g.det()) > SINGULAR_DET_TOL:
+            return finish(g)
     candidates = list(basis)
     for i in range(dim):
         for j in range(i + 1, dim):
             candidates.append(basis[i] + basis[j])
             candidates.append(basis[i] - basis[j])
-    best = max(candidates, key=lambda g: abs(float(g.det())))
-    if (exact and best.det() == 0) or (not exact and abs(float(best.det())) <= SINGULAR_DET_TOL):
-        form_zero = all(
-            _det_bilinear(basis[i], basis[j]) == 0 if exact else abs(float(_det_bilinear(basis[i], basis[j]))) <= SINGULAR_DET_TOL
-            for i in range(dim)
-            for j in range(i, dim)
-        )
-        if form_zero:
-            return ConjugatorResult(dim, basis[0], 0, relation_residual(basis[0], pairs))
+    best = max(candidates, key=lambda g: abs(g.det()))
+    if abs(best.det()) <= SINGULAR_DET_TOL:
+        return ConjugatorResult(dim, basis[0], 0, relation_residual(basis[0], pairs))
     return finish(best)
 
 
 # ----------------------------------------------------------------------
 # eigendata
-
-def _is_square(n: int) -> bool:
-    return n >= 0 and math.isqrt(n) ** 2 == n
-
-
-def _exact_sqrt(f: Fraction):
-    f = Fraction(f)
-    if f < 0:
-        return None
-    if _is_square(f.numerator) and _is_square(f.denominator):
-        return Fraction(math.isqrt(f.numerator), math.isqrt(f.denominator))
-    return None
-
-
-def _canon_exact_dir(v):
-    """Scale an exact 2-vector to coprime integers, first nonzero positive."""
-    x, y = Fraction(v[0]), Fraction(v[1])
-    den = math.lcm(x.denominator, y.denominator)
-    xi, yi = x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)
-    g = math.gcd(xi, yi)
-    if g:
-        xi, yi = xi // g, yi // g
-    if xi < 0 or (xi == 0 and yi < 0):
-        xi, yi = -xi, -yi
-    return (xi, yi)
-
 
 def _canon_float_dir(x: float, y: float):
     n = math.hypot(x, y)
@@ -488,65 +443,40 @@ def _canon_float_dir(x: float, y: float):
     return (x, y)
 
 
-def _eigvec(m: Mat2, lam, exact: bool):
+def _eigvec(m: Mat2, lam: float):
     """Kernel vector of (M - lam I), picking the numerically fatter row."""
     r1 = (m.a - lam, m.b)
     r2 = (m.c, m.d - lam)
-    v1 = (-r1[1], r1[0])
-    v2 = (-r2[1], r2[0])
-    if exact:
-        v = v1 if (v1[0] != 0 or v1[1] != 0) else v2
-        return _canon_exact_dir(v)
-    n1 = math.hypot(float(r1[0]), float(r1[1]))
-    n2 = math.hypot(float(r2[0]), float(r2[1]))
-    v = v1 if n1 >= n2 else v2
-    return _canon_float_dir(float(v[0]), float(v[1]))
+    v = (-r1[1], r1[0]) if math.hypot(*r1) >= math.hypot(*r2) else (-r2[1], r2[0])
+    return _canon_float_dir(*v)
 
 
 def eigen_data(m: Mat2):
-    """Eigenvalue/direction pairs for non-elliptic determinant-1 matrices.
+    """Eigenvalue/direction pairs for non-elliptic determinant-1 matrices,
+    in floats; an exact matrix is rounded to float once on entry.
 
     Hyperbolic: two pairs, the eigenvalue of larger magnitude first.
-    Parabolic: one pair (for +-identity the fixed direction is arbitrary and
-    (1, 0) is returned).  Elliptic input raises ValueError.  Directions are
-    canonical projective representatives: exact ones as coprime integer
-    pairs, float ones as unit vectors, first nonzero component positive.
+    Parabolic (|trace| within TRACE_TOL of 2): one pair with eigenvalue
+    +-1.0; for a matrix within TRACE_TOL of +-identity the fixed direction
+    is arbitrary and (1.0, 0.0) is returned.  Elliptic input raises
+    ValueError.  Directions are unit vectors with first nonzero component
+    positive.
     """
+    m = m.to_float() if m.exact else m
     cls = classify(m)
     if cls == MatClass.ELLIPTIC:
         raise ValueError("elliptic matrices have no real fixed direction")
-    exact = m.exact
     tr = m.trace()
     if cls == MatClass.PARABOLIC:
-        if exact:
-            lam = Fraction(tr, 2)
-            lam = int(lam) if lam.denominator == 1 else lam
-        else:
-            lam = 1.0 if float(tr) > 0 else -1.0
-        shifted = m - Mat2.identity(exact).scale(lam)
-        if (exact and all(x == 0 for x in shifted.entries())) or (not exact and shifted.frobenius() <= TRACE_TOL):
-            return ((lam, (1, 0) if exact else (1.0, 0.0)),)
-        return ((lam, _eigvec(m, lam, exact)),)
-    if exact:
-        disc = Fraction(tr) ** 2 - 4
-        root = _exact_sqrt(disc)
-        if root is not None:
-            lam1 = (Fraction(tr) + root) / 2
-            lam2 = (Fraction(tr) - root) / 2
-            if abs(lam1) < abs(lam2):
-                lam1, lam2 = lam2, lam1
-            out = []
-            for lam in (lam1, lam2):
-                lam_n = int(lam) if lam.denominator == 1 else lam
-                out.append((lam_n, _eigvec(m, lam, True)))
-            return tuple(out)
-        m = m.to_float()
-    tr = float(m.trace())
+        lam = 1.0 if tr > 0 else -1.0
+        if _frobenius(m.a - lam, m.b, m.c, m.d - lam) <= TRACE_TOL:
+            return ((lam, (1.0, 0.0)),)
+        return ((lam, _eigvec(m, lam)),)
     root = math.sqrt(tr * tr - 4.0)
     lam1, lam2 = (tr + root) / 2, (tr - root) / 2
     if abs(lam1) < abs(lam2):
         lam1, lam2 = lam2, lam1
-    return ((lam1, _eigvec(m, lam1, False)), (lam2, _eigvec(m, lam2, False)))
+    return ((lam1, _eigvec(m, lam1)), (lam2, _eigvec(m, lam2)))
 
 
 # ----------------------------------------------------------------------
@@ -679,7 +609,7 @@ def _prefix_translation(mat, alpha: float, base_theta: float) -> PathTranslation
         frac = phi0 / math.pi if positive else 1.0 - phi0 / math.pi
         return PathTranslation(math.floor((alpha - base_theta) / math.pi) + frac, True)
     _, (vx, vy) = eigen_data(mat)[0]
-    th_star = _dir_angle(float(vx), float(vy))
+    th_star = _dir_angle(vx, vy)
     # place the fixed direction's lift within half a turn of the anchor
     th_star += math.pi * math.floor((base_theta - th_star) / math.pi + 0.5)
     k_float = (_traverse(mat, base_theta, alpha, th_star) - th_star) / math.pi
@@ -721,7 +651,7 @@ def translation_number_by_iteration(mats, base_theta: float = BASE_DIRECTION,
     fp = _tracked_angles(mats, base_theta)[-1]  # lift value F(p)
     if not _near_central(mat) and classify(mat) != MatClass.ELLIPTIC:  # elliptic: any start works
         _, (vx, vy) = eigen_data(mat)[0]
-        start = _dir_angle(float(vx), float(vy)) + 0.05
+        start = _dir_angle(vx, vy) + 0.05
         fp = _traverse(mat, p, fp, start)
         p = start
     # The iterate is p + k pi with fp = F(p).  As F(x + pi) = F(x) + pi,

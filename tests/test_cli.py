@@ -6,6 +6,7 @@ import re
 import pytest
 
 import sl2arc.cli
+import sl2arc.pretzel
 from sl2arc.arc import Arc, RepSample
 from sl2arc.cli import main
 from sl2arc.locus import CSV_HEADER
@@ -80,6 +81,13 @@ def test_verify_range(capsys):
 def test_verify_usage_errors(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_range_past_the_cap_fails_before_any_work(monkeypatch, capsys):
+    monkeypatch.setattr(sl2arc.pretzel, "N_CAP", 3)
+    assert main(["verify", "--range", "1..4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +166,18 @@ def test_locus_of_a_minus_arc_has_no_points(n, tmp_path, capsys):
     assert out == "samples=201 accepted=0 termination=maxSteps\n"
     assert err == ""
     assert csv_path.read_text() == CSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_locus_unwritable_path_is_a_usage_error(flag, tmp_path, capsys):
+    paths = {"--out": tmp_path / "locus.csv", "--svg": tmp_path / "locus.svg"}
+    paths[flag] = tmp_path / "missing" / "x.csv"
+    argv = ["locus", "--n", "1", "--steps", "5"]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
 
 
 def test_locus_requires_out(capsys):

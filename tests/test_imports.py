@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -50,35 +51,56 @@ def _private(name: str) -> bool:
 
 def _private_definitions(tree) -> dict:
     """Private function, class and method names, and private module
-    constants, of one module -> line of definition."""
-    defs = {node.name: node.lineno for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and _private(node.name)}
+    constants, of one module -> their definition nodes."""
+    defs = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and _private(node.name)):
+            defs.setdefault(node.name, []).append(node)
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) else (
             [node.target] if isinstance(node, ast.AnnAssign) else [])
-        defs.update((t.id, node.lineno) for t in targets
-                    if isinstance(t, ast.Name) and _private(t.id))
+        for t in targets:
+            if isinstance(t, ast.Name) and _private(t.id):
+                defs.setdefault(t.id, []).append(node)
     return defs
 
 
-def _referenced(tree) -> set:
-    """Names read, attributes read and names imported anywhere in a module."""
-    names = set()
+def _reads(tree) -> Counter:
+    """Names read, attributes read and names imported under one node, with
+    their counts."""
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-            names.add(node.attr)
+            names[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     return names
 
 
+def _dead_helpers(trees) -> set:
+    """Private helpers of the modules in trees that nothing reads outside
+    their own definitions; a recursive call is not a use."""
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    defs = {(module, name): nodes for module, tree in trees.items()
+            for name, nodes in _private_definitions(tree).items()}
+    for (_, name), nodes in defs.items():
+        reads[name] -= sum(_reads(node)[name] for node in nodes)
+    return {f"{module}:{nodes[0].lineno} {name}"
+            for (module, name), nodes in defs.items() if reads[name] <= 0}
+
+
 def test_every_private_helper_is_referenced():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
-    used = set().union(*(_referenced(tree) for tree in trees.values()))
-    dead = {f"{module}:{line} {name}"
-            for module, tree in trees.items()
-            for name, line in _private_definitions(tree).items() if name not in used}
+    dead = _dead_helpers(trees)
     assert not dead, f"private helpers never referenced in the package: {sorted(dead)}"
+
+
+def test_a_recursive_helper_that_nothing_else_calls_is_dead():
+    source = (
+        "def _dead_recursive(k):\n    return _dead_recursive(k - 1) if k else 0\n\n"
+        "def _live_recursive(k):\n    return _live_recursive(k - 1) if k else 0\n\n"
+        "def entry(k):\n    return _live_recursive(k)\n")
+    assert _dead_helpers({"m.py": ast.parse(source)}) == {"m.py:1 _dead_recursive"}

@@ -207,16 +207,6 @@ def test_hyperbolic_eigendata_float():
         assert max(abs(rx), abs(ry)) < 1e-12
 
 
-def test_hyperbolic_eigendata_exact_when_discriminant_is_square():
-    m = Mat2(0, -1, 1, Fraction(5, 2))
-    pairs = eigen_data(m)
-    assert pairs[0][0] == 2 and pairs[1][0] == Fraction(1, 2)
-    for lam, (vx, vy) in pairs:
-        assert isinstance(vx, int) and isinstance(vy, int)
-        assert m.a * vx + m.b * vy == lam * vx
-        assert m.c * vx + m.d * vy == lam * vy
-
-
 def test_parabolic_eigendata():
     pairs = eigen_data(Mat2(1, 0, -3, 1))
     assert pairs == ((1, (0, 1)),)
@@ -274,14 +264,43 @@ def test_joint_conjugator_with_mixed_signs_is_singular():
     assert res.nullspace_dim >= 1
 
 
-def test_float_lane_matches_exact_lane():
+def test_exact_input_takes_the_float_lane():
+    """solve_conjugator and eigen_data round exact input to float once: their
+    results are floats, bit for bit those of the to_float() input."""
     g = Mat2(2, 1, 1, 1)
     a = Mat2(1, 1, 0, 1)
-    b = g @ a @ g.inverse()
-    exact = solve_conjugator([(a, b)])
-    approx = solve_conjugator([(a.to_float(), b.to_float())])
-    assert exact.det_sign == approx.det_sign == 1
-    assert approx.residual < 1e-10
+    rng = random.Random(82)
+    pair_lists = [[(a, g @ a @ g.inverse())]]
+    for _ in range(20):
+        h, c, e = random_unimodular(rng), random_unimodular(rng), random_unimodular(rng)
+        pair_lists.append([(c, h @ c @ h.inverse()), (e, h @ e @ h.inverse())])
+    fam = make_family(3)
+    images = [fam.image(getattr(fam, w)) for w in ("m1", "m2", "l1", "l2")]
+    pair_lists.append([images[:2], images[2:]])
+    results = []
+    for pairs in pair_lists:
+        assert all(x.exact and y.exact for x, y in pairs)
+        got = solve_conjugator(pairs)
+        want = solve_conjugator([(x.to_float(), y.to_float()) for x, y in pairs])
+        assert got == want and not got.candidate.exact
+        assert _bits(got.candidate.entries() + (got.residual,)) == _bits(
+            want.candidate.entries() + (want.residual,))
+        results.append(got)
+    assert results[0].det_sign == 1 and results[0].residual < 1e-10
+    assert results[-1].det_sign == 0
+    assert {r.det_sign for r in results} == {0, 1}
+
+    m = Mat2(0, -1, 1, Fraction(5, 2))
+    matrices = [m, Mat2(2, 1, 1, 1), Mat2(1, 0, -3, 1), Mat2(-1, 0, 0, -1), *images]
+    for x in matrices:
+        got, want = eigen_data(x), eigen_data(x.to_float())
+        values = [v for lam, (vx, vy) in got for v in (lam, vx, vy)]
+        assert all(type(v) is float for v in values)
+        assert got == want
+        assert _bits(values) == _bits([v for lam, (vx, vy) in want for v in (lam, vx, vy)])
+    (lam1, (x1, y1)), (lam2, (x2, y2)) = eigen_data(m)
+    assert (lam1, lam2) == (2.0, 0.5)
+    assert abs(-y1 - lam1 * x1) < 1e-15 and abs(x2 + 2.5 * y2 - lam2 * y2) < 1e-15
 
 
 # The Mat2 forms of the intertwiner rows, the relation residual and the
@@ -385,7 +404,7 @@ def test_exact_pairs_match_the_mat2_forms(monkeypatch):
     results = _check_against_references(pair_lists, monkeypatch)
     assert {r.det_sign for r in results} == {-1, 0, 1}
     assert {r.nullspace_dim for r in results} >= {1, 2}
-    assert any(r.candidate.exact for r in results if r.candidate is not None)
+    assert not any(r.candidate.exact for r in results if r.candidate is not None)
 
 
 def test_exact_linear_algebra_helpers():

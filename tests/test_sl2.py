@@ -264,9 +264,9 @@ def test_joint_conjugator_with_mixed_signs_is_singular():
     assert res.nullspace_dim >= 1
 
 
-def test_exact_input_takes_the_float_lane():
-    """solve_conjugator and eigen_data round exact input to float once: their
-    results are floats, bit for bit those of the to_float() input."""
+def test_float_lane_matches_exact_lane():
+    """solve_conjugator rounds exact input to float once: its result is float,
+    bit for bit that of the to_float() input."""
     g = Mat2(2, 1, 1, 1)
     a = Mat2(1, 1, 0, 1)
     rng = random.Random(82)
@@ -290,6 +290,13 @@ def test_exact_input_takes_the_float_lane():
     assert results[-1].det_sign == 0
     assert {r.det_sign for r in results} == {0, 1}
 
+
+def test_hyperbolic_eigendata_exact_when_discriminant_is_square():
+    """eigen_data rounds exact input to float once: its eigenpairs are floats,
+    bit for bit those of the to_float() input, and a square discriminant
+    still gives the eigenvalues exactly."""
+    fam = make_family(3)
+    images = [fam.image(getattr(fam, w)) for w in ("m1", "m2", "l1", "l2")]
     m = Mat2(0, -1, 1, Fraction(5, 2))
     matrices = [m, Mat2(2, 1, 1, 1), Mat2(1, 0, -3, 1), Mat2(-1, 0, 0, -1), *images]
     for x in matrices:

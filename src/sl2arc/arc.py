@@ -21,17 +21,19 @@ the family's curve_pairs, evaluated as the trace of a product of 2x2 matrices
 (an inverse letter is the adjugate, so F is a polynomial in the entries)
 rather than from the expanded trace polynomials, whose floating-point
 error grows far faster with n.  The six words are compiled once into
-letter codes, and the hot path runs on float entry tuples: one
-prefix/suffix product pass per word, with the 2x2 products written out
-and the gradient summed in locals, gives the trace, the gradient through
-d tr(P X S)/dX = (S P)^T, and the word's image; F and J are then built
-with one array call each.  The images of m1, m2, l1, l2 at the converged
-iterate become the sample's stored images (a Mat2 is its entry tuple), so
-no later stage rebuilds them, and the longitude is m1 l1 m1^-1 l1^-1 of
-those images with true inverses.  On {det = 1} these
-rows agree with the character-form rows D(poly) . D(chi) up to multiples
-of the two determinant rows; continue_arc audits this at rho_n before
-every continuation.
+letter codes, and the hot path runs on float entry tuples through the
+product pass of tracepass, the one that pretzel runs on integers at rho_n
+for the exact curve data: one prefix/suffix pass per word, with the 2x2
+products written out and the gradient summed in locals, gives the trace,
+the gradient through d tr(P X S)/dX = (S P)^T, and the word's image; F and
+J are then built with one array call each.  The images of m1, m2, l1, l2
+at the converged iterate become the sample's stored images (a Mat2 is its
+entry tuple), so no later stage rebuilds them, and the longitude is
+m1 l1 m1^-1 l1^-1 of those images with true inverses.  On {det = 1} these
+rows agree with the character-form rows (exact Jacobian) . D(chi) up to
+multiples of the two determinant rows, by the chain rule that gives the
+exact Jacobian; continue_arc checks at rho_n only that the constraints
+vanish there.
 
 Gauge geometry.  Conjugating (Ma, Mb) by the centralizer of Ma moves matrix
 entries without moving the character: the flow fixes Ma and moves Mb by
@@ -81,6 +83,7 @@ import numpy as np
 
 from .pretzel import FamilyInstance, analyze_curve, curve_jacobian
 from .sl2 import ConjugatorResult, Mat2, exact_rank, relation_residual, solve_conjugator
+from .tracepass import _codes, _identity, _letters, _suffix_products, _trace_pass
 
 __all__ = [
     "Arc",
@@ -156,65 +159,6 @@ class Arc:
 # the constraint system in entry space
 
 _PIN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_LETTER_CODES = {"a": 0, "A": 1, "b": 2, "B": 3}
-
-
-def _suffix_products(mats: list) -> list:
-    """The suffix products of a word's letter matrices, from the identity
-    (empty suffix) up to the whole product (the word's image), multiplied
-    right to left."""
-    s11, s12, s21, s22 = 1.0, 0.0, 0.0, 1.0
-    suffixes = [(s11, s12, s21, s22)]
-    for x11, x12, x21, x22 in reversed(mats):
-        s11, s12, s21, s22 = (x11 * s11 + x12 * s21, x11 * s12 + x12 * s22,
-                              x21 * s11 + x22 * s21, x21 * s12 + x22 * s22)
-        suffixes.append((s11, s12, s21, s22))
-    return suffixes
-
-
-def _trace_pass(codes: tuple, letters: tuple) -> tuple:
-    """Trace, gradient and image of one word in a single product pass.
-
-    codes spells the word in letter codes (0, 1, 2, 3 for a, A, b, B), which
-    index the four letter entry tuples in letters.  The gradient of
-    tr(P X S) in the entries of X is (S P)^T, and an inverse letter is the
-    adjugate, whose entries (d, -b, -c, a) turn N = S P into its adjugate
-    (N22, -N12, -N21, N11) before the transpose.  Returns (trace, the 8
-    partials over q, image as an entry tuple).
-    """
-    mats = [letters[c] for c in codes]
-    suffixes = _suffix_products(mats)
-    image = suffixes.pop()
-    g0 = g1 = g2 = g3 = g4 = g5 = g6 = g7 = 0.0
-    p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
-    # the suffix after letter i, S, runs from mats[1:] down to the identity
-    for code, (m11, m12, m21, m22), (s11, s12, s21, s22) in zip(codes, mats, reversed(suffixes)):
-        n11 = s11 * p11 + s12 * p21
-        n12 = s11 * p12 + s12 * p22
-        n21 = s21 * p11 + s22 * p21
-        n22 = s21 * p12 + s22 * p22
-        if code & 1:
-            n11, n12, n21, n22 = n22, -n12, -n21, n11
-        if code < 2:
-            g0 += n11
-            g1 += n21
-            g2 += n12
-            g3 += n22
-        else:
-            g4 += n11
-            g5 += n21
-            g6 += n12
-            g7 += n22
-        p11, p12, p21, p22 = (p11 * m11 + p12 * m21, p11 * m12 + p12 * m22,
-                              p21 * m11 + p22 * m21, p21 * m12 + p22 * m22)
-    return image[0] + image[3], (g0, g1, g2, g3, g4, g5, g6, g7), image
-
-
-def _letters(q: tuple) -> tuple:
-    """The entry tuples of a, A, b, B (inverse letters as adjugates)."""
-    a11, a12, a21, a22, b11, b12, b21, b22 = q
-    return ((a11, a12, a21, a22), (a22, -a12, -a21, a11),
-            (b11, b12, b21, b22), (b22, -b12, -b21, b11))
 
 
 def _constraints(q: tuple, traces) -> np.ndarray:
@@ -231,8 +175,7 @@ class _EntrySystem:
     the Jacobian of the character map chi(q) = (tr Ma, tr Mb, tr Ma Mb)."""
 
     def __init__(self, fam: FamilyInstance):
-        self.codes = tuple(tuple(_LETTER_CODES[ch] for ch in word.spelled())
-                           for pair in fam.curve_pairs for word in pair)
+        self.codes = tuple(_codes(word) for pair in fam.curve_pairs for word in pair)
 
     @staticmethod
     def char_grad(q) -> np.ndarray:
@@ -272,7 +215,8 @@ class _EntrySystem:
         bit for bit equal to its F and images."""
         q = tuple(map(float, q))
         letters = _letters(q)
-        images = [_suffix_products([letters[c] for c in codes])[-1] for codes in self.codes]
+        identity = _identity(letters)
+        images = [_suffix_products([letters[c] for c in codes], identity)[-1] for codes in self.codes]
         return _constraints(q, [m[0] + m[3] for m in images]), tuple(images[:4])
 
 
@@ -450,8 +394,8 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     trace_ceiling, on Newton failure (a residual above NEWTON_TOL or not
     finite), or on a change of conjugator determinant class; trace_ceiling
     must exceed 2, the least hyperbolic |trace|, and may be inf.  Raises
-    ContinuationError when Newton fails at the first step, or when the exact
-    curve data at chi_n do not describe the constraints continuation solves.
+    ContinuationError when the curve rank at chi_n is not 2, when rho_n does
+    not solve the constraints, or when Newton fails at the first step.
     """
     if not 1e-6 <= step_size <= 1e-1:
         raise ValueError(f"step_size must lie in [1e-6, 1e-1], got {step_size}")
@@ -469,22 +413,13 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     system = _EntrySystem(fam)
     q0 = _base_point(fam)
     f0, jac0, images0 = system.evaluate(q0)
-    rows = _character_rows(jacobian, q0, jac0)
-    # Audit: at rho_n the matrix-route curve rows and the exact character-form
-    # rows agree on {det = 1}, so their difference lies in the span of the two
-    # determinant rows, and the constraints vanish; both relative to the
-    # largest curve-row entry.
-    diff = (jac0 - rows)[2:].T
-    det_rows = jac0[:2].T
-    coef = np.linalg.lstsq(det_rows, diff, rcond=None)[0]
-    scale = max(1.0, float(np.max(np.abs(jac0[2:]))))
-    gap = float(np.max(np.abs(det_rows @ coef - diff))) / scale
-    value = float(np.max(np.abs(f0))) / scale
-    if gap > 1e-12 or value > 1e-12:
+    # Audit: rho_n solves the constraints, relative to the largest curve-row
+    # entry; a curve pair whose words disagree at rho_n fails it.
+    value = float(np.max(np.abs(f0))) / max(1.0, float(np.max(np.abs(jac0[2:]))))
+    if value > 1e-12:
         raise ContinuationError(
-            f"exact/matrix-route constraint audit failed (row gap {gap:.3e}, "
-            f"constraint value {value:.3e}, relative)")
-    pins = _select_pins(rows, q0)
+            f"base point audit failed (constraint value {value:.3e}, relative)")
+    pins = _select_pins(_character_rows(jacobian, q0, jac0), q0)
     reduced = _ReducedSystem(system, pins, q0[list(pins)])
     v0 = reduced.tangent(q0, jac0[:, reduced.free])
     plus = _probe_det_sign(reduced, q0, v0, step_size)

@@ -9,7 +9,9 @@ Subcommands:
   interval  continue an arc and print the orderable-slope interval near 0
 
 Exit codes: 0 success / all assertions pass, 1 verification failure,
-2 usage error (an unwritable output path included), 3 numerical failure.
+2 usage error (an unwritable output path included), 3 numerical failure,
+141 when the reader closes stdout early (as `| head` does): the status of a
+process that SIGPIPE ends, with no error message.
 All output is deterministic for a fixed flag set: no timestamps, no
 environment lookups, stable ordering.
 """
@@ -17,6 +19,7 @@ environment lookups, stable ordering.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -38,6 +41,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ends
 
 
 class _UsageError(Exception):
@@ -155,7 +159,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: no message, and stdout
+        # goes to the null device so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ContinuationError, GluingError, LocusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -15,11 +15,17 @@ For each n >= 1 the family instance packages:
 
 analyze_curve reports the exact data of C_n at chi_n, and verify_lemma
 checks it through the same helpers; arc.continue_arc takes only
-curve_jacobian.  The longitude Hessian comes by the chain rule from Fricke's
-identity tr[U, V] = p^2 + q^2 + r^2 - pqr - 2 (p, q, r = tr U, tr V, tr UV),
-so the polynomial of [m1, l1] is never compiled.  At chi_n the closed forms
-give (p, q, r) = (-2s, -2, 2s) with s = (-1)^n, where the identity's first
-partials vanish: only the gradients of tr m1, tr l1 and tr m1 l1 enter.
+curve_jacobian.  No trace polynomial enters: every exact datum at chi_n comes
+from one integer pass of 2x2 products per curve word at rho_n (tracepass),
+which gives the word's trace, image and 8 entry partials.  An exact solution
+V of [D chi; grad det A; grad det B] V = [I; 0] at rho_n turns the entry
+partials into gradients in (x, y, z): grad P = grad_q tr W . V, summed in
+integers over V's common denominator.  The longitude Hessian comes by the
+chain rule from Fricke's identity tr[U, V] = p^2 + q^2 + r^2 - pqr - 2
+(p, q, r = tr U, tr V, tr UV).  At chi_n, (p, q, r) = (-2s, -2, 2s) with
+s = (-1)^n, where the identity's first partials vanish: the Hessian is
+J^T Hess(k) J, with J the gradients of tr m1, tr l1 and tr m1 l1.  The curve
+polynomials themselves (curve_eqs) are compiled only on access.
 
 verify_lemma checks, in exact rational arithmetic, that the representation
 sits on C_n exactly as the closed-form analysis predicts: matrix images match
@@ -39,12 +45,15 @@ corrected form against direct matrix products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .sl2 import Conjugacy, Mat2, MatClass, classify, exact_nullspace, exact_rank, same_trace_conjugacy
+from .sl2 import (Conjugacy, Mat2, MatClass, classify, exact_nullspace, exact_rank, exact_rref,
+                  same_trace_conjugacy)
+from .tracepass import _codes, _identity, _letters, _suffix_products, _trace_pass
 from .tracepoly import TracePolynomial, trace_polynomial
 from .words import Word, commutator, evaluate, parse_word
 
@@ -64,7 +73,6 @@ class FamilyInstance:
     rho_a: Mat2
     rho_b: Mat2
     chi: tuple
-    curve_eqs: tuple
 
     @property
     def m1l1(self) -> Word:
@@ -79,6 +87,12 @@ class FamilyInstance:
         """The word pairs (W1, W2) whose trace differences tr W1 - tr W2 cut out C_n."""
         return (self.m1, self.m2), (self.l1, self.l2), (self.m1l1, self.m2l2)
 
+    @cached_property
+    def curve_eqs(self) -> tuple:
+        """The curve equations tr W1 - tr W2 as trace polynomials, compiled on
+        first access; the exact curve data at chi_n do not use them."""
+        return tuple(trace_polynomial(w1) - trace_polynomial(w2) for w1, w2 in self.curve_pairs)
+
     def image(self, word: Word) -> Mat2:
         """Image of a word under rho_n (exact)."""
         return evaluate(word, self.rho_a, self.rho_b)
@@ -88,8 +102,12 @@ def make_family(n: int) -> FamilyInstance:
     """Build the family instance for n >= 1.
 
     The boundary words are the two relators of lin_presentation(-2, 1, n):
-    m1 and l1 are the t-conjugated sides, m2 and l2 the plain sides.  n is
-    at most N_CAP = 10^4, which bounds trace-polynomial size.
+    m1 and l1 are the t-conjugated sides, m2 and l2 the plain sides.  No
+    trace polynomial is compiled (curve_eqs compiles on access).  n is at
+    most N_CAP = 10^4, which bounds the word length (a curve word has at
+    most n + 7 letters) and the integers of the exact passes at rho_n
+    (Jacobian entries of order n^4, Hessian entries of order n^6), so the
+    float report's rounding of them stays far inside the float range.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -97,10 +115,8 @@ def make_family(n: int) -> FamilyInstance:
         raise ValueError(f"n = {n} exceeds the cap {N_CAP}")
     (tm1, m2), (tl1, l2) = lin_presentation(-2, 1, n).parsed_sides()
     m1, l1 = (Word(w.letters[1:-1]) for w in (tm1, tl1))  # strip t ... t^-1
-    fam = FamilyInstance(n, m1, m2, l1, l2, commutator(m1, l1), Mat2(-1, 1, 0, -1),
-                         Mat2(2 * n + 1, n, 2, 1), (-2, 2 * n + 2, -2 * n), ())
-    eqs = tuple(trace_polynomial(w1) - trace_polynomial(w2) for w1, w2 in fam.curve_pairs)
-    return replace(fam, curve_eqs=eqs)
+    return FamilyInstance(n, m1, m2, l1, l2, commutator(m1, l1), Mat2(-1, 1, 0, -1),
+                          Mat2(2 * n + 1, n, 2, 1), (-2, 2 * n + 2, -2 * n))
 
 
 # ----------------------------------------------------------------------
@@ -236,44 +252,92 @@ def outside_row_span(rows, vector) -> bool:
 # ----------------------------------------------------------------------
 # exact curve data at chi_n
 
+def _character_frame(rho_a: Mat2, rho_b: Mat2) -> tuple:
+    """An exact solution V = frame / den of [D chi; grad det A; grad det B] V
+    = [I; 0] at the pair, as 3 integer columns over q and their common
+    denominator.
+
+    tr W is conjugation invariant and equals P(chi) on det A = det B = 1, so
+    its entry gradient is grad P . D chi plus multiples of the determinant
+    rows, and grad_q tr W . V = grad P for any such V.  Raises ValueError when
+    the system has rank below 5, as at a reducible pair (tr[a, b] = 2).
+    """
+    a11, a12, a21, a22 = rho_a
+    b11, b12, b21, b22 = rho_b
+    rows = ((1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0),
+            (0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0),
+            (b11, b21, b12, b22, a11, a21, a12, a22, 0, 0, 1),
+            (a22, -a21, -a12, a11, 0, 0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0, b22, -b21, -b12, b11, 0, 0, 0))
+    rref, pivots = exact_rref(rows)
+    if len(pivots) < 5 or pivots[-1] >= 8:
+        raise ValueError("the character map has rank below 3 at this pair (reducible, tr[a, b] = 2)")
+    solution = [(0, 0, 0)] * 8
+    for row, col in zip(rref, pivots):
+        solution[col] = row[8:]
+    den = math.lcm(*(Fraction(x).denominator for row in solution for x in row))
+    frame = tuple(tuple(x.numerator * (den // x.denominator) for x in col) for col in zip(*solution))
+    return frame, den
+
+
+def _exact_curve_data(fam: FamilyInstance) -> tuple:
+    """(Jacobian, gradients, traces) of the curve words at chi_n, exact.
+
+    One integer product pass per curve word at rho_n gives its trace and its
+    8 entry partials; each partial row is contracted with the character
+    frame in integers, and one division per entry gives the Fraction
+    gradients (word -> (d/dx, d/dy, d/dz) of tr W) and the Jacobian rows
+    grad tr W1 - grad tr W2.
+    """
+    frame, den = _character_frame(fam.rho_a, fam.rho_b)
+    letters = _letters(fam.rho_a.entries() + fam.rho_b.entries())
+    traces, numerators = {}, {}
+    for word in dict.fromkeys(w for pair in fam.curve_pairs for w in pair):
+        traces[word], partials, _ = _trace_pass(_codes(word), letters)
+        numerators[word] = [sum(g * f for g, f in zip(partials, col)) for col in frame]
+    gradients = {w: tuple(Fraction(x, den) for x in num) for w, num in numerators.items()}
+    jacobian = tuple(tuple(Fraction(x - y, den) for x, y in zip(numerators[w1], numerators[w2]))
+                     for w1, w2 in fam.curve_pairs)
+    return jacobian, gradients, traces
+
+
 def curve_jacobian(fam: FamilyInstance) -> tuple:
     """The exact Jacobian of the three curve equations at chi_n, as Fraction rows."""
-    return tuple(gradient_at(eq, fam.chi) for eq in fam.curve_eqs)
+    return _exact_curve_data(fam)[0]
 
 
-def _trace_gradient(fam: FamilyInstance, word: Word) -> tuple:
-    """The exact gradient of tr(word) at chi_n."""
-    return gradient_at(trace_polynomial(word), fam.chi)
-
-
-def _commutator_hessian(u: Word, v: Word, point, gradients=None):
-    """The exact Hessian of tr([u, v]) at a rational point, as Fractions.
+def _commutator_hessian(traces, jac):
+    """J^T Hess(k) J: the exact Hessian of tr([u, v]) at a point where the
+    first partials of k vanish.
 
     tr[U, V] = k(tr U, tr V, tr UV) with k(p, q, r) = p^2 + q^2 + r^2 - pqr - 2
     (Goldman, "Trace coordinates on Fricke spaces of some simple hyperbolic
     surfaces", 2009), so with P_i the trace polynomials of u, v, uv and J
-    their gradient rows the Hessian is sum_i k_i Hess(P_i) + J^T Hess(k) J.
-    Hess(P_i) is taken only when k_i is not exactly 0.  gradients maps words
-    to gradients at point the caller already has.
+    their gradient rows the Hessian is sum_i k_i Hess(P_i) + J^T Hess(k) J;
+    traces are (p, q, r) at the point.  The rows are summed in integers over
+    their common denominator d, and one division by d^2 ends each entry.
     """
-    words = (u, v, u * v)
-    polys = [trace_polynomial(w) for w in words]
-    known = gradients or {}
-    jac = [known[w] if w in known else gradient_at(poly, point) for w, poly in zip(words, polys)]
-    p, q, r = (poly.evaluate(*point) for poly in polys)
+    p, q, r = traces
     hk = ((2, -r, -q), (-r, 2, -p), (-q, -p, 2))
-    hj = [[sum(hk[i][j] * jac[j][b] for j in range(3)) for b in range(3)] for i in range(3)]
-    hess = [[sum(jac[i][a] * hj[i][b] for i in range(3)) for b in range(3)] for a in range(3)]
-    for k, poly in zip((2 * p - q * r, 2 * q - p * r, 2 * r - p * q), polys):
-        if k:
-            hp = hessian_at(poly, point)
-            hess = [[h + k * x for h, x in zip(row, prow)] for row, prow in zip(hess, hp)]
-    return tuple(map(tuple, hess))
+    d = math.lcm(*(x.denominator for row in jac for x in row))
+    num = [[x.numerator * (d // x.denominator) for x in row] for row in jac]
+    hj = [[sum(hk[i][j] * num[j][b] for j in range(3)) for b in range(3)] for i in range(3)]
+    return tuple(tuple(Fraction(sum(num[i][a] * hj[i][b] for i in range(3)), d * d) for b in range(3))
+                 for a in range(3))
 
 
-def _longitude_hessian(fam: FamilyInstance, gradients):
-    """The exact Hessian of the longitude trace tr([m1, l1]) at chi_n."""
-    return _commutator_hessian(fam.m1, fam.l1, fam.chi, gradients)
+def _longitude_hessian(fam: FamilyInstance, gradients, traces):
+    """The exact Hessian of the longitude trace tr([m1, l1]) at chi_n.
+
+    There (p, q, r) = (-2s, -2, 2s) with s = (-1)^n, so the partials of k
+    vanish and the three gradients of tr m1, tr l1, tr m1 l1 suffice; a
+    family whose partials do not vanish raises ValueError.
+    """
+    words = (fam.m1, fam.l1, fam.m1l1)
+    p, q, r = (traces[w] for w in words)
+    if 2 * p - q * r or 2 * q - p * r or 2 * r - p * q:
+        raise ValueError(f"the longitude Hessian needs Hess(tr) terms at traces {(p, q, r)}")
+    return _commutator_hessian((p, q, r), [gradients[w] for w in words])
 
 
 @dataclass(frozen=True)
@@ -306,9 +370,8 @@ def analyze_curve(fam: FamilyInstance) -> CurveAnalysis:
     """Exact Jacobian, rank, kernel and Hessian-on-kernel of C_n at chi_n,
     plus local-coordinate verdicts for tr(m1), tr(m2) and tr(m1 l1): true
     iff the word's gradient lies outside the Jacobian row span."""
-    jac = curve_jacobian(fam)
+    jac, grads, traces = _exact_curve_data(fam)
     words = {"tr_m1": fam.m1, "tr_m2": fam.m2, "tr_m1l1": fam.m1l1}
-    grads = {word: _trace_gradient(fam, word) for word in words.values()}
     rank = exact_rank(jac)
     kernel: tuple = ()
     hval = Fraction(0)
@@ -317,7 +380,7 @@ def analyze_curve(fam: FamilyInstance) -> CurveAnalysis:
         if v[0] == 0:
             raise ValueError("curve kernel has vanishing leading coordinate")
         kernel = tuple(12 * x / v[0] for x in v)
-        hess = _longitude_hessian(fam, grads)
+        hess = _longitude_hessian(fam, grads, traces)
         hval = sum(kernel[i] * hess[i][j] * kernel[j] for i in range(3) for j in range(3))
     verdicts = {name: outside_row_span(jac, grads[word]) for name, word in words.items()}
     return CurveAnalysis(jac, rank, kernel, hval, verdicts)
@@ -379,10 +442,13 @@ def _flat(rows) -> tuple:
     return tuple(x for row in rows for x in row)
 
 
-def _abs_terms_at(poly: TracePolynomial, point) -> float:
-    """Sum of |coefficient * monomial| of poly at point (the error scale)."""
-    absolute = TracePolynomial({k: abs(c) for k, c in poly.terms.items()})
-    return absolute.evaluate(*(abs(float(x)) for x in point))
+def _magnitude(fam: FamilyInstance, word: Word) -> int:
+    """L tr(|X_1| ... |X_L|) for the L letter matrices of word at rho_n, an
+    inverse letter as |adj X|: the error scale of its float trace."""
+    letters = tuple(tuple(map(abs, m)) for m in _letters(fam.rho_a.entries() + fam.rho_b.entries()))
+    codes = _codes(word)
+    image = _suffix_products([letters[c] for c in codes], _identity(letters))[-1]
+    return len(codes) * (image[0] + image[3])
 
 
 @dataclass(frozen=True)
@@ -428,18 +494,21 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     floats (the Jacobian, gradients and Hessian are exact values rounded
     once), and a quantity x counts as zero when |x| <= tol * s, where s is
     the scale its check states: the largest |entry| of the closed form it is
-    compared with; for a curve residue, the sum of |coefficient * monomial|
-    at chi (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5);
-    for the determinant, the product of the Jacobian's row norms; for the
-    minor, the kernel products and the Hessian on the kernel, the sum of the
-    |products| added up; for a singular value, the largest one; for the
-    distance of a gradient from the Jacobian row span, the gradient's norm.
+    compared with; for a curve residue tr W1 - tr W2, the sum over the two
+    words of L tr(|X_1| ... |X_L|), the magnitudes of their L letter
+    matrices multiplied out, an inverse letter as |adj X| (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3); for the determinant, the
+    product of the Jacobian's row norms; for the minor, the kernel products
+    and the Hessian on the kernel, the sum of the |products| added up; for a
+    singular value, the largest one; for the distance of a gradient from the
+    Jacobian row span, the gradient's norm.
 
     One tolerance serves every check: tol = 64 u = 2^-47 ~ 7.1e-15.  Over
     n = 1..50, 60, 80 and 100 the ratios |x| / s that must count as zero
-    are at most 5.1e-17 (sigma_3 / sigma_1; residues 3.1e-17), 138x below
-    tol, and those that must not are at least 5.4e-13 (Hessian on the kernel
-    at n = 100; row-span distance 7.7e-13, sigma_2 / sigma_1 2.6e-8, minor
+    are at most 5.1e-17 (sigma_3 / sigma_1; the residues are exactly 0.0,
+    the images being integer matrices well inside 2^53), 138x below tol,
+    and those that must not are at least 5.4e-13 (Hessian on the kernel at
+    n = 100; row-span distance 7.7e-13, sigma_2 / sigma_1 2.6e-8, minor
     0.17), 75x above it.  A relative 1e-9 would not do: the tr(m1) row-span
     distance falls below it from n = 30.  The parabolic and conjugacy
     verdicts use classify and same_trace_conjugacy, whose float band is
@@ -451,10 +520,11 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     fam = make_family(n)
     rep = LemmaReport(n=n)
     ra, rb = (Mat2(*map(cmp.value, m.entries())) for m in (fam.rho_a, fam.rho_b))
-    images = {}
+    images, traces = {}, {}
     for name, want in image_closed_forms(n).items():
         got = evaluate(getattr(fam, name), ra, rb)
         images[name] = got
+        traces[getattr(fam, name)] = got.trace()
         rep.images[name] = (got, want)
         rep.add(f"image_{name}_matches_closed_form", cmp.agree(got.entries(), want.entries()), f"computed {got}")
 
@@ -474,12 +544,13 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     got_chi = (ra.trace(), rb.trace(), (ra @ rb).trace())
     rep.add("character_equals_chi", cmp.agree(got_chi, fam.chi), f"character {got_chi}")
 
-    chi = tuple(map(cmp.value, fam.chi))
-    residues = tuple(eq.evaluate(*chi) for eq in fam.curve_eqs)
-    vanish = all(cmp.zero(r, _abs_terms_at(eq, chi)) for r, eq in zip(residues, fam.curve_eqs))
+    residues = tuple(traces[w1] - traces[w2] for w1, w2 in fam.curve_pairs)
+    scales = tuple(_magnitude(fam, w1) + _magnitude(fam, w2) for w1, w2 in fam.curve_pairs)
+    vanish = all(cmp.zero(r, s) for r, s in zip(residues, scales, strict=True))
     rep.add("curve_equations_vanish_at_chi", vanish, f"residues {residues}")
 
-    jac = tuple(tuple(map(cmp.value, row)) for row in curve_jacobian(fam))
+    exact_jac, exact_grads, exact_traces = _exact_curve_data(fam)
+    jac = tuple(tuple(map(cmp.value, row)) for row in exact_jac)
     rep.jacobian = jac
     rep.add(
         "jacobian_matches_closed_form",
@@ -503,7 +574,6 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     rep.add("kernel_vector_annihilated", annihilated, f"products {tuple(str(p) for p in products)}")
 
     words = {"tr_m2": fam.m2, "tr_m1": fam.m1}
-    exact_grads = {word: _trace_gradient(fam, word) for word in words.values()}
     grads = {name: tuple(map(cmp.value, exact_grads[word])) for name, word in words.items()}
     rep.add(
         "gradient_tr_m2_matches_closed_form",
@@ -515,7 +585,7 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
         rep.local_coordinates[name] = out
         rep.add(f"{name}_local_coordinate", out, "gradient outside Jacobian row span" if out else "gradient inside row span")
 
-    hess = tuple(tuple(map(cmp.value, row)) for row in _longitude_hessian(fam, exact_grads))
+    hess = tuple(tuple(map(cmp.value, row)) for row in _longitude_hessian(fam, exact_grads, exact_traces))
     rep.hessian = hess
     rep.add(
         "hessian_matches_closed_form",

@@ -273,28 +273,39 @@ def conjugation_delta_formulas(p: Mat2, kind: str, value):
 # exact linear algebra over Fractions (small dense systems only)
 
 def exact_rref(rows):
-    """Reduced row echelon form over Fraction.  Returns (rref, pivot_cols)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row echelon form over Fraction.  Returns (rref, pivot_cols).
+
+    Each row is scaled to integers and eliminated fraction-free (Bareiss):
+    after a pivot step every entry is a minor of the scaled matrix, so the
+    division by the previous pivot is exact, and one Fraction per entry
+    normalizes the pivot rows at the end.
+    """
+    m = []
+    for row in rows:
+        fr = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in fr))
+        m.append([x.numerator * (den // x.denominator) for x in fr])
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
-    r = 0
+    r, prev = 0, 1
     for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
+        p, top = m[r][col], m[r]
         for i in range(nrows):
-            if i != r and m[i][col] != 0:
+            if i != r:
                 f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
         pivots.append(col)
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    rref = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return rref + [[Fraction(0)] * ncols for _ in range(nrows - r)], pivots
 
 
 def exact_rank(rows) -> int:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -90,6 +94,37 @@ def test_verify_range_past_the_cap_fails_before_any_work(monkeypatch, capsys):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("n", [1600, 10_000])
+def test_verify_reaches_the_cap(n, capsys):
+    assert main(["verify", "--n", str(n)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"family n={n}: PASS") and "FAIL" not in out
+    assert err == ""
+
+
+def test_float_verify_past_its_reach_reports_failures(capsys):
+    assert main(["verify", "--no-exact", "--n", "1600"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("family n=1600: FAIL")
+    assert "  FAIL  " in out
+    assert err == ""
+
+
+def test_a_closed_stdout_ends_verify_quietly():
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # unbuffered output makes the next write meet the closed pipe
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen([sys.executable, "-m", "sl2arc", "verify", "--range", "1..200"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"n=1 PASS (24 assertions)\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 # ----------------------------------------------------------------------
 # arc
 
@@ -108,15 +143,12 @@ def test_arc_to_file_with_summary(tmp_path, capsys):
     assert len(lines) == 7 and lines[-1] == ""
 
 
-def test_arc_exact_audit_rejects_words_that_disagree_with_the_polynomials(
-        monkeypatch, capsys):
-    # the n = 1 family with its curve polynomials listed in another order:
-    # the exact analysis is unchanged, but its rows no longer describe the
-    # word pairs that continuation evaluates
+def test_arc_audit_rejects_a_curve_pair_that_disagrees_at_rho_n(monkeypatch, capsys):
+    # the n = 1 family with m1 spelled as m2: the curve rank stays 2, but
+    # the pair (m2 l1, m2 l2) disagrees at rho_n
     fam = make_family(1)
-    eqs = fam.curve_eqs
-    swapped = dataclasses.replace(fam, curve_eqs=(eqs[1], eqs[0], eqs[2]))
-    monkeypatch.setattr(sl2arc.cli, "make_family", lambda n: swapped)
+    bad = dataclasses.replace(fam, m1=fam.m2)
+    monkeypatch.setattr(sl2arc.cli, "make_family", lambda n: bad)
     assert main(["arc", "--n", "1", "--steps", "2"]) == 3
     assert "audit failed" in capsys.readouterr().err
 

@@ -1,16 +1,24 @@
 from __future__ import annotations
 
+import dataclasses
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from sl2arc import pretzel
+from sl2arc import pretzel, tracepoly
+from sl2arc.arc import continue_arc
 from sl2arc.pretzel import (
+    _FLOAT_TOL,
+    FamilyInstance,
     _commutator_hessian,
+    _exact_curve_data,
+    _longitude_hessian,
+    _magnitude,
     analyze_curve,
+    curve_jacobian,
     gradient_at,
+    gradient_m2_closed_form,
     hessian_at,
     hessian_closed_form,
     image_closed_forms,
@@ -108,42 +116,130 @@ def test_exact_report_numbers_are_fractions(n):
 @pytest.mark.parametrize("n", list(range(1, 13)) + [50])
 def test_commutator_hessian_equals_the_longitude_polynomials_hessian(n):
     fam = make_family(n)
-    hess = _commutator_hessian(fam.m1, fam.l1, fam.chi)
+    _, gradients, traces = _exact_curve_data(fam)
+    hess = _longitude_hessian(fam, gradients, traces)
     assert hess == hessian_at(trace_polynomial(fam.longitude), fam.chi)
     assert all(type(x) is Fraction for row in hess for x in row)
 
 
 def test_commutator_hessian_at_random_words_and_rational_points():
+    # _commutator_hessian is the J^T Hess(k) J term of the chain rule through
+    # Fricke's k; with the sum_i k_i Hess(P_i) term added here it must give
+    # the Hessian of the commutator's own polynomial
     rng = random.Random(20261018)
     live = 0
     for _ in range(40):
         u, v = random_word(rng, 8), random_word(rng, 8)
         point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3))
-        hess = _commutator_hessian(u, v, point)
+        polys = [trace_polynomial(w) for w in (u, v, u * v)]
+        p, q, r = (poly.evaluate(*point) for poly in polys)
+        hess = _commutator_hessian((p, q, r), [gradient_at(poly, point) for poly in polys])
+        for k, poly in zip((2 * p - q * r, 2 * q - p * r, 2 * r - p * q), polys):
+            hp = hessian_at(poly, point)
+            hess = tuple(tuple(h + k * x for h, x in zip(row, prow)) for row, prow in zip(hess, hp))
         assert hess == hessian_at(trace_polynomial(commutator(u, v)), point)
         assert all(type(x) is Fraction for row in hess for x in row)
-        p, q, r = (trace_polynomial(w).evaluate(*point) for w in (u, v, u * v))
         live += any((2 * p - q * r, 2 * q - p * r, 2 * r - p * q))
-    # most cases take the Hess(P_i) terms, so that branch is exercised
+    # most cases take the Hess(P_i) terms, so the identity is tested off chi_n too
     assert live >= 20
+
+
+def test_a_longitude_whose_fricke_partials_do_not_vanish_is_refused():
+    # l1 spelled as l2 puts (tr m1, tr l1, tr m1 l1) off the critical points
+    # of k, where the first-order data cannot give the Hessian
+    fam = make_family(1)
+    bad = dataclasses.replace(fam, l1=fam.l2)
+    _, gradients, traces = _exact_curve_data(bad)
+    with pytest.raises(ValueError, match="Hessian"):
+        _longitude_hessian(bad, gradients, traces)
 
 
 @pytest.mark.parametrize("n", [1, 7])
 def test_the_longitude_polynomial_is_never_compiled(n, monkeypatch):
+    # a fresh memo with only the base keys: any compilation adds keys to it
+    monkeypatch.setattr(tracepoly, "_MEMO", dict(tracepoly._BASE))
+    for name in ("gradient_at", "hessian_at"):
+        monkeypatch.setattr(pretzel, name, lambda *args, name=name: pytest.fail(f"{name} pass"))
     fam = make_family(n)
-    compiled, passes = [], Counter()
-    monkeypatch.setattr(pretzel, "trace_polynomial", lambda w: compiled.append(w) or trace_polynomial(w))
-    monkeypatch.setattr(pretzel, "gradient_at", lambda poly, pt: passes.update([poly]) or gradient_at(poly, pt))
-    monkeypatch.setattr(pretzel, "hessian_at", lambda poly, pt: pytest.fail("Hessian pass at chi_n"))
-    for run in (lambda: verify_lemma(n), lambda: verify_lemma(n, exact=False),
-                lambda: analyze_curve(make_family(n))):
-        passes.clear()
-        run()
-        # each gradient (tr m1 and tr m1 l1 included) is computed once and shared
-        assert set(passes.values()) == {1}
-        assert len(passes) == 7
-    assert fam.longitude not in compiled
-    assert fam.m1 in compiled and fam.l1 in compiled
+    verify_lemma(n)
+    verify_lemma(n, exact=False)
+    analyze_curve(fam)
+    assert len(continue_arc(fam, max_steps=5).samples) == 6
+    assert tracepoly._MEMO.keys() == tracepoly._BASE.keys()
+
+
+_CURVE_WORDS = ("m1", "m2", "l1", "l2", "m1l1", "m2l2")
+
+
+@pytest.mark.parametrize("n", range(1, 51))
+def test_matrix_route_gradients_match_the_trace_polynomials(n):
+    fam = make_family(n)
+    jac, gradients, traces = _exact_curve_data(fam)
+    for name in _CURVE_WORDS:
+        word = getattr(fam, name)
+        poly = trace_polynomial(word)
+        assert gradients[word] == gradient_at(poly, fam.chi), name
+        assert traces[word] == poly.evaluate(*fam.chi) == fam.image(word).trace(), name
+    assert jac == tuple(gradient_at(eq, fam.chi) for eq in fam.curve_eqs)
+    assert all(type(x) is Fraction for row in jac for x in row)
+
+
+@pytest.mark.parametrize("n", [1000, 5000, 10_000])
+def test_matrix_route_matches_the_closed_forms_far_out(n):
+    fam = make_family(n)
+    jac, gradients, traces = _exact_curve_data(fam)
+    assert jac == jacobian_closed_form(n) == curve_jacobian(fam)
+    assert gradients[fam.m2] == gradient_m2_closed_form(n)
+    assert _longitude_hessian(fam, gradients, traces) == hessian_closed_form(n)
+    analysis = analyze_curve(fam)
+    k0 = kernel_closed_form(n)[0]
+    assert analysis.rank == 2
+    assert analysis.kernel_basis == tuple(Fraction(12 * k, k0) for k in kernel_closed_form(n))
+
+
+def test_a_reducible_pair_raises_value_error():
+    # rho_a and rho_b both upper triangular: tr[a, b] = 2, and the
+    # character map has rank below 3 there
+    fam = dataclasses.replace(make_family(1), rho_b=Mat2(1, 1, 0, 1))
+    with pytest.raises(ValueError, match="reducible"):
+        curve_jacobian(fam)
+    with pytest.raises(ValueError, match="reducible"):
+        analyze_curve(fam)
+
+
+def _abs_terms(poly, point) -> int:
+    """Sum of |coefficient * monomial| at point, exact."""
+    x, y, z = (abs(c) for c in point)
+    return sum(abs(c) * x ** i * y ** j * z ** k for (i, j, k), c in poly.terms.items())
+
+
+@pytest.mark.parametrize("n", range(1, 51))
+def test_the_residue_scale_is_no_looser_than_the_polynomial_terms(n):
+    # From n = 6 the magnitude scale is at most the sum |c * monomial| that
+    # the float twin used before.  For n <= 5 no product-of-magnitudes scale
+    # can be (at n = 1, tr(|X_1| ... |X_L|) is 46 for m1 and 10 for m2,
+    # against 36 for their polynomial), but there both tolerances lie below
+    # 1/2, and a nonzero residue at rho_n is a nonzero integer: both reject
+    # exactly the residues that the exact report rejects.
+    fam = make_family(n)
+    for (w1, w2), eq in zip(fam.curve_pairs, fam.curve_eqs, strict=True):
+        scale, reference = _magnitude(fam, w1) + _magnitude(fam, w2), _abs_terms(eq, fam.chi)
+        assert scale > 0 and _FLOAT_TOL * scale < 0.5
+        assert scale <= reference or (n <= 5 and _FLOAT_TOL * reference < 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 50, 100])
+def test_both_modes_reject_a_curve_pair_that_disagrees(n, monkeypatch):
+    # the third pair becomes (m1 l1, m2), whose traces 2s and -2s differ by 4
+    pairs = FamilyInstance.curve_pairs.fget
+    monkeypatch.setattr(FamilyInstance, "curve_pairs", property(
+        lambda fam: pairs(fam)[:2] + ((fam.m1l1, fam.m2),)))
+    for exact in (True, False):
+        rep = verify_lemma(n, exact=exact)
+        failed = {a.name: a.witness for a in rep.assertions if not a.holds}
+        assert "curve_equations_vanish_at_chi" in failed, (exact, failed)
+        residues = tuple(map(int if exact else float, (0, 0, 4 * (-1) ** n)))
+        assert failed["curve_equations_vanish_at_chi"] == f"residues {residues}"
 
 
 def test_curve_equations_vanish_at_chi_for_many_n():

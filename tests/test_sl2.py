@@ -22,6 +22,7 @@ from sl2arc.sl2 import (
     eigen_data,
     exact_nullspace,
     exact_rank,
+    exact_rref,
     frobenius_distance,
     relation_residual,
     rotation,
@@ -420,6 +421,48 @@ def test_exact_linear_algebra_helpers():
     for v in exact_nullspace(rows):
         for row in rows:
             assert sum(Fraction(r) * c for r, c in zip(row, v)) == 0
+
+
+def _fraction_rref(rows):
+    """Gauss-Jordan elimination in Fractions: the reference for the
+    fraction-free exact_rref."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows, ncols = len(m), len(m[0])
+    pivots, r = [], 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def test_fraction_free_rref_matches_fraction_elimination():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+        if rng.random() < 0.5:
+            # rank at most k: rational combinations of k integer rows
+            k = rng.randint(1, min(nrows, ncols))
+            basis = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(k)]
+            coefs = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+                     for _ in range(nrows)]
+            rows = [[sum(c * b[j] for c, b in zip(cs, basis)) for j in range(ncols)] for cs in coefs]
+        else:
+            rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.7 else 0
+                     for _ in range(ncols)] for _ in range(nrows)]
+        got = exact_rref(rows)
+        assert got == _fraction_rref(rows), rows
+        assert all(type(x) is Fraction for row in got[0] for x in row)
 
 
 # ----------------------------------------------------------------------

@@ -6,22 +6,16 @@ coefficients in the three character coordinates
 
     x = tr(Ma),  y = tr(Mb),  z = tr(Ma Mb).
 
-The compiler below produces that polynomial by repeated use of the identity
-tr(UV) = tr(U) tr(V) - tr(U^-1 V), which rewrites any word in terms of
-strictly smaller pieces once the word is rotated to start at a repeated
-letter (traces are conjugation invariant, so cyclic rotation is free).
+By Cayley-Hamilton every word's image is p0 I + p1 A + p2 B + p3 AB with
+p0..p3 integer polynomials in x, y, z (Fricke, Horowitz).  The compiler
+makes one left-to-right pass over the spelling: each letter is a fixed
+sparse linear map on (p0, p1, p2, p3), and at the end
+tr W = 2 p0 + x p1 + y p2 + z p3.  A compile therefore costs the word's
+length times the size of the polynomials it carries, with no recursion.
 Results are memoized under a canonical key, the least rotation of the
-cyclically reduced spelling or of its inverse.
-
-Only the root spelling is freely reduced letter by letter. A split cuts a
-key into subwords, which are already reduced, so a child key needs only the
-cancellation at its one junction, a cyclic reduction and two least
-rotations; a least rotation compares just the rotations that start at a
-longest run of the least letter. Each new key is split once, and its entry
-costs one sparse product plus one subtraction, built in a single dict. The
-power runs a^k give most entries as x*P - Q, whose one-term factor makes
-the product an exponent shift. Compiling a word therefore costs about its
-polynomial arithmetic.
+cyclically reduced spelling or of its inverse (traces are conjugation
+invariant, so cyclic rotation is free); a least rotation compares just the
+rotations that start at a longest run of the least letter.
 """
 
 from __future__ import annotations
@@ -66,7 +60,14 @@ class TracePolynomial:
         return TracePolynomial(out)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        out = dict(self.terms)
+        for k, v in _coerce(other).terms.items():
+            v = out.get(k, 0) - v
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return TracePolynomial._of_nonzero(out)
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -77,7 +78,12 @@ class TracePolynomial:
         return TracePolynomial({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        return TracePolynomial._of_nonzero(_product(self.terms, _coerce(other).terms))
+        other, out = _coerce(other), {}
+        for (i1, j1, k1), c1 in self.terms.items():
+            for (i2, j2, k2), c2 in other.terms.items():
+                key = (i1 + i2, j1 + j2, k1 + k2)
+                out[key] = out.get(key, 0) + c1 * c2
+        return TracePolynomial(out)
 
     __rmul__ = __mul__
 
@@ -165,28 +171,6 @@ def _coerce(p) -> TracePolynomial:
     raise TypeError(f"cannot combine TracePolynomial with {type(p).__name__}")
 
 
-def _product(p: dict, q: dict) -> dict:
-    """Nonzero terms of the product of two term dicts.
-
-    A one-term factor shifts the other factor's exponents. The terms come
-    in the order of the plain double loop with its zero sums removed, which
-    fixes the summation order of a float `evaluate`.
-    """
-    if len(p) == 1:
-        p, q = q, p
-    if len(q) == 1:
-        ((di, dj, dk), c0), = q.items()
-        return {(i + di, j + dj, k + dk): c * c0 for (i, j, k), c in p.items()}
-    out = {}
-    for (i1, j1, k1), c1 in p.items():
-        for (i2, j2, k2), c2 in q.items():
-            key = (i1 + i2, j1 + j2, k1 + k2)
-            out[key] = out.get(key, 0) + c1 * c2
-    for key in [key for key, c in out.items() if not c]:
-        del out[key]
-    return out
-
-
 X = TracePolynomial.variable("x")
 Y = TracePolynomial.variable("y")
 Z = TracePolynomial.variable("z")
@@ -195,7 +179,7 @@ Z = TracePolynomial.variable("z")
 # ----------------------------------------------------------------------
 # spelling utilities (one character per letter, uppercase = inverse)
 
-_LETTERS = "ABab"  # in sorted order, which breaks ties in `_split`
+_LETTERS = "ABab"
 
 
 def _invert_spelling(s: str) -> str:
@@ -210,14 +194,6 @@ def _reduce_spelling(s: str) -> str:
         else:
             out.append(ch)
     return "".join(out)
-
-
-def _join(u: str, v: str) -> str:
-    """Free reduction of u v for freely reduced u and v: only the junction cancels."""
-    m, top = 0, min(len(u), len(v))
-    while m < top and u[-1 - m] == v[m].swapcase():
-        m += 1
-    return u[: len(u) - m] + v[m:]
 
 
 def _cyclic_reduce(s: str) -> str:
@@ -251,63 +227,58 @@ def _least_rotation(s: str) -> str:
     return best
 
 
-def _key(s: str) -> str:
-    """Canonical key of a freely reduced spelling."""
-    s = _cyclic_reduce(s)
+def _canonical_key(s: str) -> str:
+    """Least rotation of the cyclically reduced spelling or of its inverse."""
+    s = _cyclic_reduce(_reduce_spelling(s))
     return min(_least_rotation(s), _least_rotation(_invert_spelling(s)))
 
 
-def _canonical_key(s: str) -> str:
-    """Least rotation of the cyclically reduced spelling or of its inverse."""
-    return _key(_reduce_spelling(s))
+# ----------------------------------------------------------------------
+# the basis pass: W = p0 I + p1 A + p2 B + p3 AB, multiplied on the right
+# by one letter at a time.  Row i of a letter lists the terms
+# (coefficient, monomial, j) of the new p_i, each adding coefficient *
+# monomial * p_j; they follow from A^2 = xA - I, B^2 = yB - I,
+# BA = yA + xB - AB + (z - xy)I, ABA = zA + B - yI, A^-1 = xI - A and
+# B^-1 = yI - B.
 
-
-_BASE = {
-    "": TracePolynomial.constant(2),
-    "A": X,
-    "B": Y,
-    "AB": Z,
-    "Ab": X * Y - Z,
+_STEPS = {
+    "a": (((-1, "", 1), (1, "z", 2), (-1, "xy", 2), (-1, "y", 3)),
+          ((1, "", 0), (1, "x", 1), (1, "y", 2), (1, "z", 3)),
+          ((1, "x", 2), (1, "", 3)),
+          ((-1, "", 2),)),
+    "A": (((1, "x", 0), (1, "", 1), (-1, "z", 2), (1, "xy", 2), (1, "y", 3)),
+          ((-1, "", 0), (-1, "y", 2), (-1, "z", 3)),
+          ((-1, "", 3),),
+          ((1, "", 2), (1, "x", 3))),
+    "b": (((-1, "", 2),),
+          ((-1, "", 3),),
+          ((1, "", 0), (1, "y", 2)),
+          ((1, "", 1), (1, "y", 3))),
+    "B": (((1, "y", 0), (1, "", 2)),
+          ((1, "y", 1), (1, "", 3)),
+          ((-1, "", 0),),
+          ((-1, "", 1),)),
 }
+_TRACE = ((2, "", 0), (1, "x", 1), (1, "y", 2), (1, "z", 3))  # tr W
 
 
-def _split(key: str):
-    """Children (k1, k2, k3) with tr(key) = tr(k1) tr(k2) - tr(k3).
-
-    Splits at the most repeated letter when one repeats; otherwise the key
-    has pairwise distinct letters and an inverse letter is eliminated.
-    Non-base keys always admit one of the two moves. The pieces are
-    subwords of the cyclically reduced key, so they are freely reduced.
-    """
-    counts = {ch: key.count(ch) for ch in _LETTERS}
-    letter = max(counts, key=counts.__getitem__)
-    if counts[letter] >= 2:
-        i = key.index(letter)
-        rot = key[i:] + key[:i]
-        j = rot.index(letter, 1)
-        w1, w2 = rot[:j], rot[j:]
-        return _key(w1), _key(w2), _key(_join(_invert_spelling(w1), w2))
-    i = next((p for p, ch in enumerate(key) if ch.isupper()), None)
-    if i is None:
-        raise AssertionError(f"unsplittable key {key!r} should be a base case")
-    rot = key[i:] + key[:i]
-    u, rest = rot[0], rot[1:]
-    return _key(u), _key(rest), _key(_join(u.swapcase(), rest))
+def _combine(row, p) -> dict:
+    """Nonzero terms of the sum of c * monomial * p[j] over the row's
+    (c, monomial code, j), in the int encoding of `trace_of_spelling`."""
+    (c, shift, j), *rest = row
+    out = {m + shift: c * v for m, v in p[j].items()}
+    for c, shift, j in rest:
+        for m, v in p[j].items():
+            m += shift
+            v = out.get(m, 0) + c * v
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return out
 
 
-_MEMO: dict = dict(_BASE)
-
-
-def _trace_step(p, q, r) -> TracePolynomial:
-    """p q - r in one dict: the product's, updated in place."""
-    terms = _product(p.terms, q.terms)
-    for mono, c in r.terms.items():
-        v = terms.get(mono, 0) - c
-        if v:
-            terms[mono] = v
-        else:
-            del terms[mono]
-    return TracePolynomial._of_nonzero(terms)
+_MEMO: dict = {}  # canonical key -> trace polynomial, for root spellings only
 
 
 def trace_of_spelling(s: str) -> TracePolynomial:
@@ -318,28 +289,29 @@ def trace_of_spelling(s: str) -> TracePolynomial:
     rest = s.lstrip(_LETTERS)
     if rest:
         raise WordSyntaxError(f"unknown letter {rest[0]!r}", len(s) - len(rest))
-    root = _canonical_key(s)
-    if root in _MEMO:
-        return _MEMO[root]
-    # each entry is [key, children]; children are found on the first visit,
-    # and the second visit, after they are compiled, builds the key's entry
-    stack = [[root, None]]
-    while stack:
-        entry = stack[-1]
-        key, children = entry
-        if children is None:
-            if key in _MEMO:
-                stack.pop()
-                continue
-            children = entry[1] = _split(key)
-            missing = [[c, None] for c in children if c not in _MEMO]
-            if missing:
-                stack.extend(missing)
-                continue
-        k1, k2, k3 = children
-        _MEMO[key] = _trace_step(_MEMO[k1], _MEMO[k2], _MEMO[k3])
-        stack.pop()
-    return _MEMO[root]
+    key = _canonical_key(s)
+    if key in _MEMO:
+        return _MEMO[key]
+    # x^i y^j z^k is the int (i base + j) base + k.  Each x or z comes from
+    # an a-letter and each y or z from a b-letter: in every term of p_t,
+    # i + k (plus one if the basis element holds an A) is at most the
+    # number of a-letters read, and j + k (plus one for a B) at most the
+    # number of b-letters.  So no exponent exceeds len(key) < base, and
+    # multiplying by a monomial is an int add that never carries.
+    base = len(key) + 1
+    code = {"": 0, "x": base * base, "y": base, "z": 1, "xy": base * base + base}
+
+    def compiled(row):
+        return tuple((c, code[mono], j) for c, mono, j in row)
+
+    steps = {ch: tuple(map(compiled, rows)) for ch, rows in _STEPS.items()}
+    p = ({0: 1}, {}, {}, {})
+    for ch in key:
+        p = tuple(_combine(row, p) for row in steps[ch])
+    terms = _combine(compiled(_TRACE), p)
+    poly = _MEMO[key] = TracePolynomial._of_nonzero(
+        {(m // (base * base), m // base % base, m % base): c for m, c in terms.items()})
+    return poly
 
 
 def trace_polynomial(word: Word) -> TracePolynomial:

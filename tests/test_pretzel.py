@@ -156,8 +156,8 @@ def test_a_longitude_whose_fricke_partials_do_not_vanish_is_refused():
 
 @pytest.mark.parametrize("n", [1, 7])
 def test_the_longitude_polynomial_is_never_compiled(n, monkeypatch):
-    # a fresh memo with only the base keys: any compilation adds keys to it
-    monkeypatch.setattr(tracepoly, "_MEMO", dict(tracepoly._BASE))
+    # a fresh, empty memo: any compilation adds its word's key to it
+    monkeypatch.setattr(tracepoly, "_MEMO", {})
     for name in ("gradient_at", "hessian_at"):
         monkeypatch.setattr(pretzel, name, lambda *args, name=name: pytest.fail(f"{name} pass"))
     fam = make_family(n)
@@ -165,7 +165,7 @@ def test_the_longitude_polynomial_is_never_compiled(n, monkeypatch):
     verify_lemma(n, exact=False)
     analyze_curve(fam)
     assert len(continue_arc(fam, max_steps=5).samples) == 6
-    assert tracepoly._MEMO.keys() == tracepoly._BASE.keys()
+    assert tracepoly._MEMO == {}
 
 
 _CURVE_WORDS = ("m1", "m2", "l1", "l2", "m1l1", "m2l2")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,51 @@ def test_long_word_compiles():
             assert p.evaluate(*character_of(ma, mb)) == evaluate(fam.longitude, ma, mb).trace()
 
 
+def _reduced_spellings(max_len: int) -> list:
+    """Every freely reduced spelling of length at most max_len."""
+    out = frontier = [""]
+    for _ in range(max_len):
+        frontier = [s + ch for s in frontier for ch in "abAB" if not s or s[-1] != ch.swapcase()]
+        out = out + frontier
+    return out
+
+
+def test_fricke_identity_holds_at_every_cut(monkeypatch):
+    """tr(UV) = tr(U) tr(V) - tr(U^-1 V) as exact polynomials."""
+    monkeypatch.setattr(tracepoly, "_MEMO", {})
+
+    def check(u, v):
+        lhs = trace_of_spelling(u + v)
+        rhs = trace_of_spelling(u) * trace_of_spelling(v) - trace_of_spelling(u[::-1].swapcase() + v)
+        assert lhs == rhs, (u, v)
+
+    spellings = _reduced_spellings(7)
+    assert len(spellings) == 4373
+    for s in spellings:
+        for i in range(len(s) + 1):
+            check(s[:i], s[i:])
+    rng = random.Random(1972)
+    for _ in range(200):
+        check(random_word(rng, 16).spelled(), random_word(rng, 16).spelled())
+
+
+def test_a_random_64_letter_word_compiles_in_two_seconds(monkeypatch):
+    monkeypatch.setattr(tracepoly, "_MEMO", {})
+    rng = random.Random(64)
+    spelling = ""
+    while len(spelling) < 64:
+        ch = rng.choice("abAB")
+        if not spelling or spelling[-1] != ch.swapcase():
+            spelling += ch
+    start = time.perf_counter()
+    p = trace_of_spelling(spelling)
+    assert time.perf_counter() - start < 2.0
+    word = parse_word(spelling)
+    for _ in range(4):
+        ma, mb = random_unimodular(rng), random_unimodular(rng)
+        assert p.evaluate(*character_of(ma, mb)) == evaluate(word, ma, mb).trace()
+
+
 def test_unknown_letter_is_rejected():
     with pytest.raises(WordSyntaxError, match=r"unknown letter 'c' \(position 2\)") as info:
         trace_of_spelling("abcab")
@@ -187,22 +233,6 @@ def _reference_rotation(s: str) -> str:
     return min(((s + s)[i : i + len(s)] for i in range(len(s))), default=s)
 
 
-def _reference_split(key: str):
-    """The children of `key`, each reduced from scratch."""
-    letter = max(sorted(set(key)), key=key.count)
-    if key.count(letter) >= 2:
-        i = key.index(letter)
-        rot = key[i:] + key[:i]
-        j = rot.index(letter, 1)
-        w1, w2 = rot[:j], rot[j:]
-        pieces = (w1, w2, w1[::-1].swapcase() + w2)
-    else:
-        i = next(p for p, ch in enumerate(key) if ch.isupper())
-        rot = key[i:] + key[:i]
-        pieces = (rot[0], rot[1:], rot[0].swapcase() + rot[1:])
-    return tuple(map(_reference_key, pieces))
-
-
 def _check_keys(spellings):
     keys = set()
     for s in spellings:
@@ -210,15 +240,12 @@ def _check_keys(spellings):
         key = tracepoly._canonical_key(s)
         assert key == _reference_key(s), s
         keys.add(key)
-    splittable = keys - set(tracepoly._BASE)
-    for key in splittable:
-        assert tracepoly._split(key) == _reference_split(key), key
-    return splittable
+    return keys
 
 
 def test_canonical_keys_of_all_short_spellings():
     spellings = ("".join(t) for length in range(9) for t in itertools.product("abAB", repeat=length))
-    assert len(_check_keys(spellings)) == 689
+    assert len(_check_keys(spellings)) == 694
 
 
 def test_canonical_keys_of_long_random_spellings():
@@ -232,20 +259,3 @@ def test_canonical_keys_of_long_random_spellings():
     # long runs of one letter, as in the family words a^(n+1) b a b
     spellings += [f"{'a' * k}bab{'A' * j}B" for k in (1, 50, 101) for j in (0, 3, 101)]
     _check_keys(spellings)
-
-
-def test_each_new_key_is_split_once(monkeypatch):
-    word = make_family(30).longitude
-    expected = trace_polynomial(word)
-    memo = dict(tracepoly._BASE)
-    splits = []
-    split = tracepoly._split
-
-    def counted_split(key):
-        splits.append(key)
-        return split(key)
-
-    monkeypatch.setattr(tracepoly, "_MEMO", memo)
-    monkeypatch.setattr(tracepoly, "_split", counted_split)
-    assert trace_polynomial(word) == expected
-    assert len(splits) == len(memo) - len(tracepoly._BASE) > 100

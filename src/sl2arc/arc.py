@@ -20,15 +20,18 @@ Constraint evaluation.  Each curve equation is tr W1 - tr W2 for one of
 the family's curve_pairs, evaluated as the trace of a product of 2x2 matrices
 (an inverse letter is the adjugate, so F is a polynomial in the entries)
 rather than from the expanded trace polynomials, whose floating-point
-error grows far faster with n.  The six words are compiled once into
-letter codes, and the hot path runs on float entry tuples through the
-product pass of tracepass, the one that pretzel runs on integers at rho_n
-for the exact curve data: one prefix/suffix pass per word, with the 2x2
-products written out and the gradient summed in locals, gives the trace,
-the gradient through d tr(P X S)/dX = (S P)^T, and the word's image; F and
-J are then built with one array call each.  The images of m1, m2, l1, l2
-at the converged iterate become the sample's stored images (a Mat2 is its
-entry tuple), so no later stage rebuilds them, and the longitude is
+error grows far faster with n.  The six words run through the family's
+curve_plan, a tracepass.TracePlan built once per family: the pass that
+pretzel runs on integers at rho_n for the exact curve data.  A pass over
+the six words builds each distinct suffix and prefix product once (19 and
+11 for the 30 letters at n = 1) and one product S P per letter, with the
+2x2 products written out and the gradient summed in locals; it gives each
+word's trace, its gradient through d tr(P X S)/dX = (S P)^T, and its
+image.  The corrector runs on plain float tuples: F and the Jacobian rows
+are tuples, and the bordered matrix is built from the rows' free entries
+and a float gauge row in one array call.  The images of m1, m2, l1, l2 at the
+converged iterate become the sample's stored images (a Mat2 is its entry
+tuple), so no later stage rebuilds them, and the longitude is
 m1 l1 m1^-1 l1^-1 of those images with true inverses.  On {det = 1} these
 rows agree with the character-form rows (exact Jacobian) . D(chi) up to
 multiples of the two determinant rows, by the chain rule that gives the
@@ -78,12 +81,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter, sub
 
 import numpy as np
 
 from .pretzel import FamilyInstance, analyze_curve, curve_jacobian
 from .sl2 import ConjugatorResult, Mat2, exact_rank, relation_residual, solve_conjugator
-from .tracepass import _codes, _identity, _letters, _suffix_products, _trace_pass
+from .tracepass import _letters
 
 __all__ = [
     "Arc",
@@ -161,21 +165,35 @@ class Arc:
 _PIN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _constraints(q: tuple, traces) -> np.ndarray:
+def _constraints(q: tuple, traces) -> tuple:
     """F from the entries and the six word traces."""
     a11, a12, a21, a22, b11, b12, b21, b22 = q
     t1, t2, t3, t4, t5, t6 = traces
-    return np.array((a11 * a22 - a12 * a21 - 1.0, b11 * b22 - b12 * b21 - 1.0,
-                     t1 - t2, t3 - t4, t5 - t6))
+    return (a11 * a22 - a12 * a21 - 1.0, b11 * b22 - b12 * b21 - 1.0,
+            t1 - t2, t3 - t4, t5 - t6)
+
+
+def _max_abs(values) -> float:
+    """The largest |x|, or the first NaN (Python's max skips a NaN that is
+    not its first argument, which would accept a poisoned step)."""
+    top = 0.0
+    for x in values:
+        x = abs(x)
+        if x > top:
+            top = x
+        elif x != x:
+            return x
+    return top
 
 
 class _EntrySystem:
     """F: R^8 -> R^5 (two unit-determinant equations, three curve equations
     tr W1 - tr W2) over q = (a11, a12, a21, a22, b11, b12, b21, b22), and
-    the Jacobian of the character map chi(q) = (tr Ma, tr Mb, tr Ma Mb)."""
+    the Jacobian of the character map chi(q) = (tr Ma, tr Mb, tr Ma Mb).
+    The six curve words share the family's TracePlan."""
 
     def __init__(self, fam: FamilyInstance):
-        self.codes = tuple(_codes(word) for pair in fam.curve_pairs for word in pair)
+        self.plan = fam.curve_plan
 
     @staticmethod
     def char_grad(q) -> np.ndarray:
@@ -187,53 +205,61 @@ class _EntrySystem:
         return g
 
     @staticmethod
-    def gauge(q) -> np.ndarray:
-        """Unit tangent of conjugation by Ma: Ma stays, Mb moves by [Ma, Mb]."""
-        a11, a12, a21, a22, b11, b12, b21, b22 = map(float, q)
-        g = np.array((0.0, 0.0, 0.0, 0.0,
-                      a12 * b21 - b12 * a21,
-                      a11 * b12 + a12 * b22 - b11 * a12 - b12 * a22,
-                      a21 * b11 + a22 * b21 - b21 * a11 - b22 * a21,
-                      a21 * b12 - b21 * a12))
-        return g / np.linalg.norm(g)
-
-    def evaluate(self, q) -> tuple:
-        """(F, its 5x8 Jacobian, the images of m1, m2, l1, l2 as entry tuples)."""
-        q = tuple(map(float, q))
+    def gauge_flow(q) -> tuple:
+        """Tangent of conjugation by Ma: Ma stays, Mb moves by [Ma, Mb]."""
         a11, a12, a21, a22, b11, b12, b21, b22 = q
-        letters = _letters(q)
+        return (0.0, 0.0, 0.0, 0.0,
+                a12 * b21 - b12 * a21,
+                a11 * b12 + a12 * b22 - b11 * a12 - b12 * a22,
+                a21 * b11 + a22 * b21 - b21 * a11 - b22 * a21,
+                a21 * b12 - b21 * a12)
+
+    def evaluate(self, q: tuple) -> tuple:
+        """(F, its 5x8 Jacobian, the images of m1, m2, l1, l2) at the float
+        entry tuple q: F is a tuple, the Jacobian a tuple of row tuples and
+        each image an entry tuple."""
+        a11, a12, a21, a22, b11, b12, b21, b22 = q
         (t1, g1, m1), (t2, g2, m2), (t3, g3, l1), (t4, g4, l2), (t5, g5, _), (t6, g6, _) = (
-            _trace_pass(codes, letters) for codes in self.codes)
+            self.plan.passes(_letters(q)))
         zeros = (0.0, 0.0, 0.0, 0.0)
-        jac = np.array(((a22, -a21, -a12, a11) + zeros, zeros + (b22, -b21, -b12, b11),
-                        tuple(map(float.__sub__, g1, g2)), tuple(map(float.__sub__, g3, g4)),
-                        tuple(map(float.__sub__, g5, g6))))
+        jac = ((a22, -a21, -a12, a11) + zeros, zeros + (b22, -b21, -b12, b11),
+               tuple(map(sub, g1, g2)), tuple(map(sub, g3, g4)), tuple(map(sub, g5, g6)))
         return _constraints(q, (t1, t2, t3, t4, t5, t6)), jac, (m1, m2, l1, l2)
 
-    def values(self, q) -> tuple:
+    def values(self, q: tuple) -> tuple:
         """(F, the images of m1, m2, l1, l2): evaluate without the Jacobian,
         bit for bit equal to its F and images."""
-        q = tuple(map(float, q))
-        letters = _letters(q)
-        identity = _identity(letters)
-        images = [_suffix_products([letters[c] for c in codes], identity)[-1] for codes in self.codes]
+        images = self.plan.images(_letters(q))
         return _constraints(q, [m[0] + m[3] for m in images]), tuple(images[:4])
 
 
 class _ReducedSystem:
     """The entry system with two pinned coordinates eliminated."""
 
-    def __init__(self, system: _EntrySystem, pins: tuple, pinned_values: np.ndarray):
+    def __init__(self, system: _EntrySystem, pins: tuple, pinned_values):
         self.system = system
         self.pins = pins
-        self.free = np.array([i for i in range(8) if i not in pins])
-        self.pinned = np.zeros(8)
-        self.pinned[list(pins)] = pinned_values
+        free = [i for i in range(8) if i not in pins]
+        self.free = np.array(free)
+        self.take = itemgetter(*free)
+        # the full entry tuple is (*pinned values, *free values) reordered
+        self._pinned = tuple(pinned_values)
+        self._place = itemgetter(*(pins.index(i) if i in pins else 2 + free.index(i)
+                                   for i in range(8)))
 
-    def expand(self, qr) -> np.ndarray:
-        q = self.pinned.copy()
-        q[self.free] = qr
-        return q
+    def expand(self, qr) -> tuple:
+        """The full entry tuple with free entries qr."""
+        return self._place((*self._pinned, *qr))
+
+    def reduce(self, q) -> np.ndarray:
+        """The free entries of the full entry tuple q."""
+        return np.array(self.take(q))
+
+    def gauge_row(self, q) -> tuple:
+        """The free entries of the unit gauge flow tangent."""
+        g = np.array(_EntrySystem.gauge_flow(q))
+        # np.linalg.norm of a real vector is sqrt(g . g), without its checks
+        return self.take(g / math.sqrt(g.dot(g)))
 
     def tangent(self, q, jr) -> np.ndarray:
         """Null vector of jr stacked over the unit reduced gauge row at the
@@ -242,7 +268,7 @@ class _ReducedSystem:
         speed."""
         aug = np.empty((6, len(self.free)))
         aug[:5] = jr
-        aug[5] = self.system.gauge(q)[self.free]
+        aug[5] = self.gauge_row(q)
         return np.linalg.svd(aug)[2][-1]
 
     def newton(self, q_pred, tau, tol: float, max_iter: int) -> tuple:
@@ -258,36 +284,36 @@ class _ReducedSystem:
         Each updated iterate is checked by a value-only pass; only when that
         misses tol does a full evaluation follow, for the next solve.
 
-        Returns (the full entry vector, residual, word images, tangent) at
-        the last iterate: the converged one, the one after max_iter updates,
-        or the first whose residual is not finite.  The tangent comes from
-        the last solve, and is tau itself when q_pred is returned unsolved.
+        The iterate q is the free-entry array and full its entry tuple, on
+        which the passes run as given.  Returns (the full entry tuple,
+        residual, word images, tangent) at the last iterate: the converged
+        one, the one after max_iter updates, or the first whose residual is
+        not finite.  The tangent comes from the last solve, and is tau
+        itself when q_pred is returned unsolved.
         """
-        q = np.array(q_pred, dtype=float)
-        a = np.empty((7, len(self.free)))
-        a[5] = tau
-        b = np.zeros((7, 2))
-        b[5, 1] = 1.0
-        full = self.expand(q)
+        q = q_pred
+        full = self.expand(q.tolist())
         f, jac, images = self.system.evaluate(full)
         tangent = tau
+        take = self.take
+        extra = 0.0  # tau . (q - q_pred) at q = q_pred
         for it in range(max_iter + 1):
-            extra = float(np.dot(tau, q - q_pred))
-            res = max(float(np.abs(f).max()), abs(extra))
+            res = max(_max_abs(f), abs(extra))
             if res <= tol or not math.isfinite(res) or it == max_iter:
                 return full, res, images, tangent
             if jac is None:
                 f, jac, images = self.system.evaluate(full)
-            a[:5] = jac[:, self.free]
-            a[6] = self.system.gauge(full)[self.free]
-            b[:5, 0] = -f
-            b[5, 0] = -extra
+            f1, f2, f3, f4, f5 = f
+            a = np.array((*map(take, jac), tau, self.gauge_row(full)))
+            b = np.array(((-f1, 0.0), (-f2, 0.0), (-f3, 0.0), (-f4, 0.0), (-f5, 0.0),
+                          (-extra, 1.0), (0.0, 0.0)))
             x = np.linalg.lstsq(a, b, rcond=1e-12)[0]
             q = q + x[:, 0]
             tangent = x[:, 1] / np.linalg.norm(x[:, 1])
-            full = self.expand(q)
+            full = self.expand(q.tolist())
             f, images = self.system.values(full)
             jac = None
+            extra = float(np.dot(tau, q - q_pred))
 
 
 NEWTON_TOL = 1e-10
@@ -297,7 +323,7 @@ _KERNEL_CEIL = 1e-9     # sigma_5 / sigma_1 above this: kernel is not 2-dim
 _CHAR_SPEED_FLOOR = 0.05
 
 
-def _select_pins(rows: np.ndarray, q0: np.ndarray) -> tuple:
+def _select_pins(rows: np.ndarray, q0: tuple) -> tuple:
     """Pick the Ma entry pair to freeze, ranking pairs on the 5x8 constraint
     rows at the base point.
 
@@ -323,12 +349,12 @@ def _select_pins(rows: np.ndarray, q0: np.ndarray) -> tuple:
     return best[0]
 
 
-def _base_point(fam: FamilyInstance) -> np.ndarray:
-    """rho_n as a float point of entry space."""
-    return np.array([float(x) for x in fam.rho_a.entries() + fam.rho_b.entries()])
+def _base_point(fam: FamilyInstance) -> tuple:
+    """rho_n as a float entry tuple."""
+    return tuple(float(x) for x in fam.rho_a.entries() + fam.rho_b.entries())
 
 
-def _character_rows(jacobian: tuple, q0: np.ndarray, jac0: np.ndarray) -> np.ndarray:
+def _character_rows(jacobian: tuple, q0: tuple, jac0: np.ndarray) -> np.ndarray:
     """Constraint rows at rho_n with the curve rows in character form: the
     exact curve Jacobian times D(chi), beside the two determinant rows.
 
@@ -342,8 +368,8 @@ def _character_rows(jacobian: tuple, q0: np.ndarray, jac0: np.ndarray) -> np.nda
     return rows
 
 
-def _sample_at(t: float, q, residual: float, images: tuple) -> RepSample:
-    a11, a12, a21, a22, b11, b12, b21, b22 = map(float, q)
+def _sample_at(t: float, q: tuple, residual: float, images: tuple) -> RepSample:
+    a11, a12, a21, a22, b11, b12, b21, b22 = q
     m1, m2, l1, l2 = map(Mat2._make, images)
     conj = solve_conjugator([(m1, m2), (l1, l2)])
     longitude = m1 @ l1 @ m1.inverse() @ l1.inverse()
@@ -367,7 +393,7 @@ def _sample_at(t: float, q, residual: float, images: tuple) -> RepSample:
     )
 
 
-def _probe_det_sign(reduced: _ReducedSystem, q0: np.ndarray,
+def _probe_det_sign(reduced: _ReducedSystem, q0: tuple,
                     v0: np.ndarray, h: float) -> int:
     """Conjugator determinant class one corrector step along +v0.
 
@@ -377,7 +403,7 @@ def _probe_det_sign(reduced: _ReducedSystem, q0: np.ndarray,
     the other side's joint conjugator has determinant -1.  Returns 0 when the
     probe step fails or the conjugator stays singular.
     """
-    q, res, images, _ = reduced.newton(q0[reduced.free] + h * v0, v0, NEWTON_TOL, NEWTON_MAX_ITER)
+    q, res, images, _ = reduced.newton(reduced.reduce(q0) + h * v0, v0, NEWTON_TOL, NEWTON_MAX_ITER)
     if not res <= NEWTON_TOL:
         return 0
     return _sample_at(h, q, res, images).det_sign
@@ -413,6 +439,7 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     system = _EntrySystem(fam)
     q0 = _base_point(fam)
     f0, jac0, images0 = system.evaluate(q0)
+    jac0 = np.array(jac0)
     # Audit: rho_n solves the constraints, relative to the largest curve-row
     # entry; a curve pair whose words disagree at rho_n fails it.
     value = float(np.max(np.abs(f0))) / max(1.0, float(np.max(np.abs(jac0[2:]))))
@@ -420,7 +447,7 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
         raise ContinuationError(
             f"base point audit failed (constraint value {value:.3e}, relative)")
     pins = _select_pins(_character_rows(jacobian, q0, jac0), q0)
-    reduced = _ReducedSystem(system, pins, q0[list(pins)])
+    reduced = _ReducedSystem(system, pins, [q0[p] for p in pins])
     v0 = reduced.tangent(q0, jac0[:, reduced.free])
     plus = _probe_det_sign(reduced, q0, v0, step_size)
     if plus != 1:
@@ -439,7 +466,7 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     t = 0.0
     base_det_sign = None
     for step in range(1, max_steps + 1):
-        q, res, images, v = reduced.newton(q[reduced.free] + step_size * v, v,
+        q, res, images, v = reduced.newton(reduced.reduce(q) + step_size * v, v,
                                            NEWTON_TOL, NEWTON_MAX_ITER)
         if not res <= NEWTON_TOL:
             if step == 1:

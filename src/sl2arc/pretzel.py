@@ -16,12 +16,12 @@ For each n >= 1 the family instance packages:
 analyze_curve reports the exact data of C_n at chi_n, and verify_lemma
 checks it through the same helpers; arc.continue_arc takes only
 curve_jacobian.  No trace polynomial enters: every exact datum at chi_n comes
-from one integer pass of 2x2 products per curve word at rho_n (tracepass),
-which gives the word's trace, image and 8 entry partials.  An exact solution
-V of [D chi; grad det A; grad det B] V = [I; 0] at rho_n turns the entry
-partials into gradients in (x, y, z): grad P = grad_q tr W . V, summed in
-integers over V's common denominator.  The longitude Hessian comes by the
-chain rule from Fricke's identity tr[U, V] = p^2 + q^2 + r^2 - pqr - 2
+from one integer pass of 2x2 products over the curve words at rho_n
+(tracepass), which gives each word's trace, image and 8 entry partials.  An
+exact solution V of [D chi; grad det A; grad det B] V = [I; 0] at rho_n turns
+the entry partials into gradients in (x, y, z): grad P = grad_q tr W . V,
+summed in integers over V's common denominator.  The longitude Hessian comes
+by the chain rule from Fricke's identity tr[U, V] = p^2 + q^2 + r^2 - pqr - 2
 (p, q, r = tr U, tr V, tr UV).  At chi_n, (p, q, r) = (-2s, -2, 2s) with
 s = (-1)^n, where the identity's first partials vanish: the Hessian is
 J^T Hess(k) J, with J the gradients of tr m1, tr l1 and tr m1 l1.  The curve
@@ -53,7 +53,7 @@ import numpy as np
 
 from .sl2 import (Conjugacy, Mat2, MatClass, classify, exact_nullspace, exact_rank, exact_rref,
                   same_trace_conjugacy)
-from .tracepass import _codes, _identity, _letters, _suffix_products, _trace_pass
+from .tracepass import TracePlan, _codes, _letters
 from .tracepoly import TracePolynomial, trace_polynomial
 from .words import Word, commutator, evaluate, parse_word
 
@@ -86,6 +86,14 @@ class FamilyInstance:
     def curve_pairs(self) -> tuple:
         """The word pairs (W1, W2) whose trace differences tr W1 - tr W2 cut out C_n."""
         return (self.m1, self.m2), (self.l1, self.l2), (self.m1l1, self.m2l2)
+
+    @cached_property
+    def curve_plan(self) -> TracePlan:
+        """The product plan of the six words of curve_pairs, in order, built
+        on first use: its integer run at rho_n gives the exact curve data,
+        its run on |letters| the residue scales, and continuation runs it
+        on floats."""
+        return TracePlan(_codes(w) for pair in self.curve_pairs for w in pair)
 
     @cached_property
     def curve_eqs(self) -> tuple:
@@ -283,17 +291,18 @@ def _character_frame(rho_a: Mat2, rho_b: Mat2) -> tuple:
 def _exact_curve_data(fam: FamilyInstance) -> tuple:
     """(Jacobian, gradients, traces) of the curve words at chi_n, exact.
 
-    One integer product pass per curve word at rho_n gives its trace and its
-    8 entry partials; each partial row is contracted with the character
-    frame in integers, and one division per entry gives the Fraction
-    gradients (word -> (d/dx, d/dy, d/dz) of tr W) and the Jacobian rows
-    grad tr W1 - grad tr W2.
+    One integer product pass over the curve words at rho_n gives each
+    word's trace and its 8 entry partials; each partial row is contracted
+    with the character frame in integers, and one division per entry gives
+    the Fraction gradients (word -> (d/dx, d/dy, d/dz) of tr W) and the
+    Jacobian rows grad tr W1 - grad tr W2.
     """
     frame, den = _character_frame(fam.rho_a, fam.rho_b)
     letters = _letters(fam.rho_a.entries() + fam.rho_b.entries())
+    words = [w for pair in fam.curve_pairs for w in pair]
     traces, numerators = {}, {}
-    for word in dict.fromkeys(w for pair in fam.curve_pairs for w in pair):
-        traces[word], partials, _ = _trace_pass(_codes(word), letters)
+    for word, (trace, partials, _) in zip(words, fam.curve_plan.passes(letters)):
+        traces[word] = trace
         numerators[word] = [sum(g * f for g, f in zip(partials, col)) for col in frame]
     gradients = {w: tuple(Fraction(x, den) for x in num) for w, num in numerators.items()}
     jacobian = tuple(tuple(Fraction(x - y, den) for x, y in zip(numerators[w1], numerators[w2]))
@@ -442,13 +451,14 @@ def _flat(rows) -> tuple:
     return tuple(x for row in rows for x in row)
 
 
-def _magnitude(fam: FamilyInstance, word: Word) -> int:
-    """L tr(|X_1| ... |X_L|) for the L letter matrices of word at rho_n, an
-    inverse letter as |adj X|: the error scale of its float trace."""
+def _magnitudes(fam: FamilyInstance) -> dict:
+    """L tr(|X_1| ... |X_L|) for the L letter matrices of each curve word
+    at rho_n, an inverse letter as |adj X|: the error scale of its float
+    trace."""
     letters = tuple(tuple(map(abs, m)) for m in _letters(fam.rho_a.entries() + fam.rho_b.entries()))
-    codes = _codes(word)
-    image = _suffix_products([letters[c] for c in codes], _identity(letters))[-1]
-    return len(codes) * (image[0] + image[3])
+    words = [w for pair in fam.curve_pairs for w in pair]
+    images = fam.curve_plan.images(letters)
+    return {w: len(codes) * (m[0] + m[3]) for w, codes, m in zip(words, fam.curve_plan.words, images)}
 
 
 @dataclass(frozen=True)
@@ -545,7 +555,8 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     rep.add("character_equals_chi", cmp.agree(got_chi, fam.chi), f"character {got_chi}")
 
     residues = tuple(traces[w1] - traces[w2] for w1, w2 in fam.curve_pairs)
-    scales = tuple(_magnitude(fam, w1) + _magnitude(fam, w2) for w1, w2 in fam.curve_pairs)
+    magnitudes = _magnitudes(fam)
+    scales = tuple(magnitudes[w1] + magnitudes[w2] for w1, w2 in fam.curve_pairs)
     vanish = all(cmp.zero(r, s) for r, s in zip(residues, scales, strict=True))
     rep.add("curve_equations_vanish_at_chi", vanish, f"residues {residues}")
 

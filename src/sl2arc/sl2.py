@@ -523,7 +523,7 @@ def _wrap_half(delta: float) -> float:
     return (delta + math.pi / 2) % math.pi - math.pi / 2
 
 
-def _traverse(mat, th_a: float, al_a: float, th_b: float, depth: int = 0) -> float:
+def _traverse(mat, th_a: float, al_a: float, th_b: float) -> float:
     """Lift value at th_b of the circle map of `mat`, given lift al_a at th_a.
 
     Bisects until the local contraction bound certifies that the nearest
@@ -531,21 +531,32 @@ def _traverse(mat, th_a: float, al_a: float, th_b: float, depth: int = 0) -> flo
     1 / |M v(theta)|^2, so a segment is safe once its width is small against
     the squared image norms at its ends (with a Lipschitz safety margin).
     """
+    if abs(th_b - th_a) == 0.0:
+        return al_a
+    a, b, c, d = mat
+    op_norm = math.sqrt(a * a + b * b + c * c + d * d)
+    image_b = _image(mat, th_b)
+    return _lift(mat, op_norm, th_a, _image(mat, th_a)[1], al_a, th_b, image_b, 0)
+
+
+def _lift(mat, op_norm: float, th_a: float, n_a: float, al_a: float,
+          th_b: float, image_b: tuple, depth: int) -> float:
+    """_traverse on one segment, given the image norm n_a at th_a and the
+    image (angle, norm) at th_b; a split hands the midpoint's image to both
+    halves."""
     width = abs(th_b - th_a)
     if width == 0.0:
         return al_a
-    raw_b, n_b = _image(mat, th_b)
-    _, n_a = _image(mat, th_a)
-    a, b, c, d = mat
-    op_norm = math.sqrt(a * a + b * b + c * c + d * d)
+    raw_b, n_b = image_b
     m_eff = min(n_a, n_b) - op_norm * width
     if m_eff > 0.0 and width / (m_eff * m_eff) <= 0.5:
         return al_a + _wrap_half(raw_b - al_a)
     if depth > 64:
         raise ContinuityError("could not certify a continuous lift segment")
     mid = (th_a + th_b) / 2
-    al_mid = _traverse(mat, th_a, al_a, mid, depth + 1)
-    return _traverse(mat, mid, al_mid, th_b, depth + 1)
+    image_mid = _image(mat, mid)
+    al_mid = _lift(mat, op_norm, th_a, n_a, al_a, mid, image_mid, depth + 1)
+    return _lift(mat, op_norm, mid, image_mid[1], al_mid, th_b, image_b, depth + 1)
 
 
 def _advance_track(m_from, m_to, theta0: float, alpha: float, depth: int = 0) -> float:

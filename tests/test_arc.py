@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 import types
 from fractions import Fraction
 
@@ -15,15 +16,15 @@ from sl2arc.arc import (
     GluingError,
     _EntrySystem,
     _ReducedSystem,
-    _trace_pass,
     analyze_curve,
     continue_arc,
     glue_hnn,
     irreducibility_margin,
 )
 from sl2arc.cli import main
-from sl2arc.pretzel import kernel_closed_form, make_family
+from sl2arc.pretzel import N_CAP, kernel_closed_form, make_family
 from sl2arc.sl2 import Mat2, frobenius_distance
+from sl2arc.tracepass import TracePlan
 from sl2arc.words import evaluate
 
 
@@ -267,7 +268,7 @@ def _reference_newton(self, q_pred, tau, tol, max_iter):
     for it in range(max_iter + 1):
         full = self.expand(q)
         f, jac, images = self.system.evaluate(full)
-        jr = jac[:, self.free]
+        jr = np.array(jac)[:, self.free]
         extra = float(np.dot(tau, q - q_pred))
         res = max(float(np.abs(f).max()), abs(extra))
         if res <= tol or not math.isfinite(res) or it == max_iter:
@@ -276,7 +277,8 @@ def _reference_newton(self, q_pred, tau, tol, max_iter):
             v = self.tangent(full, jr)
             return full, res, images, v if float(np.dot(v, tau)) >= 0.0 else -v
         a[:5] = jr
-        a[6] = self.system.gauge(full)[self.free]
+        gauge = np.array(_EntrySystem.gauge_flow(full))
+        a[6] = (gauge / np.linalg.norm(gauge))[self.free]
         b[:5] = f
         b[5] = extra
         q = q + np.linalg.lstsq(a, -b, rcond=1e-12)[0]
@@ -370,7 +372,7 @@ def test_tangent_is_the_max_character_speed_kernel_direction(n, arcs200):
     for s in arc.samples[::20]:
         q = np.array(s.ma.entries() + s.mb.entries())
         reduced = _ReducedSystem(system, arc.pins, q[list(arc.pins)])
-        jr = system.evaluate(q)[1][:, reduced.free]
+        jr = np.array(system.evaluate(q)[1])[:, reduced.free]
         reference = _max_character_speed_tangent(system, reduced.free, q, jr)
         v = reduced.tangent(q, jr)
         assert min(float(np.max(np.abs(v - reference))),
@@ -431,21 +433,26 @@ def test_fused_evaluation_matches_exact_traces_and_differences(n):
             h = 1e-6 * max(1.0, abs(q[j]))
             step = np.zeros(8)
             step[j] = h
-            diffs[:, j] = (system.evaluate(q + step)[0] - system.evaluate(q - step)[0]) / (2 * h)
+            diffs[:, j] = (np.array(system.evaluate(q + step)[0])
+                           - np.array(system.evaluate(q - step)[0])) / (2 * h)
         for got, want in zip(jac, diffs):
             assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(got))
-        gauge = _EntrySystem.gauge(q)
+        gauge = np.array(_EntrySystem.gauge_flow(q))
+        gauge /= np.linalg.norm(gauge)
         assert np.linalg.norm(gauge) == pytest.approx(1.0)
         assert np.all(gauge[:4] == 0.0)
         for row in jac[2:]:
             assert abs(row @ gauge) <= 1e-12 * np.linalg.norm(row)
+        reduced = _ReducedSystem(system, arc.pins, q[list(arc.pins)])
+        row = reduced.gauge_row(tuple(q))
+        assert _bits(row) == _bits(reduced.take(gauge))
+        assert np.linalg.norm(row) == pytest.approx(1.0)
 
 
-# The product pass on letter strings with a _mul per product, and the
-# evaluation that filled F and J element by element: the references that the
-# coded pass and evaluate must match bit for bit.
-
-_REF_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+# The product pass on letter strings with a _mul per product, one word at a
+# time, and the evaluation that filled F and J element by element: the
+# references that the shared-product pass and evaluate must match bit for
+# bit.
 
 
 def _reference_mul(x, y):
@@ -456,12 +463,15 @@ def _reference_mul(x, y):
 
 
 def _reference_trace_pass(spelling, letters):
+    one = letters["a"][0] ** 0
+    zero = one - one
+    identity = (one, zero, zero, one)
     mats = [letters[ch] for ch in spelling]
-    suffix = [_REF_IDENTITY] * (len(mats) + 1)
+    suffix = [identity] * (len(mats) + 1)
     for i in range(len(mats) - 1, -1, -1):
         suffix[i] = _reference_mul(mats[i], suffix[i + 1])
-    grad = [0.0] * 8
-    prefix = _REF_IDENTITY
+    grad = [zero] * 8
+    prefix = identity
     for i, ch in enumerate(spelling):
         n11, n12, n21, n22 = _reference_mul(suffix[i + 1], prefix)
         k = 0 if ch in "aA" else 4
@@ -480,8 +490,8 @@ def _reference_trace_pass(spelling, letters):
     return image[0] + image[3], grad, image
 
 
-def _reference_letters(q):
-    a11, a12, a21, a22, b11, b12, b21, b22 = (float(x) for x in q)
+def _reference_letters(q, number=float):
+    a11, a12, a21, a22, b11, b12, b21, b22 = (number(x) for x in q)
     return {"a": (a11, a12, a21, a22), "A": (a22, -a12, -a21, a11),
             "b": (b11, b12, b21, b22), "B": (b22, -b12, -b21, b11)}
 
@@ -516,15 +526,17 @@ def test_coded_pass_and_evaluation_match_the_references_bit_for_bit(n, arcs200):
     samples = arcs200[n].samples[::10]
     assert len(samples) == 21
     for s in samples:
-        q = np.array(s.ma.entries() + s.mb.entries())
+        q = s.ma.entries() + s.mb.entries()
         named = _reference_letters(q)
         coded = tuple(named[ch] for ch in "aAbB")
-        for spelling, codes in zip(spellings, system.codes):
-            trace, grad, image = _trace_pass(codes, coded)
+        images = system.plan.images(coded)
+        for spelling, (trace, grad, image), image_only in zip(
+                spellings, system.plan.passes(coded), images, strict=True):
             want_trace, want_grad, want_image = _reference_trace_pass(spelling, named)
             assert _bits(trace) == _bits(want_trace)
             assert _bits(grad) == _bits(want_grad)
             assert _bits(image) == _bits(want_image)
+            assert _bits(image_only) == _bits(want_image)
         f, jac, images = system.evaluate(q)
         want_f, want_jac, want_images = _reference_evaluate(spellings, q)
         assert _bits(f) == _bits(want_f)
@@ -533,12 +545,78 @@ def test_coded_pass_and_evaluation_match_the_references_bit_for_bit(n, arcs200):
         assert _bits([m.entries() for m in s.word_images]) == _bits(want_images)
 
 
+def _check_integer_passes(n):
+    fam = make_family(n)
+    words = [getattr(fam, name) for name in _CURVE_WORDS]
+    named = _reference_letters(fam.rho_a.entries() + fam.rho_b.entries(), int)
+    passes = fam.curve_plan.passes(tuple(named[ch] for ch in "aAbB"))
+    for word, (trace, grad, image) in zip(words, passes, strict=True):
+        want_trace, want_grad, want_image = _reference_trace_pass(word.spelled(), named)
+        assert (trace, list(grad), image) == (want_trace, want_grad, want_image)
+        assert all(type(x) is int for x in (trace, *grad, *image))
+
+
+@pytest.mark.parametrize("ns", [range(1, 51), (100, 1000, N_CAP)], ids=["1..50", "100-1000-N_CAP"])
+def test_the_integer_pass_at_rho_n_matches_the_reference(ns):
+    for n in ns:
+        _check_integer_passes(n)
+
+
+def _products(steps) -> int:
+    """The 2x2 products that a pass makes for one half of a TracePlan."""
+    return sum(len(todo) for *_, todo in steps)
+
+
+def test_the_curve_words_share_their_products():
+    # n = 1: m1 aabab, m2 aaba, l1 Bab, l2 Baba, m1l1 aabaab, m2l2 aabaBaba,
+    # 30 letters.  19 distinct suffixes; 11 distinct prefixes of each word
+    # short of its last letter (the whole-word prefix is never read).
+    plan = _EntrySystem(make_family(1)).plan
+    assert sum(map(len, plan.words)) == 30
+    assert (_products(plan.suffixes), _products(plan.prefixes)) == (19, 11)
+    plan = _EntrySystem(make_family(N_CAP)).plan
+    assert _products(plan.suffixes) + _products(plan.prefixes) <= 2 * sum(map(len, plan.words))
+
+
+def _distinct(chains) -> int:
+    return len({chain[:k] for chain in chains for k in range(1, len(chain) + 1)})
+
+
+def test_the_plan_matches_per_word_passes_on_random_word_sets():
+    # words glued from a few shared pieces, so heads and tails repeat;
+    # entries include signed zeros and products that underflow to them (the
+    # reference subtracts where the pass adds a negation, which agree on
+    # every value but a NaN's sign, so no entry makes a NaN)
+    rng = random.Random(18)
+    values = [0.0, -0.0, 1.0, -2.5, 1e-200, -3e-200, 0.75, -1.25]
+    for _ in range(300):
+        pieces = ["".join(rng.choice("aAbB") for _ in range(rng.randrange(1, 5))) for _ in range(3)]
+        spellings = ["".join(rng.choice(pieces) for _ in range(rng.randrange(0, 4)))
+                     for _ in range(rng.randrange(1, 7))]
+        codes = [tuple("aAbB".index(ch) for ch in w) for w in spellings]
+        plan = TracePlan(codes)
+        assert _products(plan.suffixes) == _distinct([c[::-1] for c in codes])
+        assert _products(plan.prefixes) == _distinct([c[:-1] for c in codes])
+        q = [rng.choice(values) if rng.random() < 0.3 else rng.uniform(-3, 3) for _ in range(8)]
+        named = _reference_letters(q)
+        coded = tuple(named[ch] for ch in "aAbB")
+        got, images = plan.passes(coded), plan.images(coded)
+        for spelling, (trace, grad, image), image_only in zip(spellings, got, images, strict=True):
+            want_trace, want_grad, want_image = _reference_trace_pass(spelling, named)
+            assert _bits(trace) == _bits(want_trace)
+            assert _bits(grad) == _bits(want_grad)
+            assert _bits(image) == _bits(image_only) == _bits(want_image)
+
+
+@pytest.mark.parametrize("entry", range(5), ids=lambda k: f"F{k}")
 @pytest.mark.parametrize("poisoned_after, outcome", [(40, "newtonFailure"), (3, "first step")])
-def test_a_non_finite_residual_ends_the_arc(poisoned_after, outcome, fam1, monkeypatch,
+def test_a_non_finite_residual_ends_the_arc(poisoned_after, outcome, entry, fam1, monkeypatch,
                                            capfd, tmp_path):
-    # F turns NaN from Jacobian evaluation poisoned_after + 1 on.  The base
-    # point and the two orientation probes take three evaluations, so 3
-    # poisons the first step and 40 the thirty-eighth.
+    # From Jacobian evaluation poisoned_after + 1 on, F is NaN in one entry
+    # and 0 in the others.  The base point and the two orientation probes
+    # take three evaluations, so 3 poisons the first step and 40 the
+    # thirty-eighth.  A max over |F| that skips a NaN after its first
+    # argument would read the poisoned F as converged.
     evaluate_entries = _EntrySystem.evaluate
     calls = [0]
 
@@ -546,8 +624,7 @@ def test_a_non_finite_residual_ends_the_arc(poisoned_after, outcome, fam1, monke
         calls[0] += 1
         f, jac, images = evaluate_entries(self, q)
         if calls[0] > poisoned_after:
-            f = f.copy()
-            f[2] = math.nan
+            f = tuple(math.nan if k == entry else 0.0 for k in range(5))
         return f, jac, images
 
     monkeypatch.setattr(_EntrySystem, "evaluate", poisoned)

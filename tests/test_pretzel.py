@@ -14,7 +14,7 @@ from sl2arc.pretzel import (
     _commutator_hessian,
     _exact_curve_data,
     _longitude_hessian,
-    _magnitude,
+    _magnitudes,
     analyze_curve,
     curve_jacobian,
     gradient_at,
@@ -223,7 +223,8 @@ def test_the_residue_scale_is_no_looser_than_the_polynomial_terms(n):
     # exactly the residues that the exact report rejects.
     fam = make_family(n)
     for (w1, w2), eq in zip(fam.curve_pairs, fam.curve_eqs, strict=True):
-        scale, reference = _magnitude(fam, w1) + _magnitude(fam, w2), _abs_terms(eq, fam.chi)
+        magnitudes = _magnitudes(fam)
+        scale, reference = magnitudes[w1] + magnitudes[w2], _abs_terms(eq, fam.chi)
         assert scale > 0 and _FLOAT_TOL * scale < 0.5
         assert scale <= reference or (n <= 5 and _FLOAT_TOL * reference < 0.5)
 

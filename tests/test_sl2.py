@@ -569,3 +569,77 @@ def test_arc_prefix_values_are_monotone_for_rotations():
     nums = [v.value for v in vals]
     assert nums[0] == 0.0 and nums[-1] == 2.0
     assert all(b >= a - 1e-12 for a, b in zip(nums, nums[1:]))
+
+
+def _reference_traverse(mat, th_a, al_a, th_b, depth=0):
+    """The lift that recomputes the images at both ends of every segment."""
+    width = abs(th_b - th_a)
+    if width == 0.0:
+        return al_a
+    raw_b, n_b = sl2._image(mat, th_b)
+    _, n_a = sl2._image(mat, th_a)
+    a, b, c, d = mat
+    op_norm = math.sqrt(a * a + b * b + c * c + d * d)
+    m_eff = min(n_a, n_b) - op_norm * width
+    if m_eff > 0.0 and width / (m_eff * m_eff) <= 0.5:
+        return al_a + sl2._wrap_half(raw_b - al_a)
+    if depth > 64:
+        raise ContinuityError("could not certify a continuous lift segment")
+    mid = (th_a + th_b) / 2
+    al_mid = _reference_traverse(mat, th_a, al_a, mid, depth + 1)
+    return _reference_traverse(mat, mid, al_mid, th_b, depth + 1)
+
+
+@pytest.fixture(scope="module")
+def longitude_paths():
+    """The longitudes of 200-step determinant-+1 arcs, keyed by n."""
+    return {n: continue_arc(make_family(n), step_size=1e-3, max_steps=200).longitude_images()
+            for n in (1, 8)}
+
+
+def _lift_everything(longitude_paths):
+    """Every value that goes through _traverse: the translation numbers along
+    the arcs' longitudes and the iterated estimates on the rotation paths."""
+    out = [translation_numbers_along_arc(path) for path in longitude_paths.values()]
+    for path in (rotation_path(0.9), rotation_path(math.pi), rotation_path(2 * math.pi)):
+        out.append(translation_numbers_along_arc(path))
+        out.append(translation_number_by_iteration(path, iterations=1 << 8))
+    return out
+
+
+def test_the_lift_matches_the_recomputing_reference_bit_for_bit(longitude_paths, monkeypatch):
+    calls = []
+
+    def checked(mat, th_a, al_a, th_b):
+        got = traverse(mat, th_a, al_a, th_b)
+        assert _bits(got) == _bits(_reference_traverse(mat, th_a, al_a, th_b))
+        calls.append(mat)
+        return got
+
+    traverse = sl2._traverse
+    monkeypatch.setattr(sl2, "_traverse", checked)
+    got = _lift_everything(longitude_paths)
+    assert len(calls) > 2 * 200
+    monkeypatch.setattr(sl2, "_traverse", _reference_traverse)
+    assert got == _lift_everything(longitude_paths)
+
+
+def test_the_lift_computes_each_image_once(longitude_paths, monkeypatch):
+    # both lifts visit the same points; the reference recomputes them
+    image = sl2._image
+    calls = []
+
+    def recorded(mat, theta):
+        calls[-1].append((tuple(mat), theta))
+        return image(mat, theta)
+
+    monkeypatch.setattr(sl2, "_image", recorded)
+    for traverse in (_reference_traverse, sl2._traverse):
+        monkeypatch.setattr(sl2, "_traverse", traverse)
+        calls.append([])
+        translation_numbers_along_arc(longitude_paths[1])
+    before, after = calls
+    assert set(after) == set(before)
+    assert len(set(after)) == len(after)
+    assert len(before) > 5 * 200
+    assert len(after) <= len(before) / 2

@@ -1,7 +1,7 @@
 """Trace polynomials, SL(2,R) representation arcs, and holonomy loci."""
 
 from .words import Word, WordSyntaxError, commutator, concat, evaluate, invert, parse_word
-from .tracepoly import TracePolynomial, character_of, trace_polynomial
+from .tracepoly import TracePolynomial, trace_polynomial
 from .sl2 import (
     Conjugacy,
     ConjugatorResult,

@@ -289,25 +289,26 @@ def _character_frame(rho_a: Mat2, rho_b: Mat2) -> tuple:
 
 
 def _exact_curve_data(fam: FamilyInstance) -> tuple:
-    """(Jacobian, gradients, traces) of the curve words at chi_n, exact.
+    """(Jacobian, gradients, traces, images) of the curve words at chi_n, exact.
 
     One integer product pass over the curve words at rho_n gives each
-    word's trace and its 8 entry partials; each partial row is contracted
-    with the character frame in integers, and one division per entry gives
-    the Fraction gradients (word -> (d/dx, d/dy, d/dz) of tr W) and the
-    Jacobian rows grad tr W1 - grad tr W2.
+    word's image (word -> entry tuple), its trace and its 8 entry partials;
+    each partial row is contracted with the character frame in integers, and
+    one division per entry gives the Fraction gradients (word -> (d/dx,
+    d/dy, d/dz) of tr W) and the Jacobian rows grad tr W1 - grad tr W2.
     """
     frame, den = _character_frame(fam.rho_a, fam.rho_b)
     letters = _letters(fam.rho_a.entries() + fam.rho_b.entries())
     words = [w for pair in fam.curve_pairs for w in pair]
-    traces, numerators = {}, {}
-    for word, (trace, partials, _) in zip(words, fam.curve_plan.passes(letters)):
+    traces, numerators, images = {}, {}, {}
+    for word, (trace, partials, image) in zip(words, fam.curve_plan.passes(letters)):
         traces[word] = trace
+        images[word] = image
         numerators[word] = [sum(g * f for g, f in zip(partials, col)) for col in frame]
     gradients = {w: tuple(Fraction(x, den) for x in num) for w, num in numerators.items()}
     jacobian = tuple(tuple(Fraction(x - y, den) for x, y in zip(numerators[w1], numerators[w2]))
                      for w1, w2 in fam.curve_pairs)
-    return jacobian, gradients, traces
+    return jacobian, gradients, traces, images
 
 
 def curve_jacobian(fam: FamilyInstance) -> tuple:
@@ -379,7 +380,7 @@ def analyze_curve(fam: FamilyInstance) -> CurveAnalysis:
     """Exact Jacobian, rank, kernel and Hessian-on-kernel of C_n at chi_n,
     plus local-coordinate verdicts for tr(m1), tr(m2) and tr(m1 l1): true
     iff the word's gradient lies outside the Jacobian row span."""
-    jac, grads, traces = _exact_curve_data(fam)
+    jac, grads, traces, _ = _exact_curve_data(fam)
     words = {"tr_m1": fam.m1, "tr_m2": fam.m2, "tr_m1l1": fam.m1l1}
     rank = exact_rank(jac)
     kernel: tuple = ()
@@ -501,17 +502,17 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     Each assertion is stated once and decided by one comparator.  With
     exact=True (the default) the data are rational and the comparisons are
     ==, exact_rank and outside_row_span.  With exact=False the data are
-    floats (the Jacobian, gradients and Hessian are exact values rounded
-    once), and a quantity x counts as zero when |x| <= tol * s, where s is
-    the scale its check states: the largest |entry| of the closed form it is
-    compared with; for a curve residue tr W1 - tr W2, the sum over the two
-    words of L tr(|X_1| ... |X_L|), the magnitudes of their L letter
-    matrices multiplied out, an inverse letter as |adj X| (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 3); for the determinant, the
-    product of the Jacobian's row norms; for the minor, the kernel products
-    and the Hessian on the kernel, the sum of the |products| added up; for a
-    singular value, the largest one; for the distance of a gradient from the
-    Jacobian row span, the gradient's norm.
+    floats (the images, Jacobian, gradients and Hessian are exact values
+    rounded once), and a quantity x counts as zero when |x| <= tol * s,
+    where s is the scale its check states: the largest |entry| of the closed
+    form it is compared with; for a curve residue tr W1 - tr W2, the sum
+    over the two words of L tr(|X_1| ... |X_L|), the magnitudes of their L
+    letter matrices multiplied out, an inverse letter as |adj X| (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3); for the
+    determinant, the product of the Jacobian's row norms; for the minor, the
+    kernel products and the Hessian on the kernel, the sum of the |products|
+    added up; for a singular value, the largest one; for the distance of a
+    gradient from the Jacobian row span, the gradient's norm.
 
     One tolerance serves every check: tol = 64 u = 2^-47 ~ 7.1e-15.  Over
     n = 1..50, 60, 80 and 100 the ratios |x| / s that must count as zero
@@ -530,11 +531,13 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     fam = make_family(n)
     rep = LemmaReport(n=n)
     ra, rb = (Mat2(*map(cmp.value, m.entries())) for m in (fam.rho_a, fam.rho_b))
+    exact_jac, exact_grads, exact_traces, exact_images = _exact_curve_data(fam)
     images, traces = {}, {}
-    for name, want in image_closed_forms(n).items():
-        got = evaluate(getattr(fam, name), ra, rb)
-        images[name] = got
-        traces[getattr(fam, name)] = got.trace()
+    # the closed forms are those of the curve words, in the order of curve_pairs
+    words = (w for pair in fam.curve_pairs for w in pair)
+    for (name, want), word in zip(image_closed_forms(n).items(), words, strict=True):
+        got = images[name] = Mat2(*map(cmp.value, exact_images[word]))
+        traces[word] = got.trace()
         rep.images[name] = (got, want)
         rep.add(f"image_{name}_matches_closed_form", cmp.agree(got.entries(), want.entries()), f"computed {got}")
 
@@ -560,7 +563,6 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     vanish = all(cmp.zero(r, s) for r, s in zip(residues, scales, strict=True))
     rep.add("curve_equations_vanish_at_chi", vanish, f"residues {residues}")
 
-    exact_jac, exact_grads, exact_traces = _exact_curve_data(fam)
     jac = tuple(tuple(map(cmp.value, row)) for row in exact_jac)
     rep.jacobian = jac
     rep.add(
@@ -608,7 +610,8 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     rep.hessian_on_kernel = quad
     rep.add("hessian_nonzero_on_kernel", not cmp.zero(quad, sum(abs(t) for t in terms)), f"value {quad}")
 
-    long_img = evaluate(fam.longitude, ra, rb)
+    m1, l1 = images["m1"], images["l1"]
+    long_img = m1 @ l1 @ m1.inverse() @ l1.inverse()
     identity = cmp.agree(long_img.entries(), Mat2.identity().entries())
     rep.add("longitude_image_identity", identity, f"image {long_img}")
     return rep

@@ -11,10 +11,12 @@ the continuation constraints, with the same operations in the same order.
 
 The words of one set share heads and tails (m1, m2, m1 l1 and m2 l2 all
 start with a^(n+1), and l2 ends m2 l2), so a TracePlan, built once per word
-set, computes each distinct suffix product and each distinct prefix product
-once per pass; the per-letter products S P and the gradient sums stay per
-word, in the order of a word-by-word pass, so every result is bit for bit
-the same.
+set, keeps two tries of single letters: one over the reversed words, whose
+nodes are the distinct suffixes, and one over the words short of their last
+letter, whose nodes are the distinct prefixes.  A pass makes one product per
+node, from its parent's product and its letter; the per-letter products S P
+and the gradient sums stay per word, in the order of a word-by-word pass, so
+every result is bit for bit the same.
 """
 
 from __future__ import annotations
@@ -42,76 +44,57 @@ def _identity(letters: tuple) -> tuple:
     return one, zero, zero, one
 
 
-def _common(x: tuple, y: tuple) -> int:
-    """How many letters x and y share from their start, by halving: the
-    slices compared add up to at most the shorter length."""
-    lo, hi = 0, min(len(x), len(y))
-    while lo < hi:  # x[:lo] == y[:lo], and they share at most hi letters
-        mid = (lo + hi + 1) // 2
-        if x[lo:mid] == y[lo:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+def _trie(chains) -> tuple:
+    """The trie of the heads of chains of letter codes: (nodes, paths).
 
-
-def _plan(chains: list) -> tuple:
-    """Share the product lists of chains of letter codes, each given in the
-    order its letters are multiplied in.
-
-    A chain's list runs from the identity through the product of its first
-    k letters for every k.  List 0 is the identity's own, and chain i's is
-    list i + 1.  The lists are built in the lexicographic order of their
-    chains, where the longest head that a chain shares with any chain before
-    it is the one it shares with the chain just before it; each list starts
-    as a copy of that head of the list built before it, so the products made
-    are the distinct nonempty heads of the chains.  Returns, per chain in
-    that order, (its list, the list to copy from, how many entries to copy,
-    the letters to multiply in after them).
+    nodes holds (letter code, parent node) per node, in the order they were
+    made; node 0 is the empty head (None), and every parent comes before
+    its child, found under the key 4 * parent + code.  paths holds, per
+    chain, the node of its head of each length from 0 up.
     """
-    steps, source, before = [], 0, ()
-    for i in sorted(range(len(chains)), key=chains.__getitem__):
-        chain = chains[i]
-        depth = _common(chain, before)
-        steps.append((i + 1, source, depth + 1, chain[depth:]))
-        source, before = i + 1, chain
-    return tuple(steps)
+    nodes, children, paths = [None], {}, []
+    for chain in chains:
+        node, path = 0, [0]
+        for code in chain:
+            child = children.setdefault(4 * node + code, len(nodes))
+            if child == len(nodes):
+                nodes.append((code, node))
+            node = child
+            path.append(node)
+        paths.append(path)
+    return nodes, paths
 
 
 class TracePlan:
     """The shared suffix and prefix products of a tuple of coded words.
 
-    Word i's suffix list runs from the identity up to its image, multiplied
-    right to left; its prefix list runs from the identity up to the product
-    of all letters but the last (the whole-word prefix is never read).  The
-    plan keeps, per word and list, which list to copy the head from, how
-    many entries to copy and which letters to multiply in after them.
-    passes adds one product per letter of every word, and images makes the
-    suffix products only.
+    suffixes is the _trie of the reversed words: a node's product is its
+    letter times its parent's, and the last node of word i's path holds its
+    image.  prefixes is the _trie of the words short of their last letter
+    (the whole-word prefix is never read): a node's product is its parent's
+    times its letter.  passes makes both products plus one per letter of
+    every word, and images makes the suffix products only.
     """
 
     def __init__(self, words):
         self.words = tuple(words)
-        self.suffixes = _plan([codes[::-1] for codes in self.words])
-        self.prefixes = _plan([codes[:-1] for codes in self.words])
+        self.suffixes = _trie(codes[::-1] for codes in self.words)
+        self.prefixes = _trie(codes[:-1] for codes in self.words)
 
-    def _suffix_lists(self, letters: tuple) -> list:
-        """The identity's list, then each word's suffix list."""
-        lists = [[_identity(letters)]] + [None] * len(self.words)
-        for i, source, keep, todo in self.suffixes:
-            chain = lists[source][:keep]
-            s11, s12, s21, s22 = chain[-1]
-            for code in todo:
-                x11, x12, x21, x22 = letters[code]
-                s11, s12, s21, s22 = (x11 * s11 + x12 * s21, x11 * s12 + x12 * s22,
-                                      x21 * s11 + x22 * s21, x21 * s12 + x22 * s22)
-                chain.append((s11, s12, s21, s22))
-            lists[i] = chain
-        return lists
+    def _suffix_products(self, letters: tuple) -> list:
+        """The product of every suffix node, by node id."""
+        products = [_identity(letters)]
+        for code, parent in self.suffixes[0][1:]:
+            x11, x12, x21, x22 = letters[code]
+            s11, s12, s21, s22 = products[parent]
+            products.append((x11 * s11 + x12 * s21, x11 * s12 + x12 * s22,
+                             x21 * s11 + x22 * s21, x21 * s12 + x22 * s22))
+        return products
 
     def images(self, letters: tuple) -> list:
         """Each word's image as an entry tuple: the suffix half of a pass."""
-        return [chain[-1] for chain in self._suffix_lists(letters)[1:]]
+        products = self._suffix_products(letters)
+        return [products[path[-1]] for path in self.suffixes[1]]
 
     def passes(self, letters: tuple) -> list:
         """(trace, the 8 partials over q, image as an entry tuple) of each word.
@@ -121,25 +104,22 @@ class TracePlan:
         adjugate, whose entries (d, -b, -c, a) turn N = S P into its
         adjugate (N22, -N12, -N21, N11) before the transpose.
         """
-        suffix_lists = self._suffix_lists(letters)
-        zero = suffix_lists[0][0][1]
-        prefix_lists = [suffix_lists[0]] + [None] * len(self.words)
-        for i, source, keep, todo in self.prefixes:
-            chain = prefix_lists[source][:keep]
-            p11, p12, p21, p22 = chain[-1]
-            for code in todo:
-                x11, x12, x21, x22 = letters[code]
-                p11, p12, p21, p22 = (p11 * x11 + p12 * x21, p11 * x12 + p12 * x22,
-                                      p21 * x11 + p22 * x21, p21 * x12 + p22 * x22)
-                chain.append((p11, p12, p21, p22))
-            prefix_lists[i] = chain
+        suffixes = self._suffix_products(letters)
+        prefixes = [suffixes[0]]
+        for code, parent in self.prefixes[0][1:]:
+            x11, x12, x21, x22 = letters[code]
+            p11, p12, p21, p22 = prefixes[parent]
+            prefixes.append((p11 * x11 + p12 * x21, p11 * x12 + p12 * x22,
+                             p21 * x11 + p22 * x21, p21 * x12 + p22 * x22))
+        zero = suffixes[0][1]
         out = []
-        for codes, suffixes, prefixes in zip(self.words, suffix_lists[1:], prefix_lists[1:]):
+        for codes, suffix_path, prefix_path in zip(self.words, self.suffixes[1], self.prefixes[1]):
             g0 = g1 = g2 = g3 = g4 = g5 = g6 = g7 = zero
             # letter i meets the suffix after it, S, and the prefix before it, P
-            after = reversed(suffixes)
+            after = map(suffixes.__getitem__, reversed(suffix_path))
             image = next(after)
-            for code, (s11, s12, s21, s22), (p11, p12, p21, p22) in zip(codes, after, prefixes):
+            before = map(prefixes.__getitem__, prefix_path)
+            for code, (s11, s12, s21, s22), (p11, p12, p21, p22) in zip(codes, after, before):
                 n11 = s11 * p11 + s12 * p21
                 n12 = s11 * p12 + s12 * p22
                 n21 = s21 * p11 + s22 * p21

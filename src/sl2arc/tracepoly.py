@@ -317,8 +317,3 @@ def trace_of_spelling(s: str) -> TracePolynomial:
 def trace_polynomial(word: Word) -> TracePolynomial:
     """Trace polynomial of a free-group word in x, y, z."""
     return trace_of_spelling(word.spelled())
-
-
-def character_of(ma, mb):
-    """Character coordinates (x, y, z) = (tr Ma, tr Mb, tr Ma Mb)."""
-    return ma.trace(), mb.trace(), (ma @ mb).trace()

@@ -562,9 +562,26 @@ def test_the_integer_pass_at_rho_n_matches_the_reference(ns):
         _check_integer_passes(n)
 
 
-def _products(steps) -> int:
-    """The 2x2 products that a pass makes for one half of a TracePlan."""
-    return sum(len(todo) for *_, todo in steps)
+def _products(trie) -> int:
+    """The 2x2 products that a pass makes for one trie of a TracePlan: one
+    per node but the empty head."""
+    nodes, _ = trie
+    return len(nodes) - 1
+
+
+def _check_trie_shape(trie, chains):
+    """Parents come before their children, path k of chain i is the node of
+    its head of length k, and equal heads share a node."""
+    nodes, paths = trie
+    assert nodes[0] is None
+    assert all(parent < node for node, (_, parent) in enumerate(nodes[1:], 1))
+    heads = {}
+    for chain, path in zip(chains, paths, strict=True):
+        assert len(path) == len(chain) + 1 and path[0] == 0
+        for k in range(1, len(path)):
+            assert nodes[path[k]] == (chain[k - 1], path[k - 1])
+            assert heads.setdefault(tuple(chain[:k]), path[k]) == path[k]
+    assert len(set(heads.values())) == len(heads) == _products(trie)
 
 
 def test_the_curve_words_share_their_products():
@@ -574,6 +591,8 @@ def test_the_curve_words_share_their_products():
     plan = _EntrySystem(make_family(1)).plan
     assert sum(map(len, plan.words)) == 30
     assert (_products(plan.suffixes), _products(plan.prefixes)) == (19, 11)
+    _check_trie_shape(plan.suffixes, [c[::-1] for c in plan.words])
+    _check_trie_shape(plan.prefixes, [c[:-1] for c in plan.words])
     plan = _EntrySystem(make_family(N_CAP)).plan
     assert _products(plan.suffixes) + _products(plan.prefixes) <= 2 * sum(map(len, plan.words))
 
@@ -597,6 +616,8 @@ def test_the_plan_matches_per_word_passes_on_random_word_sets():
         plan = TracePlan(codes)
         assert _products(plan.suffixes) == _distinct([c[::-1] for c in codes])
         assert _products(plan.prefixes) == _distinct([c[:-1] for c in codes])
+        _check_trie_shape(plan.suffixes, [c[::-1] for c in codes])
+        _check_trie_shape(plan.prefixes, [c[:-1] for c in codes])
         q = [rng.choice(values) if rng.random() < 0.3 else rng.uniform(-3, 3) for _ in range(8)]
         named = _reference_letters(q)
         coded = tuple(named[ch] for ch in "aAbB")

@@ -116,7 +116,7 @@ def test_exact_report_numbers_are_fractions(n):
 @pytest.mark.parametrize("n", list(range(1, 13)) + [50])
 def test_commutator_hessian_equals_the_longitude_polynomials_hessian(n):
     fam = make_family(n)
-    _, gradients, traces = _exact_curve_data(fam)
+    _, gradients, traces, _ = _exact_curve_data(fam)
     hess = _longitude_hessian(fam, gradients, traces)
     assert hess == hessian_at(trace_polynomial(fam.longitude), fam.chi)
     assert all(type(x) is Fraction for row in hess for x in row)
@@ -149,7 +149,7 @@ def test_a_longitude_whose_fricke_partials_do_not_vanish_is_refused():
     # of k, where the first-order data cannot give the Hessian
     fam = make_family(1)
     bad = dataclasses.replace(fam, l1=fam.l2)
-    _, gradients, traces = _exact_curve_data(bad)
+    _, gradients, traces, _ = _exact_curve_data(bad)
     with pytest.raises(ValueError, match="Hessian"):
         _longitude_hessian(bad, gradients, traces)
 
@@ -174,12 +174,14 @@ _CURVE_WORDS = ("m1", "m2", "l1", "l2", "m1l1", "m2l2")
 @pytest.mark.parametrize("n", range(1, 51))
 def test_matrix_route_gradients_match_the_trace_polynomials(n):
     fam = make_family(n)
-    jac, gradients, traces = _exact_curve_data(fam)
+    jac, gradients, traces, images = _exact_curve_data(fam)
     for name in _CURVE_WORDS:
         word = getattr(fam, name)
         poly = trace_polynomial(word)
         assert gradients[word] == gradient_at(poly, fam.chi), name
         assert traces[word] == poly.evaluate(*fam.chi) == fam.image(word).trace(), name
+        assert images[word] == fam.image(word) == image_closed_forms(n)[name], name
+        assert all(type(x) is int for x in images[word]), name
     assert jac == tuple(gradient_at(eq, fam.chi) for eq in fam.curve_eqs)
     assert all(type(x) is Fraction for row in jac for x in row)
 
@@ -187,8 +189,9 @@ def test_matrix_route_gradients_match_the_trace_polynomials(n):
 @pytest.mark.parametrize("n", [1000, 5000, 10_000])
 def test_matrix_route_matches_the_closed_forms_far_out(n):
     fam = make_family(n)
-    jac, gradients, traces = _exact_curve_data(fam)
+    jac, gradients, traces, images = _exact_curve_data(fam)
     assert jac == jacobian_closed_form(n) == curve_jacobian(fam)
+    assert {name: images[getattr(fam, name)] for name in _CURVE_WORDS} == image_closed_forms(n)
     assert gradients[fam.m2] == gradient_m2_closed_form(n)
     assert _longitude_hessian(fam, gradients, traces) == hessian_closed_form(n)
     analysis = analyze_curve(fam)
@@ -306,7 +309,15 @@ def test_verify_lemma_range_is_exact_for_all_small_n():
         assert verify_lemma(n).all_pass, n
 
 
-@pytest.mark.parametrize("n", list(range(1, 51)) + [60, 80, 100])
+_FLOAT_HESSIAN_REACH = pytest.mark.xfail(strict=True, reason=(
+    "at n = 207 the float report fails hessian_nonzero_on_kernel alone: the "
+    "value 12386304.0 is 7.0e-15 of the sum 1.78e21 of |k_i H_ij k_j|, below "
+    "the 64 u tolerance, so the comparator's scale for the Hessian on the "
+    "kernel is too coarse from here on (ROADMAP item 4, a float error budget)"))
+
+
+@pytest.mark.parametrize("n", list(range(1, 51)) + [60, 80, 100, 206,
+                                                    pytest.param(207, marks=_FLOAT_HESSIAN_REACH)])
 def test_float_report_mirrors_exact_report(n):
     exact, approx = verify_lemma(n), verify_lemma(n, exact=False)
     assert [a.name for a in approx.assertions] == [a.name for a in exact.assertions]

@@ -15,7 +15,6 @@ from sl2arc.tracepoly import (
     X,
     Y,
     Z,
-    character_of,
     trace_of_spelling,
     trace_polynomial,
 )
@@ -94,7 +93,7 @@ def test_matrix_oracle_randomized():
     for _ in range(300):
         ma, mb = random_unimodular(rng), random_unimodular(rng)
         w = random_word(rng, 12)
-        lhs = trace_polynomial(w).evaluate(*character_of(ma, mb))
+        lhs = trace_polynomial(w).evaluate(ma.trace(), mb.trace(), (ma @ mb).trace())
         rhs = evaluate(w, ma, mb).trace()
         assert lhs == rhs, w.spelled()
 
@@ -144,7 +143,7 @@ def test_long_word_compiles():
     p = trace_polynomial(w)
     ma = Mat2(-1, 1, 0, -1)
     mb = Mat2(2 * n + 1, n, 2, 1)
-    assert p.evaluate(*character_of(ma, mb)) == evaluate(w, ma, mb).trace()
+    assert p.evaluate(ma.trace(), mb.trace(), (ma @ mb).trace()) == evaluate(w, ma, mb).trace()
     rng = random.Random(60)
     for n in (1, 7, 50, 100):
         fam = make_family(n)
@@ -152,7 +151,8 @@ def test_long_word_compiles():
         pairs = [(fam.rho_a, fam.rho_b)] + [(random_unimodular(rng), random_unimodular(rng))
                                             for _ in range(3)]
         for ma, mb in pairs:
-            assert p.evaluate(*character_of(ma, mb)) == evaluate(fam.longitude, ma, mb).trace()
+            chi = ma.trace(), mb.trace(), (ma @ mb).trace()
+            assert p.evaluate(*chi) == evaluate(fam.longitude, ma, mb).trace()
 
 
 def _reduced_spellings(max_len: int) -> list:
@@ -197,7 +197,7 @@ def test_a_random_64_letter_word_compiles_in_two_seconds(monkeypatch):
     word = parse_word(spelling)
     for _ in range(4):
         ma, mb = random_unimodular(rng), random_unimodular(rng)
-        assert p.evaluate(*character_of(ma, mb)) == evaluate(word, ma, mb).trace()
+        assert p.evaluate(ma.trace(), mb.trace(), (ma @ mb).trace()) == evaluate(word, ma, mb).trace()
 
 
 def test_unknown_letter_is_rejected():

@@ -13,6 +13,7 @@ from .sl2 import (
     frobenius_distance,
     same_trace_conjugacy,
     solve_conjugator,
+    solve_conjugators,
     translation_number_by_iteration,
     translation_numbers_along_arc,
 )

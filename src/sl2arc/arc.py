@@ -62,7 +62,12 @@ update also solves it for e_tau, which gives the next tangent with its sign
 fixed by tau . t = 1.  The corrector starts at the Euler predictor, so one
 update reaches the tolerance and a step costs one fused evaluation, one
 lstsq and one value-only pass (F and the word images) to check the update,
-and no SVD.
+and no SVD.  The corrected points become samples in blocks of _BLOCK = 64:
+the joint conjugators of a block come from one stacked SVD
+(sl2.solve_conjugators), and the termination checks then run over the block
+in step order, so an arc ends on the same sample as with one solve per
+step, and the corrector steps after that sample (at most _BLOCK - 1) are
+dropped.
 The initial orientation is probed one corrector step on each side: the
 direction flag +1 denotes the side whose joint conjugator has determinant
 +1 (a real stable letter exists, the arc glues to an HNN extension, and
@@ -86,7 +91,7 @@ from operator import itemgetter, sub
 import numpy as np
 
 from .pretzel import FamilyInstance, analyze_curve, curve_jacobian
-from .sl2 import ConjugatorResult, Mat2, exact_rank, relation_residual, solve_conjugator
+from .sl2 import ConjugatorResult, Mat2, _max_abs, exact_rank, relation_residual, solve_conjugators
 from .tracepass import _letters
 
 __all__ = [
@@ -171,19 +176,6 @@ def _constraints(q: tuple, traces) -> tuple:
     t1, t2, t3, t4, t5, t6 = traces
     return (a11 * a22 - a12 * a21 - 1.0, b11 * b22 - b12 * b21 - 1.0,
             t1 - t2, t3 - t4, t5 - t6)
-
-
-def _max_abs(values) -> float:
-    """The largest |x|, or the first NaN (Python's max skips a NaN that is
-    not its first argument, which would accept a poisoned step)."""
-    top = 0.0
-    for x in values:
-        x = abs(x)
-        if x > top:
-            top = x
-        elif x != x:
-            return x
-    return top
 
 
 class _EntrySystem:
@@ -321,6 +313,7 @@ NEWTON_MAX_ITER = 25
 _RANK_FLOOR = 1e-7      # sigma_4 / sigma_1 below this: constraint rank < 4
 _KERNEL_CEIL = 1e-9     # sigma_5 / sigma_1 above this: kernel is not 2-dim
 _CHAR_SPEED_FLOOR = 0.05
+_BLOCK = 64             # corrector steps whose conjugators share one stacked solve
 
 
 def _select_pins(rows: np.ndarray, q0: tuple) -> tuple:
@@ -368,29 +361,34 @@ def _character_rows(jacobian: tuple, q0: tuple, jac0: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _sample_at(t: float, q: tuple, residual: float, images: tuple) -> RepSample:
-    a11, a12, a21, a22, b11, b12, b21, b22 = q
-    m1, m2, l1, l2 = map(Mat2._make, images)
-    conj = solve_conjugator([(m1, m2), (l1, l2)])
-    longitude = m1 @ l1 @ m1.inverse() @ l1.inverse()
-    if conj.det_sign == 1 and conj.candidate is not None:
-        meridian = abs(conj.candidate.trace())
-    elif conj.det_sign == 0:
-        meridian = math.inf
-    else:
-        meridian = math.nan
-    return RepSample(
-        t=t,
-        ma=Mat2(a11, a12, a21, a22),
-        mb=Mat2(b11, b12, b21, b22),
-        character=(a11 + a22, b11 + b22, a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22),
-        residual=residual,
-        conjugator=conj,
-        longitude_trace=longitude.trace(),
-        meridian_trace=meridian,
-        word_images=(m1, m2, l1, l2),
-        longitude=longitude,
-    )
+def _samples_at(points) -> list:
+    """The RepSamples at corrected points (t, q, residual, images), with the
+    joint conjugators of all points solved in one stack."""
+    images = [tuple(map(Mat2._make, point[3])) for point in points]
+    conjugators = solve_conjugators([[(m1, m2), (l1, l2)] for m1, m2, l1, l2 in images])
+    samples = []
+    for (t, q, residual, _), (m1, m2, l1, l2), conj in zip(points, images, conjugators):
+        a11, a12, a21, a22, b11, b12, b21, b22 = q
+        longitude = m1 @ l1 @ m1.inverse() @ l1.inverse()
+        if conj.det_sign == 1 and conj.candidate is not None:
+            meridian = abs(conj.candidate.trace())
+        elif conj.det_sign == 0:
+            meridian = math.inf
+        else:
+            meridian = math.nan
+        samples.append(RepSample(
+            t=t,
+            ma=Mat2(a11, a12, a21, a22),
+            mb=Mat2(b11, b12, b21, b22),
+            character=(a11 + a22, b11 + b22, a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22),
+            residual=residual,
+            conjugator=conj,
+            longitude_trace=longitude.trace(),
+            meridian_trace=meridian,
+            word_images=(m1, m2, l1, l2),
+            longitude=longitude,
+        ))
+    return samples
 
 
 def _probe_det_sign(reduced: _ReducedSystem, q0: tuple,
@@ -406,7 +404,7 @@ def _probe_det_sign(reduced: _ReducedSystem, q0: tuple,
     q, res, images, _ = reduced.newton(reduced.reduce(q0) + h * v0, v0, NEWTON_TOL, NEWTON_MAX_ITER)
     if not res <= NEWTON_TOL:
         return 0
-    return _sample_at(h, q, res, images).det_sign
+    return _samples_at([(h, q, res, images)])[0].det_sign
 
 
 def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
@@ -460,31 +458,42 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     if direction < 0:
         v0 = -v0
 
-    samples = [_sample_at(0.0, q0, 0.0, images0)]
-    reason = "maxSteps"
+    samples = _samples_at([(0.0, q0, 0.0, images0)])
+    reason = None
     q, v = q0, v0
     t = 0.0
+    step = 0
     base_det_sign = None
-    for step in range(1, max_steps + 1):
-        q, res, images, v = reduced.newton(reduced.reduce(q) + step_size * v, v,
-                                           NEWTON_TOL, NEWTON_MAX_ITER)
-        if not res <= NEWTON_TOL:
-            if step == 1:
-                raise ContinuationError(
-                    f"Newton diverged at the first step (last residual {res:.3e})")
-            reason = "newtonFailure"
-            break
-        t += step_size
-        sample = _sample_at(t, q, res, images)
-        samples.append(sample)
-        if base_det_sign is None:
-            base_det_sign = sample.det_sign
-        elif sample.det_sign != base_det_sign:
-            reason = "classChange"
-            break
-        if math.isfinite(sample.meridian_trace) and sample.meridian_trace > trace_ceiling:
-            reason = "meridianTraceCeiling"
-            break
+    while reason is None:
+        points = []
+        while len(points) < _BLOCK:
+            if step == max_steps:
+                reason = "maxSteps"
+                break
+            step += 1
+            q, res, images, v = reduced.newton(reduced.reduce(q) + step_size * v, v,
+                                               NEWTON_TOL, NEWTON_MAX_ITER)
+            if not res <= NEWTON_TOL:
+                if step == 1:
+                    raise ContinuationError(
+                        f"Newton diverged at the first step (last residual {res:.3e})")
+                reason = "newtonFailure"
+                break
+            t += step_size
+            points.append((t, q, res, images))
+        # The block's samples are checked in step order: the first one that
+        # ends the arc outranks a later Newton failure or the step limit, and
+        # the corrected points after it are dropped.
+        for sample in _samples_at(points):
+            samples.append(sample)
+            if base_det_sign is None:
+                base_det_sign = sample.det_sign
+            elif sample.det_sign != base_det_sign:
+                reason = "classChange"
+                break
+            if math.isfinite(sample.meridian_trace) and sample.meridian_trace > trace_ceiling:
+                reason = "meridianTraceCeiling"
+                break
     return Arc(fam, tuple(samples), reason, direction, step_size, pins)
 
 
@@ -525,10 +534,10 @@ def glue_hnn(sample: RepSample, fam: FamilyInstance) -> GluedRepresentation:
         t_letter = t_letter.neg()
     rel = conj.residual
     comm = relation_residual(t_letter, [(sample.longitude, sample.longitude)])
-    if rel > GLUE_TOL:
+    if not rel <= GLUE_TOL:
         raise GluingError(
             f"gluing relation residual {rel:.3e} exceeds {GLUE_TOL:.0e}")
-    if comm > GLUE_TOL:
+    if not comm <= GLUE_TOL:
         raise GluingError(
             f"stable letter fails to commute with the longitude ({comm:.3e})")
     return GluedRepresentation(t_letter, rel, comm)

@@ -169,7 +169,7 @@ def locus_points(arc: Arc) -> LocusArc:
         if sample.det_sign != 1:
             continue
         t_letter = glue_hnn(sample, arc.family).t_letter
-        if abs(t_letter.trace()) <= 2.0 + HYPERBOLIC_MARGIN:
+        if not abs(t_letter.trace()) > 2.0 + HYPERBOLIC_MARGIN:
             raise LocusError(
                 f"meridian is not hyperbolic at t={sample.t:.6g} "
                 f"(|trace| = {abs(t_letter.trace()):.6g})")

@@ -9,7 +9,7 @@ product, and * is not defined.
 
 Exact and float.  The exact family verifier's operations keep exact input
 exact: Mat2 arithmetic, classify, same_trace_conjugacy and the exact_rref
-family.  Everything numerical is float only: solve_conjugator, eigen_data
+family.  Everything numerical is float only: solve_conjugators, eigen_data
 and the translation-number readers round exact input to float once on entry
 and run on float Mat2s as given.
 
@@ -350,30 +350,49 @@ class ConjugatorResult:
         return {1: "+1", -1: "-1", 0: "singular"}[self.det_sign]
 
 
-def _intertwiner_rows(pairs):
-    """Rows of the linear system (G A - B G) = 0 in g = (g11, g12, g21, g22),
-    four per pair, one for each entry (i, j) of G A - B G.
+# Entry (i, j) of G A - B G, row 2i + j, has A terms a_lj at g_il (column
+# 2i + l) and B terms b_ik at g_kj (column 2k + j); the tables give, per row
+# and column, the index of that entry in (x11, x12, x21, x22, 0).
+_A_TERMS = np.array(((0, 2, 4, 4), (1, 3, 4, 4), (4, 4, 0, 2), (4, 4, 1, 3)))
+_B_TERMS = np.array(((0, 4, 1, 4), (4, 0, 4, 1), (2, 4, 3, 4), (4, 2, 4, 3)))
 
-    Each entry is summed from 0, the A terms before the B terms, so float
-    rows keep the sign of an exact zero.
+
+def _intertwiner_rows(pair_lists) -> np.ndarray:
+    """Rows of the linear systems (G A - B G) = 0 in g = (g11, g12, g21, g22)
+    of a stack of K float pair lists with P pairs each, as a (K, 4P, 4)
+    array: four rows per pair, one for each entry (i, j) of G A - B G.
+
+    Each entry is 0 plus its A terms minus its B terms, so the rows keep the
+    sign of an exact zero.
     """
-    rows = []
-    for a, b in pairs:
-        a11, a12, a21, a22 = a.entries()
-        b11, b12, b21, b22 = b.entries()
-        rows += ((0 + a11 - b11, 0 + a21, 0 - b12, 0),
-                 (0 + a12, 0 + a22 - b11, 0, 0 - b12),
-                 (0 - b21, 0, 0 + a11 - b22, 0 + a21),
-                 (0, 0 - b21, 0 + a12, 0 + a22 - b22))
-    return rows
+    k, p = len(pair_lists), len(pair_lists[0])
+    entries = np.zeros((k, p, 2, 5))
+    entries[..., :4] = pair_lists
+    rows = (0.0 + entries[:, :, 0, _A_TERMS]) - entries[:, :, 1, _B_TERMS]
+    return rows.reshape(k, 4 * p, 4)
+
+
+def _max_abs(values) -> float:
+    """The largest |x|, or the first NaN (Python's max skips a NaN that is
+    not its first argument, which would accept a poisoned value)."""
+    top = 0.0
+    for x in values:
+        x = abs(x)
+        if x > top:
+            top = x
+        elif x != x:
+            return x
+    return top
 
 
 def relation_residual(g: Mat2, pairs) -> float:
     """max over pairs of ||G A - B G||_F / max(1, ||G||_F max(||A||_F, ||B||_F)).
 
     Relative to the operator scale, so that large letters and large images
-    are not mistaken for failed relations.
+    are not mistaken for failed relations.  A NaN in any pair reads NaN.
     """
+    if not pairs:
+        raise ValueError("at least one pair is required")
     g11, g12, g21, g22 = g.entries()
     g_norm = _frobenius(g11, g12, g21, g22)
     worst = []
@@ -386,23 +405,40 @@ def relation_residual(g: Mat2, pairs) -> float:
                          (g21 * a12 + g22 * a22) - (b21 * g12 + b22 * g22))
         scale = max(_frobenius(a11, a12, a21, a22), _frobenius(b11, b12, b21, b22))
         worst.append(gap / max(1.0, g_norm * scale))
-    return max(worst)
+    return _max_abs(worst)
 
 
 def solve_conjugator(pairs) -> ConjugatorResult:
-    """Solve G A_i = B_i G jointly over all pairs, in floats.
+    """Solve G A_i = B_i G jointly over all pairs, in floats: the one-list
+    stack of solve_conjugators."""
+    return solve_conjugators([pairs])[0]
 
-    Exact pairs are rounded to float once on entry.  The solution space is
-    the nullspace of the intertwiner rows under an SVD with threshold
-    NULLSPACE_TOL times the largest singular value.  The candidate is scaled
+
+def solve_conjugators(pair_lists) -> list:
+    """Solve G A_i = B_i G jointly over the pairs of each list of a stack, in
+    floats, with one SVD for the whole stack.
+
+    Every list holds the same number of pairs, at least one.  Exact pairs
+    are rounded to float once on entry.  The solution space of a list is the
+    nullspace of its intertwiner rows under an SVD with threshold
+    NULLSPACE_TOL times its largest singular value.  The candidate is scaled
     to |det| = 1 when an invertible solution exists; when the whole solution
     space consists of singular matrices the result reports det_sign = 0 and
     an unscaled witness.
     """
-    if not pairs:
-        raise ValueError("at least one pair is required")
-    pairs = [(a.to_float() if a.exact else a, b.to_float() if b.exact else b) for a, b in pairs]
-    _, sig, vt = np.linalg.svd(np.array(_intertwiner_rows(pairs), dtype=float))
+    if not pair_lists:
+        return []
+    lists = [[(a.to_float() if a.exact else a, b.to_float() if b.exact else b) for a, b in pairs]
+             for pairs in pair_lists]
+    if not lists[0] or any(len(pairs) != len(lists[0]) for pairs in lists):
+        raise ValueError("every list needs the same number of pairs, at least one")
+    _, sigs, vts = np.linalg.svd(_intertwiner_rows(lists), full_matrices=False)
+    return [_conjugator(pairs, sig, vt) for pairs, sig, vt in zip(lists, sigs, vts)]
+
+
+def _conjugator(pairs, sig: np.ndarray, vt: np.ndarray) -> ConjugatorResult:
+    """The result for one list of float pairs from the singular values and
+    right singular vectors of its intertwiner rows."""
     cutoff = NULLSPACE_TOL * (sig[0] if sig[0] > 0 else 1.0)
     basis = [Mat2(*vt[i].tolist()) for i in range(4) if sig[i] <= cutoff]
     dim = len(basis)

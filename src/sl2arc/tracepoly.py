@@ -130,13 +130,6 @@ class TracePolynomial:
                 out[tuple(nk)] = c * key[i]
         return TracePolynomial(out)
 
-    def gradient(self):
-        return tuple(self.derivative(i) for i in range(3))
-
-    def hessian(self):
-        grads = self.gradient()
-        return tuple(tuple(g.derivative(j) for j in range(3)) for g in grads)
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -629,15 +629,53 @@ def test_the_plan_matches_per_word_passes_on_random_word_sets():
             assert _bits(image) == _bits(image_only) == _bits(want_image)
 
 
+def _same_samples(got, want) -> bool:
+    """Equal sample sequences, bit for bit: repr writes every float exactly,
+    with the sign of a zero and NaN included."""
+    return list(map(repr, got)) == list(map(repr, want))
+
+
+def _newton_steps(monkeypatch, record: list):
+    """Wrap _ReducedSystem.newton to append the count of Jacobian
+    evaluations made so far after each call; returns that running count."""
+    evaluations = [0]
+    evaluate_entries, newton = _EntrySystem.evaluate, _ReducedSystem.newton
+
+    def counted_evaluate(self, q):
+        evaluations[0] += 1
+        return evaluate_entries(self, q)
+
+    def counted_newton(self, *args):
+        out = newton(self, *args)
+        record.append(evaluations[0])
+        return out
+
+    monkeypatch.setattr(_EntrySystem, "evaluate", counted_evaluate)
+    monkeypatch.setattr(_ReducedSystem, "newton", counted_newton)
+    return evaluations
+
+
 @pytest.mark.parametrize("entry", range(5), ids=lambda k: f"F{k}")
-@pytest.mark.parametrize("poisoned_after, outcome", [(40, "newtonFailure"), (3, "first step")])
+@pytest.mark.parametrize("poisoned_after, outcome", [
+    (40, "newtonFailure"), (80, "newtonFailure"), (3, "first step")])
 def test_a_non_finite_residual_ends_the_arc(poisoned_after, outcome, entry, fam1, monkeypatch,
                                            capfd, tmp_path):
     # From Jacobian evaluation poisoned_after + 1 on, F is NaN in one entry
     # and 0 in the others.  The base point and the two orientation probes
-    # take three evaluations, so 3 poisons the first step and 40 the
-    # thirty-eighth.  A max over |F| that skips a NaN after its first
-    # argument would read the poisoned F as converged.
+    # take three evaluations, so 3 poisons the first step, 40 a step of the
+    # first block of samples and 80 one past it.  A max over |F| that skips
+    # a NaN after its first argument would read the poisoned F as converged.
+    with monkeypatch.context() as counting:
+        ends = []
+        evaluations = _newton_steps(counting, ends)
+        continue_arc(fam1, step_size=1e-3, max_steps=0, direction=1)
+        probes = len(ends)
+        ends.clear()
+        evaluations[0] = 0
+        free = continue_arc(fam1, step_size=1e-3, max_steps=100, direction=1)
+    # the step whose evaluations reach the poison fails; the steps before it
+    # are the arc
+    failing = next(k for k, end in enumerate(ends[probes:], 1) if end > poisoned_after)
     evaluate_entries = _EntrySystem.evaluate
     calls = [0]
 
@@ -653,7 +691,8 @@ def test_a_non_finite_residual_ends_the_arc(poisoned_after, outcome, entry, fam1
     if outcome == "newtonFailure":
         arc = continue_arc(fam1, step_size=1e-3, max_steps=100, direction=1)
         assert arc.termination_reason == "newtonFailure"
-        assert 2 < len(arc.samples) < 101
+        assert len(arc.samples) == failing
+        assert _same_samples(arc.samples, free.samples[:failing])
         assert all(s.residual <= NEWTON_TOL for s in arc.samples)
         calls[0] = 0
         assert main(argv) == 0
@@ -661,6 +700,7 @@ def test_a_non_finite_residual_ends_the_arc(poisoned_after, outcome, entry, fam1
         assert out.endswith(" termination=newtonFailure\n")
         assert err == ""
     else:
+        assert failing == 1
         with pytest.raises(ContinuationError, match="first step"):
             continue_arc(fam1, step_size=1e-3, max_steps=100, direction=1)
         calls[0] = 0
@@ -669,6 +709,66 @@ def test_a_non_finite_residual_ends_the_arc(poisoned_after, outcome, entry, fam1
         assert out == ""
         assert err.startswith("error: Newton diverged at the first step (last residual nan)")
         assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def free_arc1(fam1):
+    """The n = 1 arc without a trace ceiling, 200 steps."""
+    return continue_arc(fam1, step_size=1e-3, max_steps=200, direction=1, trace_ceiling=math.inf)
+
+
+@pytest.mark.parametrize("max_steps", [0, 1, 63, 64, 65])
+def test_a_shorter_arc_is_a_prefix_of_a_longer_one(max_steps, fam1, free_arc1):
+    arc = continue_arc(fam1, step_size=1e-3, max_steps=max_steps, direction=1,
+                       trace_ceiling=math.inf)
+    assert arc.termination_reason == "maxSteps"
+    assert _same_samples(arc.samples, free_arc1.samples[:max_steps + 1])
+
+
+def _rising_meridian(samples_at):
+    """_samples_at with the meridian trace replaced by 2 + t, which rises
+    along the arc (the true one falls over its first few units of t)."""
+    def rising(points):
+        return [dataclasses.replace(s, meridian_trace=2.0 + s.t) for s in samples_at(points)]
+    return rising
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 130])
+def test_the_ceiling_stops_the_arc_at_the_first_sample_above_it(k, fam1, monkeypatch):
+    # The corrector runs ahead of the checks by at most one block of
+    # samples, and the samples after the first one above the ceiling are
+    # dropped.
+    monkeypatch.setattr(arc_module, "_samples_at", _rising_meridian(arc_module._samples_at))
+    free = continue_arc(fam1, step_size=1e-3, max_steps=200, direction=1, trace_ceiling=math.inf)
+    ceiling = math.nextafter(free.samples[k].meridian_trace, 0.0)
+    ends = []
+    _newton_steps(monkeypatch, ends)
+    continue_arc(fam1, step_size=1e-3, max_steps=0, direction=1)
+    probes = len(ends)
+    arc = continue_arc(fam1, step_size=1e-3, max_steps=200, direction=1, trace_ceiling=ceiling)
+    assert arc.termination_reason == "meridianTraceCeiling"
+    assert _same_samples(arc.samples, free.samples[:k + 1])
+    assert k <= len(ends) - 2 * probes <= k + 63
+
+
+def test_svd_calls_grow_by_one_per_block_of_steps(fam1, monkeypatch):
+    # one stacked conjugator solve per block of corrector steps, not one
+    # per sample
+    svd = np.linalg.svd
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    totals = []
+    for steps in (200, 1000):
+        calls[0] = 0
+        arc = continue_arc(fam1, step_size=1e-3, max_steps=steps, direction=1)
+        assert arc.termination_reason == "maxSteps"
+        totals.append(calls[0])
+    assert 0 <= totals[1] - totals[0] <= math.ceil(800 / 64)
 
 
 def test_samples_store_their_word_images(fam1, arc1):
@@ -707,6 +807,19 @@ def test_glue_hnn_rejects_negative_class(fam1):
     arc = continue_arc(fam1, step_size=1e-3, max_steps=5, direction=-1)
     with pytest.raises(GluingError):
         glue_hnn(arc.samples[1], fam1)
+
+
+@pytest.mark.parametrize("residual", ["relation", "commutation"])
+def test_glue_hnn_rejects_a_nan_residual(residual, fam1, arc1):
+    s = arc1.samples[100]
+    if residual == "relation":
+        s = dataclasses.replace(s, conjugator=dataclasses.replace(s.conjugator, residual=math.nan))
+        match = "relation residual"
+    else:
+        s = dataclasses.replace(s, longitude=Mat2(math.nan, 0.0, 0.0, 1.0))
+        match = "commute"
+    with pytest.raises(GluingError, match=match):
+        glue_hnn(s, fam1)
 
 
 def test_rank_gate_raises_for_degenerate_input():

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from sl2arc.arc import Arc, GluingError, RepSample, continue_arc
+import sl2arc.locus as locus_module
+from sl2arc.arc import Arc, GluedRepresentation, GluingError, RepSample, continue_arc
 from sl2arc.locus import (
     CSV_HEADER,
     LocusError,
@@ -215,6 +216,14 @@ def test_locus_rejects_non_hyperbolic_meridian(fam1):
     arc = _fake_arc(fam1, Mat2(c, -s, s, c), ident, ident)
     with pytest.raises(LocusError, match="hyperbolic"):
         locus_points(arc)
+
+
+def test_locus_rejects_a_nan_meridian_trace(arc1, monkeypatch):
+    letter = Mat2(math.nan, 0.0, 0.0, math.nan)
+    monkeypatch.setattr(locus_module, "glue_hnn",
+                        lambda sample, fam: GluedRepresentation(letter, 0.0, 0.0))
+    with pytest.raises(LocusError, match="hyperbolic"):
+        locus_points(arc1)
 
 
 def test_locus_rejects_non_commuting_pair(fam1, arc1):

@@ -77,8 +77,9 @@ def test_make_family_rejects_bad_n():
 def _formal_partials(poly, point):
     """Gradient and Hessian by evaluating the derivative polynomials in Fractions."""
     pt = tuple(Fraction(c) for c in point)
-    grad = tuple(Fraction(g.evaluate(*pt)) for g in poly.gradient())
-    hess = tuple(tuple(Fraction(h.evaluate(*pt)) for h in row) for row in poly.hessian())
+    grads = [poly.derivative(i) for i in range(3)]
+    grad = tuple(Fraction(g.evaluate(*pt)) for g in grads)
+    hess = tuple(tuple(Fraction(g.derivative(j).evaluate(*pt)) for j in range(3)) for g in grads)
     return grad, hess
 
 

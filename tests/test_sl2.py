@@ -28,6 +28,7 @@ from sl2arc.sl2 import (
     rotation,
     same_trace_conjugacy,
     solve_conjugator,
+    solve_conjugators,
     translation_number_by_iteration,
     translation_numbers_along_arc,
 )
@@ -347,19 +348,24 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _reference_stacked_rows(pair_lists):
+    return np.array([_reference_intertwiner_rows(pairs) for pairs in pair_lists], dtype=float)
+
+
 def _check_against_references(pair_lists, monkeypatch):
     """Rows, residuals and whole solve_conjugator results of the entry forms
-    equal those of the Mat2 forms, with exact results equal as Fractions."""
+    equal those of the Mat2 forms.  The solver rounds exact pairs to float
+    on entry, so rows are compared on the rounded pairs."""
     results = [solve_conjugator(pairs) for pairs in pair_lists]
     with monkeypatch.context() as patched:
-        patched.setattr(sl2, "_intertwiner_rows", _reference_intertwiner_rows)
+        patched.setattr(sl2, "_intertwiner_rows", _reference_stacked_rows)
         patched.setattr(sl2, "relation_residual", _reference_relation_residual)
         references = [solve_conjugator(pairs) for pairs in pair_lists]
     for pairs, got, want in zip(pair_lists, results, references):
-        rows, want_rows = _intertwiner_rows(pairs), _reference_intertwiner_rows(pairs)
-        assert [list(r) for r in rows] == want_rows
-        if not all(a.exact and b.exact for a, b in pairs):
-            assert _bits(rows) == _bits(want_rows)
+        rounded = [(a.to_float(), b.to_float()) for a, b in pairs]
+        rows = _intertwiner_rows([rounded])
+        assert rows.shape == (1, 4 * len(pairs), 4)
+        assert _bits(rows) == _bits(_reference_intertwiner_rows(rounded))
         assert got == want
         if got.candidate is not None:
             assert _bits(got.candidate.entries()) == _bits(want.candidate.entries())
@@ -413,6 +419,113 @@ def test_exact_pairs_match_the_mat2_forms(monkeypatch):
     assert {r.det_sign for r in results} == {-1, 0, 1}
     assert {r.nullspace_dim for r in results} >= {1, 2}
     assert not any(r.candidate.exact for r in results if r.candidate is not None)
+
+
+def _result_bits(result) -> tuple:
+    """Every field of a ConjugatorResult, its floats as IEEE-754 bytes."""
+    entries = () if result.candidate is None else result.candidate.entries()
+    return (result.nullspace_dim, result.det_sign, result.candidate is None,
+            _bits(entries + (result.residual,)))
+
+
+def _check_stacked_equals_single(pair_lists) -> list:
+    """solve_conjugators on the stack equals solve_conjugator on each list,
+    bit for bit."""
+    stacked = solve_conjugators(pair_lists)
+    assert len(stacked) == len(pair_lists)
+    for pairs, got in zip(pair_lists, stacked):
+        assert _result_bits(got) == _result_bits(solve_conjugator(pairs))
+    return stacked
+
+
+@pytest.fixture(scope="module")
+def arcs300():
+    """300-step arcs of both directions, keyed by (n, direction)."""
+    return {(n, d): continue_arc(make_family(n), step_size=1e-3, max_steps=300, direction=d)
+            for n in (1, 3, 8) for d in (1, -1)}
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_stacked_solves_equal_single_solves_on_arc_samples(n, direction, arcs300):
+    samples = arcs300[n, direction].samples
+    assert len(samples) > 64
+    stacked = _check_stacked_equals_single(
+        [[s.word_images[:2], s.word_images[2:]] for s in samples])
+    # the arc solved its samples in blocks: the stored results agree too
+    for s, got in zip(samples, stacked):
+        assert _result_bits(s.conjugator) == _result_bits(got)
+
+
+def _synthetic_pair_lists() -> list:
+    """Two-pair lists with nullspace dimension 0, 1 and 2, with determinant
+    classes +1, -1 and singular, given exactly and in floats."""
+    rng = random.Random(83)
+    flip = Mat2(1, 0, 0, -1)
+    a, c = Mat2(2, 1, 1, 1), Mat2(1, 1, -1, 0)
+    lists = [
+        [(a, Mat2(3, 1, 2, 1)), (c, c)],  # traces 3 and 4: no intertwiner
+        [(a, a), (a @ a, a @ a)],  # the centralizer of a: dimension 2
+        [(Mat2(1, 1, 0, 1), Mat2(1, 1, 0, 1)), (Mat2(1, 2, 0, 1), Mat2(1, -2, 0, 1))],
+    ]
+    for _ in range(6):
+        g = random_unimodular(rng)
+        for h in (g, g @ flip):
+            exact = [(x, h @ x @ h.inverse()) for x in (a, c)]
+            lists.append(exact)
+            lists.append([(x.to_float(), y.to_float()) for x, y in exact])
+    return lists
+
+
+def test_stacked_solves_equal_single_solves_on_mixed_stacks():
+    lists = _synthetic_pair_lists()
+    results = _check_stacked_equals_single(lists)
+    assert {r.nullspace_dim for r in results} == {0, 1, 2}
+    assert {r.det_sign for r in results} == {-1, 0, 1}
+    assert any(all(x.exact and y.exact for x, y in pairs) for pairs in lists)
+    rng = random.Random(84)
+    for size in (1, 2, 3, 5, 8):
+        for _ in range(4):
+            _check_stacked_equals_single(rng.sample(lists, size))
+    _check_stacked_equals_single([pairs[:1] for pairs in lists])
+    _check_stacked_equals_single([pairs[1:] for pairs in lists])
+
+
+def test_a_stack_holds_lists_of_one_length():
+    a = Mat2(2, 1, 1, 1)
+    assert solve_conjugators([]) == []
+    with pytest.raises(ValueError):
+        solve_conjugators([[(a, a)], [(a, a), (a, a)]])
+    with pytest.raises(ValueError):
+        solve_conjugator([])
+
+
+def test_relation_residual_needs_a_pair():
+    with pytest.raises(ValueError):
+        relation_residual(Mat2.identity(exact=False), [])
+
+
+@pytest.mark.parametrize("nan_first", [False, True])
+def test_relation_residual_reads_a_nan_in_either_pair_order(nan_first):
+    # inf - inf in the second pair: Python's max would skip that NaN
+    ident = Mat2.identity(exact=False)
+    x = Mat2(math.inf, 0.0, 0.0, 1.0)
+    pairs = [(x, x), (ident, ident)] if nan_first else [(ident, ident), (x, x)]
+    assert math.isnan(relation_residual(ident, pairs))
+
+
+def test_rows_keep_the_sign_of_a_zero(monkeypatch):
+    # a row entry that is zero is +0.0 in the references, whatever the
+    # signs of the zero entries it sums
+    z, one = -0.0, 1.0
+    pair_lists = [
+        [(Mat2(z, one, z, one), Mat2(one, z, 0.0, z)), (Mat2(0.0, z, one, z), Mat2(z, 0.0, z, one))],
+        [(Mat2(z, z, z, z), Mat2(z, z, z, z))],
+        [(Mat2(one, z, z, one), Mat2(one, z, z, one))],
+    ]
+    _check_against_references(pair_lists, monkeypatch)
+    rows = _intertwiner_rows(pair_lists[1])
+    assert not np.signbit(rows).any()
 
 
 def test_exact_linear_algebra_helpers():

@@ -1,6 +1,6 @@
 """Trace polynomials, SL(2,R) representation arcs, and holonomy loci."""
 
-from .words import Word, WordSyntaxError, commutator, concat, evaluate, invert, parse_word
+from .words import Word, WordSyntaxError, commutator, evaluate, invert, parse_word
 from .tracepoly import TracePolynomial, trace_polynomial
 from .sl2 import (
     Conjugacy,
@@ -10,7 +10,6 @@ from .sl2 import (
     MatClass,
     classify,
     eigen_data,
-    frobenius_distance,
     same_trace_conjugacy,
     solve_conjugator,
     solve_conjugators,

@@ -12,9 +12,10 @@ continuously in t by matching fixed directions to the previous sample in
 projective distance.  Samples of conjugator class other than +1 are
 skipped; every other sample must pass the gluing gate arc.glue_hnn, which
 supplies T, and T must be hyperbolic (|trace| > 2 + 1e-9).  A point enters
-the locus only when the longitude's path-lifted translation number is 0
-(samples with other translation numbers belong to other components of the
-locus and are skipped, not errors).
+the locus only when the longitude's path-lifted translation number, read at
+T's expanding fixed direction (the longitude commutes with T, so fixes it),
+is 0; samples with other translation numbers belong to other components of
+the locus and are skipped, not errors.
 
 Points are stored ordered by u ascending.  Branches are first tracked along
 the arc in sample order (projective continuity needs it) and then sorted,
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .arc import Arc, glue_hnn
-from .sl2 import Mat2, eigen_data, translation_numbers_along_arc
+from .sl2 import BASE_DIRECTION, Mat2, _prefix_translation, _tracked_angles, eigen_data
 
 __all__ = [
     "LocusArc",
@@ -117,20 +118,8 @@ def _slope(u: float, w: float) -> float:
     return -w / u if u != 0.0 else math.nan
 
 
-def peripheral_point_pair(meridian: Mat2, longitude: Mat2,
-                          prev_direction: tuple | None = None) -> tuple:
-    """Both locus points of one commuting hyperbolic peripheral pair.
-
-    Returns (first, second, direction): branch-first is the point at the
-    meridian's expanding fixed direction when prev_direction is None, else
-    at the direction projectively closest to prev_direction; branch-second
-    is its negation (the other fixed direction).  direction is the fixed
-    direction chosen for branch-first, for continuity tracking.
-    """
-    pairs = eigen_data(meridian)
-    if len(pairs) != 2:
-        raise LocusError("meridian eigendata degenerate: need two distinct "
-                         "real fixed directions")
+def _point_pair(pairs: tuple, longitude: Mat2, prev_direction: tuple | None) -> tuple:
+    """peripheral_point_pair from the meridian's two eigen pairs."""
     if prev_direction is None:
         chosen = 0  # eigen_data puts the larger |eigenvalue| first
     else:
@@ -147,17 +136,35 @@ def peripheral_point_pair(meridian: Mat2, longitude: Mat2,
     return first, second, direction
 
 
-def locus_points(arc: Arc) -> LocusArc:
-    """Extract both locus branches from an arc's glueable samples.
+def peripheral_point_pair(meridian: Mat2, longitude: Mat2,
+                          prev_direction: tuple | None = None) -> tuple:
+    """Both locus points of one commuting hyperbolic peripheral pair.
 
-    An arc with no determinant-+1 sample gives the empty LocusArc without
-    reading its longitudes' translation numbers.
+    Returns (first, second, direction): branch-first is the point at the
+    meridian's expanding fixed direction when prev_direction is None, else
+    at the direction projectively closest to prev_direction; branch-second
+    is its negation (the other fixed direction).  direction is the fixed
+    direction chosen for branch-first, for continuity tracking.
+    """
+    pairs = eigen_data(meridian)
+    if len(pairs) != 2:
+        raise LocusError("meridian eigendata degenerate: need two distinct real fixed directions")
+    return _point_pair(pairs, longitude, prev_direction)
+
+
+def locus_points(arc: Arc) -> LocusArc:
+    """Extract both locus branches from an arc's glueable samples in one pass.
+
+    Each determinant-+1 sample decomposes its stable letter T once, and
+    reads its longitude's translation integer off the arc's one angle track
+    at T's expanding direction, so no longitude is classified or decomposed.
+    An arc with no determinant-+1 sample gives the empty LocusArc untracked.
     """
     if not any(sample.det_sign == 1 for sample in arc.samples):
         return _EMPTY
     longitude_mats = arc.longitude_images()
     try:
-        translations = translation_numbers_along_arc(longitude_mats)
+        angles = _tracked_angles(longitude_mats, BASE_DIRECTION)
     except (ArithmeticError, ValueError) as exc:
         raise LocusError(f"longitude translation numbers failed: {exc}") from exc
     first: list = []
@@ -173,14 +180,15 @@ def locus_points(arc: Arc) -> LocusArc:
             raise LocusError(
                 f"meridian is not hyperbolic at t={sample.t:.6g} "
                 f"(|trace| = {abs(t_letter.trace()):.6g})")
-        trans = translations[idx]
-        if trans.elliptic or abs(trans.value) > TRANSLATION_TOL:
-            continue
+        pairs = eigen_data(t_letter)
         try:
-            p1, p2, prev_direction = peripheral_point_pair(
-                t_letter, longitude_mats[idx], prev_direction)
-        except LocusError as exc:
-            raise LocusError(f"{exc} (at t={sample.t:.6g})") from None
+            trans = _prefix_translation(longitude_mats[idx], angles[idx], BASE_DIRECTION,
+                                        pairs[0][1])
+        except (ArithmeticError, ValueError) as exc:
+            raise LocusError(f"longitude translation numbers failed: {exc}") from exc
+        if abs(trans.value) > TRANSLATION_TOL:
+            continue
+        p1, p2, prev_direction = _point_pair(pairs, longitude_mats[idx], prev_direction)
         first.append(p1)
         second.append(p2)
         indices.append(idx)
@@ -242,8 +250,7 @@ CSV_HEADER = ("t,x,y,z,tr_meridian,tr_longitude,u1,w1,u2,w2,slope1,"
               "det_conjugator,residual,trans_longitude")
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+_CSV_ROW = "%.17g," * 11 + "%d,%.17g,%.17g"
 
 
 def csv_text(arc: Arc, locus_arc: LocusArc) -> str:
@@ -257,13 +264,10 @@ def csv_text(arc: Arc, locus_arc: LocusArc) -> str:
         p1 = locus_arc.first[pos]
         p2 = locus_arc.second[pos]
         x, y, z = s.character
-        lines.append(",".join([
-            _fmt(s.t), _fmt(x), _fmt(y), _fmt(z),
-            _fmt(s.meridian_trace), _fmt(s.longitude_trace),
-            _fmt(p1.u), _fmt(p1.w), _fmt(p2.u), _fmt(p2.w),
-            _fmt(p1.slope), "%d" % s.conjugator.det_sign,
-            _fmt(s.residual), _fmt(locus_arc.longitude_translations[pos]),
-        ]))
+        lines.append(_CSV_ROW % (
+            s.t, x, y, z, s.meridian_trace, s.longitude_trace,
+            p1.u, p1.w, p2.u, p2.w, p1.slope, s.conjugator.det_sign,
+            s.residual, locus_arc.longitude_translations[pos]))
     return "\n".join(lines) + "\n"
 
 

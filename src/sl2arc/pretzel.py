@@ -74,11 +74,11 @@ class FamilyInstance:
     rho_b: Mat2
     chi: tuple
 
-    @property
+    @cached_property
     def m1l1(self) -> Word:
         return self.m1 * self.l1
 
-    @property
+    @cached_property
     def m2l2(self) -> Word:
         return self.m2 * self.l2
 

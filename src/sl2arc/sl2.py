@@ -20,9 +20,10 @@ homeomorphisms of that circle; a path of matrices starting at the identity
 lifts the endpoint to the universal cover, and the translation number of the
 lift is the asymptotic displacement per iterate in units of pi.  One angle
 track along the path pins the lift at every prefix:
-translation_numbers_along_arc reads each prefix off it in closed form, and
-translation_number_by_iteration is the iterate-limit reference for the
-endpoint.
+translation_numbers_along_arc reads each prefix off it in closed form at a
+fixed direction of the prefix (the locus reads a longitude at its commuting
+stable letter's instead), and translation_number_by_iteration is the
+iterate-limit reference for the endpoint.
 """
 
 from __future__ import annotations
@@ -160,10 +161,6 @@ class Mat2(NamedTuple):
 def _frobenius(a, b, c, d) -> float:
     """Frobenius norm of the entries, exact or float, in float."""
     return math.sqrt(float(a) ** 2 + float(b) ** 2 + float(c) ** 2 + float(d) ** 2)
-
-
-def frobenius_distance(m: Mat2, n: Mat2) -> float:
-    return (m - n).frobenius()
 
 
 class MatClass(Enum):
@@ -644,30 +641,34 @@ def _near_central(mat) -> bool:
             or _frobenius(a + 1.0, b, c, d + 1.0) <= CENTRAL_TOL)
 
 
-def _prefix_translation(mat, alpha: float, base_theta: float) -> PathTranslation:
+def _prefix_translation(mat, alpha: float, base_theta: float,
+                        direction: tuple | None = None) -> PathTranslation:
     """Translation number, in units of pi, of the lift of the circle map of
     the float matrix mat whose value at base_theta is the tracked angle alpha.
 
     A central endpoint reads the integer off alpha itself.  Hyperbolic and
     parabolic endpoints give an exact integer read off at a fixed direction
-    of the circle map.  Elliptic endpoints rotate with no fixed direction:
-    an elliptic matrix with trace 2 cos(phi0), phi0 in (0, pi), is conjugate
-    by a positive-determinant matrix to a rotation by +-phi0, positive
-    exactly when b < 0 (or c > 0 when b = 0), and the integer part is pinned
-    by alpha, since all displacements of a fixed-point-free circle map lie
-    in one open length pi band together with the translation number.  The
-    value is then a non-integer real number, flagged as elliptic.
+    of the circle map: the given one, unchecked (mat is not classified), or
+    else mat's expanding one.  Elliptic endpoints rotate with no fixed
+    direction: an elliptic matrix with trace 2 cos(phi0), phi0 in (0, pi),
+    is conjugate by a positive-determinant matrix to a rotation by +-phi0,
+    positive exactly when b < 0 (or c > 0 when b = 0), and the integer part
+    is pinned by alpha, since all displacements of a fixed-point-free circle
+    map lie in one open length pi band together with the translation
+    number.  The value is then a non-integer real number, flagged as
+    elliptic.
     """
     if _near_central(mat):
         return PathTranslation(float(round((alpha - base_theta) / math.pi)), False)
-    if classify(mat) == MatClass.ELLIPTIC:
-        a, b, c, d = mat
-        phi0 = math.acos(max(-1.0, min(1.0, (a + d) / 2.0)))
-        positive = b < 0.0 or (b == 0.0 and c > 0.0)
-        frac = phi0 / math.pi if positive else 1.0 - phi0 / math.pi
-        return PathTranslation(math.floor((alpha - base_theta) / math.pi) + frac, True)
-    _, (vx, vy) = eigen_data(mat)[0]
-    th_star = _dir_angle(vx, vy)
+    if direction is None:
+        if classify(mat) == MatClass.ELLIPTIC:
+            a, b, c, d = mat
+            phi0 = math.acos(max(-1.0, min(1.0, (a + d) / 2.0)))
+            positive = b < 0.0 or (b == 0.0 and c > 0.0)
+            frac = phi0 / math.pi if positive else 1.0 - phi0 / math.pi
+            return PathTranslation(math.floor((alpha - base_theta) / math.pi) + frac, True)
+        direction = eigen_data(mat)[0][1]
+    th_star = _dir_angle(*direction)
     # place the fixed direction's lift within half a turn of the anchor
     th_star += math.pi * math.floor((base_theta - th_star) / math.pi + 0.5)
     k_float = (_traverse(mat, base_theta, alpha, th_star) - th_star) / math.pi

@@ -173,10 +173,6 @@ def invert(word: Word) -> Word:
     return word.inverse()
 
 
-def concat(u: Word, v: Word) -> Word:
-    return u * v
-
-
 def commutator(u: Word, v: Word) -> Word:
     """[u, v] = u v u^-1 v^-1."""
     return u * v * u.inverse() * v.inverse()

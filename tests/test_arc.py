@@ -23,7 +23,7 @@ from sl2arc.arc import (
 )
 from sl2arc.cli import main
 from sl2arc.pretzel import N_CAP, kernel_closed_form, make_family
-from sl2arc.sl2 import Mat2, frobenius_distance
+from sl2arc.sl2 import Mat2
 from sl2arc.tracepass import TracePlan
 from sl2arc.words import evaluate
 
@@ -170,7 +170,7 @@ def test_step_halving_is_second_order(fam1):
 def test_longitude_path_satisfies_continuity_guard(arc1):
     longs = arc1.longitude_images()
     for a, b in zip(longs, longs[1:]):
-        assert frobenius_distance(a, b) < 0.5
+        assert (a - b).frobenius() < 0.5
 
 
 def test_trace_ceiling_terminates_immediately_when_low(fam1):
@@ -427,7 +427,7 @@ def test_fused_evaluation_matches_exact_traces_and_differences(n):
             want = exact[w1].trace() - exact[w2].trace()
             assert abs(Fraction(f[2 + row]) - want) <= Fraction(1e-12) * Fraction(scale)
         for name, image in zip(("m1", "m2", "l1", "l2"), images):
-            assert frobenius_distance(Mat2(*image), exact[name].to_float()) <= 1e-12 * scale
+            assert (Mat2(*image) - exact[name].to_float()).frobenius() <= 1e-12 * scale
         diffs = np.zeros((5, 8))
         for j in range(8):
             h = 1e-6 * max(1.0, abs(q[j]))
@@ -775,7 +775,7 @@ def test_samples_store_their_word_images(fam1, arc1):
     for s in (arc1.samples[0], arc1.samples[1], arc1.samples[-1]):
         for name, image in s.images().items():
             direct = evaluate(getattr(fam1, name), s.ma, s.mb)
-            assert frobenius_distance(image, direct) <= 1e-12 * direct.frobenius()
+            assert (image - direct).frobenius() <= 1e-12 * direct.frobenius()
         assert s.longitude.det() == pytest.approx(1.0, abs=1e-14)
         assert float(s.longitude.trace()) == s.longitude_trace
     assert arc1.longitude_images() == [s.longitude for s in arc1.samples]
@@ -795,7 +795,7 @@ def test_glue_hnn_on_accepted_samples(fam1, arc1):
         im1 = evaluate(fam1.m1, s.ma, s.mb)
         im2 = evaluate(fam1.m2, s.ma, s.mb)
         moved = glued.t_letter @ im1 @ glued.t_letter.inverse()
-        assert frobenius_distance(moved, im2) <= 1e-6
+        assert (moved - im2).frobenius() <= 1e-6
 
 
 def test_glue_hnn_rejects_the_base_sample(fam1, arc1):

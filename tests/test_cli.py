@@ -15,7 +15,7 @@ from sl2arc.arc import Arc, RepSample
 from sl2arc.cli import main
 from sl2arc.locus import CSV_HEADER
 from sl2arc.pretzel import make_family
-from sl2arc.sl2 import ConjugatorResult, Mat2
+from sl2arc.sl2 import ConjugatorResult, Mat2, translation_numbers_along_arc
 from sl2arc.words import evaluate
 
 
@@ -239,20 +239,18 @@ def test_interval_empty_arc_is_numerical_failure(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("n, cause", [
-    (9, "not close to an integer"),
-])
-def test_interval_longitude_translation_failure_is_numerical(n, cause, capsys):
-    # the longitude translation numbers cannot be evaluated on these arcs
-    assert main(["interval", "--n", str(n), "--steps", "20"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: longitude translation numbers failed:")
-    assert cause in err
-    assert err.count("\n") == 1
+@pytest.mark.parametrize("n", [9, 20])
+def test_interval_past_n_8_succeeds(n, capsys):
+    # the locus reads each longitude's translation integer at the stable
+    # letter's fixed direction, where L's own eigendirection missed it
+    assert main(["interval", "--n", str(n), "--steps", "20"]) == 0
+    assert re.fullmatch(r"interval: \(-[0-9.e-]+, 0\)\n", capsys.readouterr().out)
 
 
-def test_interval_longitude_off_unit_determinant_is_numerical(monkeypatch, capsys):
-    # a one-sample arc whose stored longitude has determinant 1 + 2e-9
+def test_interval_does_not_check_the_longitude_determinant(monkeypatch, capsys):
+    # a one-sample arc whose stored longitude has determinant 1 + 2e-9: the
+    # reader without a direction classifies it and raises, the locus reads
+    # it at the stable letter's direction (1, 0) without classifying it
     fam = make_family(1)
     ma = mb = Mat2.identity(exact=False)
     images = tuple(evaluate(getattr(fam, w), ma, mb) for w in ("m1", "m2", "l1", "l2"))
@@ -263,12 +261,12 @@ def test_interval_longitude_off_unit_determinant_is_numerical(monkeypatch, capsy
         longitude_trace=float(longitude.trace()), meridian_trace=10.0 / 3.0,
         word_images=images, longitude=longitude)
     arc = Arc(fam, (sample,), "maxSteps", 1, 1e-3, (0, 1))
+    with pytest.raises(ValueError, match="determinant 1"):
+        translation_numbers_along_arc(arc.longitude_images())
     monkeypatch.setattr(sl2arc.cli, "continue_arc", lambda *args, **kwargs: arc)
-    assert main(["interval", "--n", "1", "--steps", "1"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: longitude translation numbers failed:")
-    assert "determinant 1" in err
-    assert err.count("\n") == 1
+    assert main(["interval", "--n", "1", "--steps", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "interval: (-0.63093, 0)\n" and captured.err == ""
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import sl2arc.locus as locus_module
+import sl2arc.sl2 as sl2_module
 from sl2arc.arc import Arc, GluedRepresentation, GluingError, RepSample, continue_arc
 from sl2arc.locus import (
     CSV_HEADER,
@@ -26,6 +27,7 @@ from sl2arc.sl2 import (
     Mat2,
     eigen_data,
     relation_residual,
+    translation_number_by_iteration,
     translation_numbers_along_arc,
 )
 from sl2arc.words import evaluate
@@ -180,6 +182,93 @@ def test_locus_empty_arc(fam1):
     assert locus.first == ()
     with pytest.raises(LocusError):
         orderable_interval(locus)
+
+
+# ----------------------------------------------------------------------
+# the longitude's translation integer, read at the stable letter's direction
+
+REACH_N = range(9, 22)
+
+
+@pytest.fixture(scope="module")
+def reach_arcs():
+    """200-step arcs for n = 9..21, where the longitude's own eigendirection
+    misses the translation integer by 1.1-2.2e-6 (and at n = 20 its
+    determinant is 1.6e-12 off)."""
+    return {n: continue_arc(make_family(n), step_size=1e-3, max_steps=200, direction=1)
+            for n in REACH_N}
+
+
+@pytest.mark.parametrize("n", REACH_N)
+def test_locus_reaches_n_9_to_21_with_integer_zero(reach_arcs, n):
+    arc = reach_arcs[n]
+    locus = locus_points(arc)
+    assert len(locus.first) == sum(s.det_sign == 1 for s in arc.samples) > 0
+    assert set(locus.longitude_translations) == {0.0}
+    # the iterate-limit reference agrees on a subsample; it classifies the
+    # endpoint, so the endpoint is scaled to determinant 1 first
+    longitudes = arc.longitude_images()
+    kept = sorted(locus.sample_indices)
+    for k in (kept[0], kept[len(kept) // 2], kept[-1]):
+        end = longitudes[k]
+        path = longitudes[:k] + [end.scale(1.0 / math.sqrt(end.det()))]
+        assert abs(translation_number_by_iteration(path, iterations=1 << 12)) <= 1e-4
+
+
+def _misdirect(monkeypatch, direction_of):
+    """Make the locus read each longitude at direction_of(longitude, the
+    stable letter's expanding direction) instead."""
+    read = locus_module._prefix_translation
+
+    def misdirected(mat, alpha, base_theta, direction):
+        return read(mat, alpha, base_theta, direction_of(mat, direction))
+
+    monkeypatch.setattr(locus_module, "_prefix_translation", misdirected)
+
+
+@pytest.mark.parametrize("n", REACH_N)
+def test_the_longitude_contracting_direction_fails_the_read(reach_arcs, n, monkeypatch):
+    # a fixed direction of L too, but ill-conditioned next to chi_n
+    _misdirect(monkeypatch, lambda mat, direction: eigen_data(mat)[-1][1])
+    with pytest.raises(LocusError, match="longitude translation numbers failed"):
+        locus_points(reach_arcs[n])
+
+
+@pytest.mark.parametrize("n", REACH_N)
+def test_the_stable_letter_direction_of_another_sample_fails_the_read(reach_arcs, n, monkeypatch):
+    seen = []
+
+    def first_direction(mat, direction):
+        seen.append(direction)
+        return seen[0]
+
+    _misdirect(monkeypatch, first_direction)
+    with pytest.raises(LocusError, match="not close to an integer"):
+        locus_points(reach_arcs[n])
+
+
+def test_locus_decomposes_one_matrix_per_sample_and_never_a_longitude(arc1, monkeypatch):
+    longitudes = {id(m) for m in arc1.longitude_images()}
+    calls = {"locus eigen_data": 0, "longitude": 0}
+    sl2_classify, sl2_eigen_data = sl2_module.classify, sl2_module.eigen_data
+
+    def counted(mat):
+        calls["locus eigen_data"] += 1
+        return eigen_data(mat)
+
+    def watched(fn):
+        def call(mat):
+            calls["longitude"] += id(mat) in longitudes
+            return fn(mat)
+        return call
+
+    monkeypatch.setattr(locus_module, "eigen_data", counted)
+    monkeypatch.setattr(sl2_module, "classify", watched(sl2_classify))
+    monkeypatch.setattr(sl2_module, "eigen_data", watched(sl2_eigen_data))
+    locus = locus_points(arc1)
+    assert len(locus.first) > 0
+    assert calls == {"locus eigen_data": sum(s.det_sign == 1 for s in arc1.samples),
+                     "longitude": 0}
 
 
 def test_locus_of_a_minus_arc_skips_its_translation_numbers():

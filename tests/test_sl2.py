@@ -23,7 +23,6 @@ from sl2arc.sl2 import (
     exact_nullspace,
     exact_rank,
     exact_rref,
-    frobenius_distance,
     relation_residual,
     rotation,
     same_trace_conjugacy,
@@ -231,7 +230,7 @@ def test_conjugator_recovers_known_conjugation():
     assert res.det_sign == 1
     assert res.residual < 1e-12
     c = res.candidate
-    assert frobenius_distance(c @ a.to_float() @ c.inverse(), (g @ a @ g.inverse()).to_float()) < 1e-12
+    assert (c @ a.to_float() @ c.inverse() - (g @ a @ g.inverse()).to_float()).frobenius() < 1e-12
 
 
 def test_conjugator_detects_orientation_reversal():

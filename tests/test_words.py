@@ -9,7 +9,6 @@ from sl2arc.words import (
     Word,
     WordSyntaxError,
     commutator,
-    concat,
     evaluate,
     invert,
     parse_word,
@@ -76,7 +75,6 @@ def test_group_laws_randomized():
         assert invert(u * v) == invert(v) * invert(u)
         assert u ** 3 == u * u * u
         assert u ** -2 == invert(u) * invert(u)
-        assert concat(u, v) == u * v
 
 
 def test_commutator_spelling():

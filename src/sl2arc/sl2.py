@@ -22,8 +22,9 @@ lift is the asymptotic displacement per iterate in units of pi.  One angle
 track along the path pins the lift at every prefix:
 translation_numbers_along_arc reads each prefix off it in closed form at a
 fixed direction of the prefix (the locus reads a longitude at its commuting
-stable letter's instead), and translation_number_by_iteration is the
-iterate-limit reference for the endpoint.
+stable letter's instead), from one image there and the lift's monotone
+bracket; the bisecting lift _traverse answers only where the bracket cannot
+choose, and translation_number_by_iteration is the iterate-limit reference.
 """
 
 from __future__ import annotations
@@ -70,9 +71,8 @@ class Mat2(NamedTuple):
 
     @property
     def exact(self) -> bool:
-        a, b, c, d = self
-        return (isinstance(a, _EXACT_TYPES) and isinstance(b, _EXACT_TYPES)
-                and isinstance(c, _EXACT_TYPES) and isinstance(d, _EXACT_TYPES))
+        # a float first entry answers before the slower Fraction (ABC) check
+        return not isinstance(self[0], float) and all(isinstance(x, _EXACT_TYPES) for x in self)
 
     def det(self):
         a, b, c, d = self
@@ -144,9 +144,6 @@ class Mat2(NamedTuple):
     def frobenius(self) -> float:
         return _frobenius(*self)
 
-    def max_abs(self) -> float:
-        return max(abs(float(x)) for x in self)
-
     def to_float(self) -> "Mat2":
         a, b, c, d = self
         return Mat2(float(a), float(b), float(c), float(d))
@@ -169,12 +166,13 @@ class MatClass(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-def _check_unit_det(m: Mat2):
-    det = m.det()
-    if m.exact:
+def _check_unit_det(m: Mat2, exact: bool):
+    a, b, c, d = m
+    det = a * d - b * c
+    if exact:
         if det != 1:
             raise ValueError(f"matrix must have determinant 1, got {det}")
-    elif abs(det - 1.0) > 1e-12 * max(1.0, m.max_abs() ** 2):
+    elif abs(det - 1.0) > 1e-12 * max(1.0, max(abs(a), abs(b), abs(c), abs(d)) ** 2):
         raise ValueError(f"matrix must have determinant 1, got {det}")
 
 
@@ -184,14 +182,17 @@ def classify(m: Mat2) -> MatClass:
     Exact matrices are compared exactly; floats use a band of width
     TRACE_TOL around |trace| = 2 for the parabolic verdict.
     """
-    _check_unit_det(m)
-    t = m.trace()
-    if m.exact:
-        t = abs(t)
+    return _classify(m, m.exact)
+
+
+def _classify(m: Mat2, exact: bool) -> MatClass:
+    """classify, with m.exact decided by the caller."""
+    _check_unit_det(m, exact)
+    t = abs(m[0] + m[3])
+    if exact:
         if t == 2:
             return MatClass.PARABOLIC
         return MatClass.ELLIPTIC if t < 2 else MatClass.HYPERBOLIC
-    t = abs(float(t))
     if abs(t - 2.0) <= TRACE_TOL:
         return MatClass.PARABOLIC
     return MatClass.ELLIPTIC if t < 2.0 else MatClass.HYPERBOLIC
@@ -390,19 +391,21 @@ def relation_residual(g: Mat2, pairs) -> float:
     """
     if not pairs:
         raise ValueError("at least one pair is required")
-    g11, g12, g21, g22 = g.entries()
+    g11, g12, g21, g22 = g
     g_norm = _frobenius(g11, g12, g21, g22)
-    worst = []
-    for a, b in pairs:
-        a11, a12, a21, a22 = a.entries()
-        b11, b12, b21, b22 = b.entries()
+    worst = 0.0
+    for (a11, a12, a21, a22), (b11, b12, b21, b22) in pairs:
         gap = _frobenius((g11 * a11 + g12 * a21) - (b11 * g11 + b12 * g21),
                          (g11 * a12 + g12 * a22) - (b11 * g12 + b12 * g22),
                          (g21 * a11 + g22 * a21) - (b21 * g11 + b22 * g21),
                          (g21 * a12 + g22 * a22) - (b21 * g12 + b22 * g22))
         scale = max(_frobenius(a11, a12, a21, a22), _frobenius(b11, b12, b21, b22))
-        worst.append(gap / max(1.0, g_norm * scale))
-    return _max_abs(worst)
+        rel = gap / max(1.0, g_norm * scale)
+        if rel > worst:
+            worst = rel
+        elif rel != rel:  # the first NaN, as _max_abs reads it
+            return rel
+    return worst
 
 
 def solve_conjugator(pairs) -> ConjugatorResult:
@@ -436,6 +439,7 @@ def solve_conjugators(pair_lists) -> list:
 def _conjugator(pairs, sig: np.ndarray, vt: np.ndarray) -> ConjugatorResult:
     """The result for one list of float pairs from the singular values and
     right singular vectors of its intertwiner rows."""
+    sig = sig.tolist()
     cutoff = NULLSPACE_TOL * (sig[0] if sig[0] > 0 else 1.0)
     basis = [Mat2(*vt[i].tolist()) for i in range(4) if sig[i] <= cutoff]
     dim = len(basis)
@@ -487,10 +491,10 @@ def _canon_float_dir(x: float, y: float):
     return (x, y)
 
 
-def _eigvec(m: Mat2, lam: float):
-    """Kernel vector of (M - lam I), picking the numerically fatter row."""
-    r1 = (m.a - lam, m.b)
-    r2 = (m.c, m.d - lam)
+def _eigvec(a: float, b: float, c: float, d: float, lam: float):
+    """Kernel vector of [[a - lam, b], [c, d - lam]], from its fatter row."""
+    r1 = (a - lam, b)
+    r2 = (c, d - lam)
     v = (-r1[1], r1[0]) if math.hypot(*r1) >= math.hypot(*r2) else (-r2[1], r2[0])
     return _canon_float_dir(*v)
 
@@ -507,7 +511,7 @@ def eigen_data(m: Mat2):
     positive.
     """
     m = m.to_float() if m.exact else m
-    cls = classify(m)
+    cls = _classify(m, False)
     if cls == MatClass.ELLIPTIC:
         raise ValueError("elliptic matrices have no real fixed direction")
     tr = m.trace()
@@ -515,12 +519,12 @@ def eigen_data(m: Mat2):
         lam = 1.0 if tr > 0 else -1.0
         if _frobenius(m.a - lam, m.b, m.c, m.d - lam) <= TRACE_TOL:
             return ((lam, (1.0, 0.0)),)
-        return ((lam, _eigvec(m, lam)),)
+        return ((lam, _eigvec(*m, lam)),)
     root = math.sqrt(tr * tr - 4.0)
     lam1, lam2 = (tr + root) / 2, (tr - root) / 2
     if abs(lam1) < abs(lam2):
         lam1, lam2 = lam2, lam1
-    return ((lam1, _eigvec(m, lam1)), (lam2, _eigvec(m, lam2)))
+    return ((lam1, _eigvec(*m, lam1)), (lam2, _eigvec(*m, lam2)))
 
 
 # ----------------------------------------------------------------------
@@ -592,6 +596,24 @@ def _lift(mat, op_norm: float, th_a: float, n_a: float, al_a: float,
     return _lift(mat, op_norm, mid, image_mid[1], al_mid, th_b, image_b, depth + 1)
 
 
+def _bracketed_lift(mat, th_a: float, al_a: float, th_b: float) -> float:
+    """_traverse for 0 < |th_b - th_a| < pi and det(mat) > 0, from one image:
+    the lift is increasing with F(x + pi) = F(x) + pi, so F(th_b) is the
+    representative of th_b's image angle strictly between al_a and al_a + pi
+    (al_a - pi and al_a when th_b < th_a).  _traverse certifies the value
+    when th_b is th_a, the determinant is not positive, or the image angle
+    lies within the rounding of al_a modulo pi."""
+    a, b, c, d = mat
+    raw = _image(mat, th_b)[0]
+    s = (al_a - raw) / math.pi
+    frac = s % 1.0
+    # al_a, the image angle, - and / each round by about an ulp of |al_a| + pi
+    band = 4 * math.ulp(abs(al_a) + math.pi) / math.pi
+    if th_b != th_a and a * d > b * c and band < frac < 1.0 - band:
+        return raw + math.pi * (s - frac + (th_b > th_a))
+    return _traverse(mat, th_a, al_a, th_b)
+
+
 def _advance_track(m_from, m_to, theta0: float, alpha: float, depth: int = 0) -> float:
     """Continue the lifted angle of M v(theta0) from matrix m_from to m_to."""
     cs, sn = math.cos(theta0), math.sin(theta0)
@@ -648,8 +670,11 @@ def _prefix_translation(mat, alpha: float, base_theta: float,
 
     A central endpoint reads the integer off alpha itself.  Hyperbolic and
     parabolic endpoints give an exact integer read off at a fixed direction
-    of the circle map: the given one, unchecked (mat is not classified), or
-    else mat's expanding one.  Elliptic endpoints rotate with no fixed
+    th* of the circle map: the given one, unchecked (mat is not classified),
+    or else mat's expanding one.  _bracketed_lift gives the lift at th*,
+    placed within half a turn of base_theta, from one image; _traverse runs
+    only when th* is base_theta, mat reverses orientation, or that image
+    lies within rounding of alpha modulo pi.  Elliptic endpoints rotate with no fixed
     direction: an elliptic matrix with trace 2 cos(phi0), phi0 in (0, pi),
     is conjugate by a positive-determinant matrix to a rotation by +-phi0,
     positive exactly when b < 0 (or c > 0 when b = 0), and the integer part
@@ -671,7 +696,7 @@ def _prefix_translation(mat, alpha: float, base_theta: float,
     th_star = _dir_angle(*direction)
     # place the fixed direction's lift within half a turn of the anchor
     th_star += math.pi * math.floor((base_theta - th_star) / math.pi + 0.5)
-    k_float = (_traverse(mat, base_theta, alpha, th_star) - th_star) / math.pi
+    k_float = (_bracketed_lift(mat, base_theta, alpha, th_star) - th_star) / math.pi
     k = round(k_float)
     if abs(k_float - k) > 1e-6:
         raise ArithmeticError(f"translation number {k_float} is not close to an integer")

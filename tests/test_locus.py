@@ -192,11 +192,11 @@ REACH_N = range(9, 22)
 
 @pytest.fixture(scope="module")
 def reach_arcs():
-    """200-step arcs for n = 9..21, where the longitude's own eigendirection
-    misses the translation integer by 1.1-2.2e-6 (and at n = 20 its
-    determinant is 1.6e-12 off)."""
+    """200-step arcs for n = 1..21.  From n = 9 the longitude's own
+    eigendirection misses the translation integer by 1.1-2.2e-6 (and at
+    n = 20 its determinant is 1.6e-12 off)."""
     return {n: continue_arc(make_family(n), step_size=1e-3, max_steps=200, direction=1)
-            for n in REACH_N}
+            for n in range(1, 22)}
 
 
 @pytest.mark.parametrize("n", REACH_N)
@@ -245,6 +245,27 @@ def test_the_stable_letter_direction_of_another_sample_fails_the_read(reach_arcs
     _misdirect(monkeypatch, first_direction)
     with pytest.raises(LocusError, match="not close to an integer"):
         locus_points(reach_arcs[n])
+
+
+@pytest.mark.parametrize("n", range(1, 22))
+def test_the_locus_reads_each_longitude_at_a_direction_it_fixes(reach_arcs, n, monkeypatch):
+    # The integrality check (1e-6) would also pass the previous sample's
+    # direction, which the longitude misses by 8.1e-9 to 3.6e-7; the stable
+    # letter's own direction is missed by at most 2.1e-11.
+    arc, reads = reach_arcs[n], []
+    read = locus_module._prefix_translation
+
+    def recorded(mat, alpha, base_theta, direction):
+        reads.append((mat, direction))
+        return read(mat, alpha, base_theta, direction)
+
+    monkeypatch.setattr(locus_module, "_prefix_translation", recorded)
+    locus_points(arc)
+    assert len(reads) == sum(s.det_sign == 1 for s in arc.samples) > 0
+    for mat, direction in reads:
+        theta = sl2_module._dir_angle(*direction)
+        miss = sl2_module._wrap_half(sl2_module._image(mat, theta)[0] - theta)
+        assert abs(miss) / math.pi <= 1e-9
 
 
 def test_locus_decomposes_one_matrix_per_sample_and_never_a_longitude(arc1, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 from sl2arc import sl2
 from sl2arc.arc import continue_arc
+from sl2arc.locus import locus_points
 from sl2arc.pretzel import make_family
 from sl2arc.sl2 import (
     BASE_DIRECTION,
@@ -217,6 +218,85 @@ def test_parabolic_eigendata():
 def test_elliptic_eigendata_raises():
     with pytest.raises(ValueError):
         eigen_data(rotation(0.3))
+
+
+def _reference_verdict(m: Mat2):
+    """classify's float rules, written with the generic Mat2 queries and
+    float() on every entry: the class, or the determinant failure."""
+    det = m.det()
+    if abs(det - 1.0) > 1e-12 * max(1.0, max(abs(float(x)) for x in m) ** 2):
+        return "determinant"
+    t = abs(float(m.trace()))
+    if abs(t - 2.0) <= sl2.TRACE_TOL:
+        return MatClass.PARABOLIC
+    return MatClass.ELLIPTIC if t < 2.0 else MatClass.HYPERBOLIC
+
+
+def _reference_eigen_data(m: Mat2, verdict):
+    """eigen_data's float rules for a matrix of the given verdict."""
+    def eigvec(lam):
+        r1, r2 = (m.a - lam, m.b), (m.c, m.d - lam)
+        v = (-r1[1], r1[0]) if math.hypot(*r1) >= math.hypot(*r2) else (-r2[1], r2[0])
+        return sl2._canon_float_dir(*v)
+
+    tr = m.trace()
+    if verdict == MatClass.PARABOLIC:
+        lam = 1.0 if tr > 0 else -1.0
+        if sl2._frobenius(m.a - lam, m.b, m.c, m.d - lam) <= sl2.TRACE_TOL:
+            return ((lam, (1.0, 0.0)),)
+        return ((lam, eigvec(lam)),)
+    root = math.sqrt(tr * tr - 4.0)
+    lam1, lam2 = (tr + root) / 2, (tr - root) / 2
+    if abs(lam1) < abs(lam2):
+        lam1, lam2 = lam2, lam1
+    return ((lam1, eigvec(lam1)), (lam2, eigvec(lam2)))
+
+
+def _ulps_around(x: float, count: int = 3) -> list:
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(count):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+def _band_edge_groups():
+    """Per edge, matrices a few ulps either side of it: unit-determinant
+    matrices with |trace| near 2 +- TRACE_TOL, and matrices with determinant
+    near 1 +- 1e-12 max(1, max |entry|^2)."""
+    traced = [[Mat2(t, 1.0, -1.0, 0.0) for t in _ulps_around(sign * edge)]  # det 1, trace t
+              for edge in (2.0 + sl2.TRACE_TOL, 2.0 - sl2.TRACE_TOL) for sign in (1.0, -1.0)]
+    scaled = [[Mat2(det, big, 0.0, 1.0)  # determinant exactly det
+               for det in _ulps_around(1.0 + sign * 1e-12 * max(1.0, big * big))]
+              for big in (0.5, 3.0) for sign in (1.0, -1.0)]
+    return traced + scaled
+
+
+def _flat(pairs) -> list:
+    return [v for lam, direction in pairs for v in (lam, *direction)]
+
+
+def test_classify_and_eigen_data_keep_their_float_rules_at_the_band_edges():
+    for group in _band_edge_groups():
+        verdicts = set()
+        for m in group:
+            want = _reference_verdict(m)
+            verdicts.add(want)
+            if want == "determinant":
+                for call in (classify, eigen_data):
+                    with pytest.raises(ValueError, match="determinant 1"):
+                        call(m)
+                continue
+            assert classify(m) == want
+            if want == MatClass.ELLIPTIC:
+                with pytest.raises(ValueError, match="elliptic"):
+                    eigen_data(m)
+                continue
+            got, pairs = eigen_data(m), _reference_eigen_data(m, want)
+            assert len(got) == len(pairs) and _bits(_flat(got)) == _bits(_flat(pairs))
+        assert len(verdicts) == 2  # the group straddles its edge
 
 
 # ----------------------------------------------------------------------
@@ -709,17 +789,28 @@ def longitude_paths():
             for n in (1, 8)}
 
 
-def _lift_everything(longitude_paths):
-    """Every value that goes through _traverse: the translation numbers along
+@pytest.fixture(scope="module")
+def longitude_lift_inputs(longitude_paths):
+    """The (mat, base, alpha, theta*) of every lift that the translation
+    numbers along the longitude paths make, keyed by n: the inputs that
+    _traverse took before the bracket answered these reads."""
+    with pytest.MonkeyPatch.context() as mp:
+        return {n: [args for args, _ in
+                    _bracket_reads(mp, lambda: translation_numbers_along_arc(path))]
+                for n, path in longitude_paths.items()}
+
+
+def _lift_everything(longitude_lift_inputs):
+    """Every value that goes through _traverse: the lifts of the reads along
     the arcs' longitudes and the iterated estimates on the rotation paths."""
-    out = [translation_numbers_along_arc(path) for path in longitude_paths.values()]
+    out = [[sl2._traverse(*args) for args in inputs] for inputs in longitude_lift_inputs.values()]
     for path in (rotation_path(0.9), rotation_path(math.pi), rotation_path(2 * math.pi)):
         out.append(translation_numbers_along_arc(path))
         out.append(translation_number_by_iteration(path, iterations=1 << 8))
     return out
 
 
-def test_the_lift_matches_the_recomputing_reference_bit_for_bit(longitude_paths, monkeypatch):
+def test_the_lift_matches_the_recomputing_reference_bit_for_bit(longitude_lift_inputs, monkeypatch):
     calls = []
 
     def checked(mat, th_a, al_a, th_b):
@@ -730,13 +821,13 @@ def test_the_lift_matches_the_recomputing_reference_bit_for_bit(longitude_paths,
 
     traverse = sl2._traverse
     monkeypatch.setattr(sl2, "_traverse", checked)
-    got = _lift_everything(longitude_paths)
+    got = _lift_everything(longitude_lift_inputs)
     assert len(calls) > 2 * 200
     monkeypatch.setattr(sl2, "_traverse", _reference_traverse)
-    assert got == _lift_everything(longitude_paths)
+    assert got == _lift_everything(longitude_lift_inputs)
 
 
-def test_the_lift_computes_each_image_once(longitude_paths, monkeypatch):
+def test_the_lift_computes_each_image_once(longitude_lift_inputs, monkeypatch):
     # both lifts visit the same points; the reference recomputes them
     image = sl2._image
     calls = []
@@ -747,11 +838,130 @@ def test_the_lift_computes_each_image_once(longitude_paths, monkeypatch):
 
     monkeypatch.setattr(sl2, "_image", recorded)
     for traverse in (_reference_traverse, sl2._traverse):
-        monkeypatch.setattr(sl2, "_traverse", traverse)
         calls.append([])
-        translation_numbers_along_arc(longitude_paths[1])
+        for args in longitude_lift_inputs[1]:
+            traverse(*args)
     before, after = calls
     assert set(after) == set(before)
     assert len(set(after)) == len(after)
     assert len(before) > 5 * 200
     assert len(after) <= len(before) / 2
+
+
+# ----------------------------------------------------------------------
+# the bracketed lift: one image at a fixed direction, _traverse as fallback
+
+
+def _bracket_reads(mp, read):
+    """The (inputs, lift value) of every bracketed lift that read() makes."""
+    bracket, reads = sl2._bracketed_lift, []
+
+    def recorded(*args):
+        reads.append((args, bracket(*args)))
+        return reads[-1][1]
+
+    mp.setattr(sl2, "_bracketed_lift", recorded)
+    read()
+    mp.setattr(sl2, "_bracketed_lift", bracket)
+    return reads
+
+
+def _reads_without_fallback(monkeypatch, read):
+    """_bracket_reads, none of which may fall back on _traverse."""
+    def fallback(*args):
+        raise AssertionError(f"the bracket fell back on _traverse at {args}")
+
+    monkeypatch.setattr(sl2, "_traverse", fallback)
+    reads = _bracket_reads(monkeypatch, read)
+    monkeypatch.undo()
+    return reads
+
+
+def _assert_traversed_integers(reads):
+    for (mat, base, alpha, th_star), value in reads:
+        want = round((sl2._traverse(mat, base, alpha, th_star) - th_star) / math.pi)
+        assert round((value - th_star) / math.pi) == want
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_the_bracket_reads_the_traversed_integer_along_longitude_paths(n, longitude_paths,
+                                                                       monkeypatch):
+    path = longitude_paths[n]
+    reads = _reads_without_fallback(monkeypatch, lambda: translation_numbers_along_arc(path))
+    assert len(reads) == sum(not sl2._near_central(m) for m in path) > 150
+    _assert_traversed_integers(reads)
+
+
+@pytest.mark.parametrize("n, step_size, max_steps", [
+    (1, 1e-3, 400), (8, 1e-3, 400), (21, 1e-3, 400), (1, 0.02, 1000)])
+def test_the_bracket_reads_the_traversed_integer_on_locus_samples(n, step_size, max_steps,
+                                                                  monkeypatch):
+    arc = continue_arc(make_family(n), step_size=step_size, max_steps=max_steps)
+    assert len(arc.samples) == max_steps + 1
+    reads = _reads_without_fallback(monkeypatch, lambda: locus_points(arc))
+    longitudes = arc.longitude_images()
+    assert len(reads) == sum(s.det_sign == 1 and not sl2._near_central(m)
+                             for s, m in zip(arc.samples, longitudes)) >= max_steps - 1
+    _assert_traversed_integers(reads)
+
+
+def _hyperbolic_fixing_base(stretch: float) -> Mat2:
+    """A symmetric hyperbolic matrix whose expanding direction is
+    BASE_DIRECTION (the rotation by it of diag(stretch, 1 / stretch))."""
+    c, s = math.cos(BASE_DIRECTION), math.sin(BASE_DIRECTION)
+    return rotation(BASE_DIRECTION) @ Mat2(stretch, 0.0, 0.0, 1.0 / stretch) @ Mat2(c, s, -s, c)
+
+
+def _counted_traverse(monkeypatch) -> list:
+    """Record the arguments of every _traverse call."""
+    traverse, calls = sl2._traverse, []
+
+    def counted(*args):
+        calls.append(args)
+        return traverse(*args)
+
+    monkeypatch.setattr(sl2, "_traverse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [-2, 0, 1, 3])
+def test_a_fixed_direction_at_the_base_reaches_the_traverse(k, monkeypatch):
+    mat = _hyperbolic_fixing_base(3.0)
+    direction = (math.cos(BASE_DIRECTION), math.sin(BASE_DIRECTION))
+    assert sl2._dir_angle(*direction) == BASE_DIRECTION
+    traverse, calls = sl2._traverse, _counted_traverse(monkeypatch)
+    alpha = BASE_DIRECTION + k * math.pi  # the base is fixed, so any lift of it is one
+    got = sl2._prefix_translation(mat, alpha, BASE_DIRECTION, direction)
+    assert got == (float(k), False)
+    assert calls == [(mat, BASE_DIRECTION, alpha, BASE_DIRECTION)]
+    # at the base the lift is its anchor, even one the image angle misses
+    anchor = alpha + 1e-12
+    assert sl2._bracketed_lift(mat, BASE_DIRECTION, anchor, BASE_DIRECTION) == anchor
+    calls.clear()
+    # a few ulps away the image angle is within the rounding of alpha, on
+    # either side of it: the bracket cannot choose, so the traverse answers
+    near = [x for x in _ulps_around(BASE_DIRECTION, 16) if x != BASE_DIRECTION]
+    for stretch in (1.5, 3.0, 10.0):
+        mat = _hyperbolic_fixing_base(stretch)
+        for th_b in near:
+            assert sl2._bracketed_lift(mat, BASE_DIRECTION, alpha, th_b) == traverse(
+                mat, BASE_DIRECTION, alpha, th_b)
+    assert len(calls) == 3 * len(near)
+
+
+def test_a_negative_determinant_reaches_the_traverse(monkeypatch):
+    # the bracket needs an increasing lift
+    mat = Mat2(1.0, 0.0, 0.0, -1.0)
+    traverse, calls = sl2._traverse, _counted_traverse(monkeypatch)
+    assert sl2._bracketed_lift(mat, BASE_DIRECTION, 2.0, 0.1) == traverse(
+        mat, BASE_DIRECTION, 2.0, 0.1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("offset", [1e-3, 0.3, -1.0])
+def test_a_direction_the_endpoint_does_not_fix_is_not_an_integer(offset):
+    mat = _hyperbolic_fixing_base(3.0)
+    theta = BASE_DIRECTION + offset
+    with pytest.raises(ArithmeticError, match="not close to an integer"):
+        sl2._prefix_translation(mat, BASE_DIRECTION, BASE_DIRECTION,
+                                (math.cos(theta), math.sin(theta)))

@@ -46,12 +46,12 @@ tangent.  The corrector makes each Newton update well posed by appending
 the unit gauge vector as a row with right-hand side 0, beside the 5
 constraint rows and the pseudo-arclength row; without it the gauge motion
 would rest on lstsq truncating a singular value that sits near its cutoff.
-Pins are selected at the base point by scanning all Ma entry pairs on the
-exact character-form rows and keeping those whose reduced Jacobian has
-rank exactly 4 *and* a kernel that still moves the character (some pin
-choices freeze tr(Ma) or force Ma to stay triangular, stalling the arc at
-chi_n); among the feasible pairs the one with the largest fourth singular
-value wins.
+Pins are the Ma entry pair that cuts the conjugation orbit ([X, Ma],
+[X, Mb]), X in sl2, in rank 2 at rho_n, an exact test on the integer
+[X, rho_n(a)]: such a pair leaves the constraint rows rank 4 and a kernel
+that moves the character, and any other drops the rank or stalls the arc
+at chi_n on pure gauge (_select_pins gives the argument).  Of the feasible
+pairs, the one with the largest fourth singular value wins.
 
 The arc tangent is the kernel direction of the reduced Jacobian orthogonal
 to the unit gauge row (Allgower & Georg ch. 2-3); as the gauge flow has
@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from operator import itemgetter, sub
 
 import numpy as np
@@ -166,9 +167,6 @@ class Arc:
 
 # ----------------------------------------------------------------------
 # the constraint system in entry space
-
-_PIN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
 
 def _constraints(q: tuple, traces) -> tuple:
     """F from the entries and the six word traces."""
@@ -310,36 +308,33 @@ class _ReducedSystem:
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
-_RANK_FLOOR = 1e-7      # sigma_4 / sigma_1 below this: constraint rank < 4
-_KERNEL_CEIL = 1e-9     # sigma_5 / sigma_1 above this: kernel is not 2-dim
-_CHAR_SPEED_FLOOR = 0.05
 _BLOCK = 64             # corrector steps whose conjugators share one stacked solve
 
 
-def _select_pins(rows: np.ndarray, q0: tuple) -> tuple:
-    """Pick the Ma entry pair to freeze, ranking pairs on the 5x8 constraint
-    rows at the base point.
+def _pin_pairs(a: Mat2) -> list:
+    """The Ma entry pairs (i, j) whose entries of [X, a], over X = H, E, F
+    of sl2, have rank 2: some 2x2 minor of the integer 2x3 matrix is
+    nonzero.  A non-central a has at least one such pair."""
+    a11, a12, a21, a22 = a
+    orbit = ((0, a21, -a12), (2 * a12, a22 - a11, 0), (-2 * a21, 0, a11 - a22), (0, -a21, a12))
+    return [(i, j) for i, j in combinations(range(4), 2)
+            if any(orbit[i][k] * orbit[j][l] != orbit[i][l] * orbit[j][k]
+                   for k, l in ((0, 1), (0, 2), (1, 2)))]
 
-    Feasible pairs leave the reduced Jacobian with rank exactly 4 and leave
-    a kernel direction that moves the character; the pair with the largest
-    fourth singular value (best-conditioned constraint block) is chosen.
+
+def _select_pins(rows: np.ndarray, a: Mat2) -> tuple:
+    """The Ma entry pair to freeze, given the 5x8 character-form constraint
+    rows at the base point and Ma = a there.
+
+    At an irreducible pair on a curve of rank 2 the rows have rank 4 and
+    their kernel is the conjugation orbit ([X, Ma], [X, Mb]) plus one curve
+    direction.  A pair that cuts the orbit in rank 2 (_pin_pairs) leaves
+    rank 4 and a kernel of the gauge flow and a direction that moves the
+    character; any other pair drops the rank or leaves pure gauge.  The
+    feasible pair with the largest fourth singular value wins.
     """
-    cg = _EntrySystem.char_grad(q0)
-    best = None
-    for pins in _PIN_PAIRS:
-        free = [i for i in range(8) if i not in pins]
-        _, sig, vt = np.linalg.svd(rows[:, free])
-        if sig[0] <= 0 or sig[3] / sig[0] < _RANK_FLOOR or sig[4] / sig[0] > _KERNEL_CEIL:
-            continue
-        speed = float(np.linalg.svd(cg[:, free] @ vt[4:].T, compute_uv=False)[0])
-        if speed < _CHAR_SPEED_FLOOR:
-            continue
-        if best is None or sig[3] > best[1]:
-            best = (pins, sig[3])
-    if best is None:
-        raise ContinuationError(
-            "no gauge pin pair gives a rank-4 constraint block with a moving character")
-    return best[0]
+    return max(_pin_pairs(a),
+               key=lambda pins: np.linalg.svd(np.delete(rows, pins, axis=1), compute_uv=False)[3])
 
 
 def _base_point(fam: FamilyInstance) -> tuple:
@@ -444,7 +439,7 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     if value > 1e-12:
         raise ContinuationError(
             f"base point audit failed (constraint value {value:.3e}, relative)")
-    pins = _select_pins(_character_rows(jacobian, q0, jac0), q0)
+    pins = _select_pins(_character_rows(jacobian, q0, jac0), fam.rho_a)
     reduced = _ReducedSystem(system, pins, [q0[p] for p in pins])
     v0 = reduced.tangent(q0, jac0[:, reduced.free])
     plus = _probe_det_sign(reduced, q0, v0, step_size)

@@ -511,7 +511,11 @@ def eigen_data(m: Mat2):
     positive.
     """
     m = m.to_float() if m.exact else m
-    cls = _classify(m, False)
+    return _eigen_pairs(m, _classify(m, False))
+
+
+def _eigen_pairs(m: Mat2, cls: MatClass):
+    """eigen_data of the float matrix m, already classified as cls."""
     if cls == MatClass.ELLIPTIC:
         raise ValueError("elliptic matrices have no real fixed direction")
     tr = m.trace()
@@ -686,13 +690,13 @@ def _prefix_translation(mat, alpha: float, base_theta: float,
     if _near_central(mat):
         return PathTranslation(float(round((alpha - base_theta) / math.pi)), False)
     if direction is None:
-        if classify(mat) == MatClass.ELLIPTIC:
+        if (cls := _classify(mat, False)) == MatClass.ELLIPTIC:
             a, b, c, d = mat
             phi0 = math.acos(max(-1.0, min(1.0, (a + d) / 2.0)))
             positive = b < 0.0 or (b == 0.0 and c > 0.0)
             frac = phi0 / math.pi if positive else 1.0 - phi0 / math.pi
             return PathTranslation(math.floor((alpha - base_theta) / math.pi) + frac, True)
-        direction = eigen_data(mat)[0][1]
+        direction = _eigen_pairs(mat, cls)[0][1]
     th_star = _dir_angle(*direction)
     # place the fixed direction's lift within half a turn of the anchor
     th_star += math.pi * math.floor((base_theta - th_star) / math.pi + 0.5)
@@ -733,8 +737,8 @@ def translation_number_by_iteration(mats, base_theta: float = BASE_DIRECTION,
     mat = mats[-1]
     p = base_theta
     fp = _tracked_angles(mats, base_theta)[-1]  # lift value F(p)
-    if not _near_central(mat) and classify(mat) != MatClass.ELLIPTIC:  # elliptic: any start works
-        _, (vx, vy) = eigen_data(mat)[0]
+    if not _near_central(mat) and (cls := _classify(mat, False)) != MatClass.ELLIPTIC:  # elliptic: any start works
+        _, (vx, vy) = _eigen_pairs(mat, cls)[0]
         start = _dir_angle(vx, vy) + 0.05
         fp = _traverse(mat, p, fp, start)
         p = start

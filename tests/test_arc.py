@@ -5,6 +5,7 @@ import math
 import random
 import types
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from sl2arc.arc import (
     irreducibility_margin,
 )
 from sl2arc.cli import main
-from sl2arc.pretzel import N_CAP, kernel_closed_form, make_family
-from sl2arc.sl2 import Mat2
+from sl2arc.pretzel import N_CAP, curve_jacobian, kernel_closed_form, make_family
+from sl2arc.sl2 import Mat2, exact_nullspace, exact_rank
 from sl2arc.tracepass import TracePlan
 from sl2arc.words import evaluate
 
@@ -116,6 +117,73 @@ def test_arc_pins_freeze_ma_entries(fam1, arc1):
     for s in arc1.samples[:: len(arc1.samples) // 4]:
         got = [s.ma.entries()[p] for p in arc1.pins]
         assert got == frozen
+
+
+# ----------------------------------------------------------------------
+# gauge pins: the rank-2 orbit test against the exact reduced rows
+
+def _exact_character_rows(fam):
+    """(the character-form constraint rows at rho_n, D(chi) there), exact:
+    the two determinant rows beside the exact curve Jacobian times D(chi)."""
+    a11, a12, a21, a22 = fam.rho_a
+    b11, b12, b21, b22 = fam.rho_b
+    zeros = (0, 0, 0, 0)
+    dchi = ((1, 0, 0, 1) + zeros, zeros + (1, 0, 0, 1), (b11, b21, b12, b22, a11, a21, a12, a22))
+    curve = [[sum(j * d[k] for j, d in zip(row, dchi)) for k in range(8)]
+             for row in curve_jacobian(fam)]
+    return [(a22, -a21, -a12, a11) + zeros, zeros + (b22, -b21, -b12, b11), *curve], dchi
+
+
+def _exact_pin_verdict(rows, dchi, pins):
+    """None for a feasible pin pair; "rank" when the reduced rows have rank
+    below 4, "gauge" when D(chi) sends their whole kernel to zero."""
+    free = [i for i in range(8) if i not in pins]
+    reduced = [[row[i] for i in free] for row in rows]
+    if exact_rank(reduced) < 4:
+        return "rank"
+    kernel = exact_nullspace(reduced)
+    assert len(kernel) == 2
+    moved = any(sum(d[i] * x for i, x in zip(free, v)) for v in kernel for d in dchi)
+    return None if moved else "gauge"
+
+
+def _pins_at_base_point(fam):
+    system = _EntrySystem(fam)
+    q0 = arc_module._base_point(fam)
+    jac0 = np.array(system.evaluate(q0)[1])
+    return arc_module._select_pins(arc_module._character_rows(curve_jacobian(fam), q0, jac0),
+                                   fam.rho_a)
+
+
+@pytest.mark.parametrize("n", [*range(1, 51), 100, 1000])
+def test_the_orbit_test_agrees_with_the_exact_reduced_rows(n):
+    fam = make_family(n)
+    rows, dchi = _exact_character_rows(fam)
+    assert exact_rank(rows) == 4
+    feasible = [pins for pins in combinations(range(4), 2)
+                if _exact_pin_verdict(rows, dchi, pins) is None]
+    assert arc_module._pin_pairs(fam.rho_a) == feasible
+    assert _pins_at_base_point(fam) == ((1, 3) if n <= 5 else (0, 1))
+
+
+@pytest.mark.parametrize("a", [Mat2(-1, 1, 0, -1), Mat2(1, 0, 0, 1), Mat2(-1, 0, 0, -1),
+                               Mat2(2, 0, 0, 1), Mat2(1, 0, 3, 1), Mat2(0, -1, 1, 0),
+                               Mat2(3, 1, 2, 1), Mat2(2, 1, 1, 1), Mat2(1, 2, 0, 1)])
+def test_pin_pairs_are_the_entry_pairs_the_orbit_moves_in_rank_2(a):
+    orbit = [x @ a - a @ x for x in (Mat2(1, 0, 0, -1), Mat2(0, 1, 0, 0), Mat2(0, 0, 1, 0))]
+    assert arc_module._pin_pairs(a) == [
+        pins for pins in combinations(range(4), 2)
+        if exact_rank([[c[p] for c in orbit] for p in pins]) == 2]
+
+
+def test_each_rejected_pin_pair_at_n_1_fails_for_its_reason(fam1):
+    # rho_n(a) = [[-1, 1], [0, -1]]: conjugation moves neither entry 2 nor
+    # entries 0 and 3 apart, so (0, 3) and each pair with entry 2 cut the
+    # orbit in rank 1; each keeps rank 4 and leaves a kernel of pure gauge
+    rows, dchi = _exact_character_rows(fam1)
+    assert {pins: _exact_pin_verdict(rows, dchi, pins) for pins in combinations(range(4), 2)} == {
+        (0, 1): None, (0, 2): "gauge", (0, 3): "gauge", (1, 2): "gauge", (1, 3): None,
+        (2, 3): "gauge"}
 
 
 def test_direction_plus_has_det_plus_conjugators(arc1):

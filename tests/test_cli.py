@@ -247,6 +247,19 @@ def test_interval_past_n_8_succeeds(n, capsys):
     assert re.fullmatch(r"interval: \(-[0-9.e-]+, 0\)\n", capsys.readouterr().out)
 
 
+def test_interval_past_n_21_succeeds(capsys):
+    # float pin thresholds scaled at n = 1 reject every pair from n = 22;
+    # the exact orbit test keeps (0, 1) there
+    assert main(["interval", "--n", "22"]) == 0
+    assert re.fullmatch(r"interval: \(-[0-9.e-]+, 0\)\n", capsys.readouterr().out)
+
+
+def test_locus_past_n_21_writes_every_sample(tmp_path, capsys):
+    out = tmp_path / "locus.csv"
+    assert main(["locus", "--n", "30", "--steps", "200", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 201  # the header and 200 glued samples
+
+
 def test_interval_does_not_check_the_longitude_determinant(monkeypatch, capsys):
     # a one-sample arc whose stored longitude has determinant 1 + 2e-9: the
     # reader without a direction classifies it and raises, the locus reads

@@ -54,7 +54,6 @@ __all__ = [
 
 HYPERBOLIC_MARGIN = 1e-9
 HORIZONTAL_TOL = 1e-9
-TRANSLATION_TOL = 1e-9
 
 
 class LocusError(ValueError):
@@ -186,7 +185,7 @@ def locus_points(arc: Arc) -> LocusArc:
                                         pairs[0][1])
         except (ArithmeticError, ValueError) as exc:
             raise LocusError(f"longitude translation numbers failed: {exc}") from exc
-        if abs(trans.value) > TRANSLATION_TOL:
+        if trans.value != 0.0:
             continue
         p1, p2, prev_direction = _point_pair(pairs, longitude_mats[idx], prev_direction)
         first.append(p1)

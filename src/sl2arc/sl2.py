@@ -18,13 +18,16 @@ projective line, parametrized by the angle theta in [0, pi) of the vector
 (cos theta, sin theta).  Determinant-1 matrices act by orientation-preserving
 homeomorphisms of that circle; a path of matrices starting at the identity
 lifts the endpoint to the universal cover, and the translation number of the
-lift is the asymptotic displacement per iterate in units of pi.  One angle
-track along the path pins the lift at every prefix:
-translation_numbers_along_arc reads each prefix off it in closed form at a
-fixed direction of the prefix (the locus reads a longitude at its commuting
-stable letter's instead), from one image there and the lift's monotone
-bracket; the bisecting lift _traverse answers only where the bracket cannot
-choose, and translation_number_by_iteration is the iterate-limit reference.
+lift is the asymptotic displacement per iterate in units of pi.  Every lift
+step is one closed form, _swept(p, q) = atan2(p x q, p . q): the signed angle
+a vector turns through from p to q inside the cone they span.  A linear map
+sends a cone of less than half a turn onto one, so along a straight matrix
+segment, or across such a cone of directions under one matrix, the lift
+gains exactly the angle the images sweep.  One angle track along the path
+pins the lift at every prefix: translation_numbers_along_arc reads each
+prefix off it at a fixed direction of the prefix (the locus reads a
+longitude at its commuting stable letter's instead), and
+translation_number_by_iteration is the iterate-limit reference.
 """
 
 from __future__ import annotations
@@ -547,99 +550,20 @@ def _dir_angle(x: float, y: float) -> float:
     return t
 
 
-def _image(mat, theta: float):
-    """(angle, norm) of M applied to the unit vector at angle theta."""
+def _act(mat, v: tuple) -> tuple:
+    """The float matrix mat applied to the vector v."""
     a, b, c, d = mat
-    cs, sn = math.cos(theta), math.sin(theta)
-    x = a * cs + b * sn
-    y = c * cs + d * sn
-    n = math.hypot(x, y)
-    if n == 0.0:
-        raise ArithmeticError("direction collapsed; matrix is singular")
-    return _dir_angle(x, y), n
+    return a * v[0] + b * v[1], c * v[0] + d * v[1]
 
 
-def _wrap_half(delta: float) -> float:
-    """Representative of delta modulo pi inside [-pi/2, pi/2)."""
-    return (delta + math.pi / 2) % math.pi - math.pi / 2
-
-
-def _traverse(mat, th_a: float, al_a: float, th_b: float) -> float:
-    """Lift value at th_b of the circle map of `mat`, given lift al_a at th_a.
-
-    Bisects until the local contraction bound certifies that the nearest
-    representative is the continuous one.  The map's derivative is
-    1 / |M v(theta)|^2, so a segment is safe once its width is small against
-    the squared image norms at its ends (with a Lipschitz safety margin).
-    """
-    if abs(th_b - th_a) == 0.0:
-        return al_a
-    a, b, c, d = mat
-    op_norm = math.sqrt(a * a + b * b + c * c + d * d)
-    image_b = _image(mat, th_b)
-    return _lift(mat, op_norm, th_a, _image(mat, th_a)[1], al_a, th_b, image_b, 0)
-
-
-def _lift(mat, op_norm: float, th_a: float, n_a: float, al_a: float,
-          th_b: float, image_b: tuple, depth: int) -> float:
-    """_traverse on one segment, given the image norm n_a at th_a and the
-    image (angle, norm) at th_b; a split hands the midpoint's image to both
-    halves."""
-    width = abs(th_b - th_a)
-    if width == 0.0:
-        return al_a
-    raw_b, n_b = image_b
-    m_eff = min(n_a, n_b) - op_norm * width
-    if m_eff > 0.0 and width / (m_eff * m_eff) <= 0.5:
-        return al_a + _wrap_half(raw_b - al_a)
-    if depth > 64:
-        raise ContinuityError("could not certify a continuous lift segment")
-    mid = (th_a + th_b) / 2
-    image_mid = _image(mat, mid)
-    al_mid = _lift(mat, op_norm, th_a, n_a, al_a, mid, image_mid, depth + 1)
-    return _lift(mat, op_norm, mid, image_mid[1], al_mid, th_b, image_b, depth + 1)
-
-
-def _bracketed_lift(mat, th_a: float, al_a: float, th_b: float) -> float:
-    """_traverse for 0 < |th_b - th_a| < pi and det(mat) > 0, from one image:
-    the lift is increasing with F(x + pi) = F(x) + pi, so F(th_b) is the
-    representative of th_b's image angle strictly between al_a and al_a + pi
-    (al_a - pi and al_a when th_b < th_a).  _traverse certifies the value
-    when th_b is th_a, the determinant is not positive, or the image angle
-    lies within the rounding of al_a modulo pi."""
-    a, b, c, d = mat
-    raw = _image(mat, th_b)[0]
-    s = (al_a - raw) / math.pi
-    frac = s % 1.0
-    # al_a, the image angle, - and / each round by about an ulp of |al_a| + pi
-    band = 4 * math.ulp(abs(al_a) + math.pi) / math.pi
-    if th_b != th_a and a * d > b * c and band < frac < 1.0 - band:
-        return raw + math.pi * (s - frac + (th_b > th_a))
-    return _traverse(mat, th_a, al_a, th_b)
-
-
-def _advance_track(m_from, m_to, theta0: float, alpha: float, depth: int = 0) -> float:
-    """Continue the lifted angle of M v(theta0) from matrix m_from to m_to."""
-    cs, sn = math.cos(theta0), math.sin(theta0)
-
-    def apply(mat):
-        x = mat[0] * cs + mat[1] * sn
-        y = mat[2] * cs + mat[3] * sn
-        return x, y
-
-    xa, ya = apply(m_from)
-    xb, yb = apply(m_to)
-    na, nb = math.hypot(xa, ya), math.hypot(xb, yb)
-    dv = math.hypot(xb - xa, yb - ya)
-    if nb == 0.0:
+def _swept(p: tuple, q: tuple) -> float:
+    """The signed angle, in (-pi, pi), that a vector turns through from p to
+    q inside the cone they span: atan2(p x q, p . q).  Opposite vectors, or
+    a zero one, span no such cone and raise ContinuityError."""
+    cross, dot = p[0] * q[1] - p[1] * q[0], p[0] * q[0] + p[1] * q[1]
+    if cross == 0.0 and dot <= 0.0:
         raise ContinuityError("image direction collapsed along the path")
-    if dv < 0.5 * min(na, nb):
-        return alpha + _wrap_half(_dir_angle(xb, yb) - alpha)
-    if depth > 64:
-        raise ContinuityError("matrix path cannot be lifted continuously")
-    mid = tuple((p + q) / 2 for p, q in zip(m_from, m_to))
-    alpha_mid = _advance_track(m_from, mid, theta0, alpha, depth + 1)
-    return _advance_track(mid, m_to, theta0, alpha_mid, depth + 1)
+    return math.atan2(cross, dot)
 
 
 class PathTranslation(NamedTuple):
@@ -648,15 +572,23 @@ class PathTranslation(NamedTuple):
 
 
 def _tracked_angles(mats, base_theta: float) -> list:
-    """Lifted angle of each path matrix applied to the base direction, tracked
-    continuously from the first; consecutive matrices must be closer than
-    MAX_PATH_STEP in Frobenius distance."""
-    alpha, _ = _image(mats[0], base_theta)
+    """Lifted angle of each path matrix applied to the base direction u,
+    tracked continuously from the first; consecutive matrices must be closer
+    than MAX_PATH_STEP in Frobenius distance.  On the straight segment from M
+    to N the image of u runs straight from M u to N u, so the track gains
+    exactly _swept(M u, N u); a segment through 0 raises ContinuityError."""
+    u = (math.cos(base_theta), math.sin(base_theta))
+    image = _act(mats[0], u)
+    if image == (0.0, 0.0):
+        raise ArithmeticError("direction collapsed; matrix is singular")
+    alpha = _dir_angle(*image)
     angles = [alpha + math.pi * round((base_theta - alpha) / math.pi)]
     for prev, cur in zip(mats, mats[1:]):
         if math.dist(prev, cur) >= MAX_PATH_STEP:
             raise ContinuityError("consecutive path matrices are too far apart")
-        angles.append(_advance_track(prev, cur, base_theta, angles[-1]))
+        nxt = _act(cur, u)
+        angles.append(angles[-1] + _swept(image, nxt))
+        image = nxt
     return angles
 
 
@@ -674,18 +606,21 @@ def _prefix_translation(mat, alpha: float, base_theta: float,
 
     A central endpoint reads the integer off alpha itself.  Hyperbolic and
     parabolic endpoints give an exact integer read off at a fixed direction
-    th* of the circle map: the given one, unchecked (mat is not classified),
-    or else mat's expanding one.  _bracketed_lift gives the lift at th*,
-    placed within half a turn of base_theta, from one image; _traverse runs
-    only when th* is base_theta, mat reverses orientation, or that image
-    lies within rounding of alpha modulo pi.  Elliptic endpoints rotate with no fixed
-    direction: an elliptic matrix with trace 2 cos(phi0), phi0 in (0, pi),
-    is conjugate by a positive-determinant matrix to a rotation by +-phi0,
-    positive exactly when b < 0 (or c > 0 when b = 0), and the integer part
-    is pinned by alpha, since all displacements of a fixed-point-free circle
-    map lie in one open length pi band together with the translation
-    number.  The value is then a non-integer real number, flagged as
-    elliptic.
+    of the circle map: the given one, unchecked (mat is not classified), or
+    else mat's expanding one.  With u the unit vector at base_theta and v
+    that direction's representative with u . v >= 0, the angle from u to v
+    is _swept(u, v), less than half a turn; mat maps that cone onto the cone
+    from M u to M v, also of less than half a turn, so the lift gains
+    exactly _swept(M u, M v) there, for either sign of det(mat).  The integer
+    is the lift at v less v's angle, in units of pi.
+
+    Elliptic endpoints rotate with no fixed direction: an elliptic matrix
+    with trace 2 cos(phi0), phi0 in (0, pi), is conjugate by a
+    positive-determinant matrix to a rotation by +-phi0, positive exactly
+    when b < 0 (or c > 0 when b = 0), and the integer part is pinned by
+    alpha, since all displacements of a fixed-point-free circle map lie in
+    one open length pi band together with the translation number.  The
+    value is then a non-integer real number, flagged as elliptic.
     """
     if _near_central(mat):
         return PathTranslation(float(round((alpha - base_theta) / math.pi)), False)
@@ -697,10 +632,10 @@ def _prefix_translation(mat, alpha: float, base_theta: float,
             frac = phi0 / math.pi if positive else 1.0 - phi0 / math.pi
             return PathTranslation(math.floor((alpha - base_theta) / math.pi) + frac, True)
         direction = _eigen_pairs(mat, cls)[0][1]
-    th_star = _dir_angle(*direction)
-    # place the fixed direction's lift within half a turn of the anchor
-    th_star += math.pi * math.floor((base_theta - th_star) / math.pi + 0.5)
-    k_float = (_bracketed_lift(mat, base_theta, alpha, th_star) - th_star) / math.pi
+    u = (math.cos(base_theta), math.sin(base_theta))
+    x, y = direction
+    v = (x, y) if u[0] * x + u[1] * y >= 0.0 else (-x, -y)
+    k_float = (alpha - base_theta + _swept(_act(mat, u), _act(mat, v)) - _swept(u, v)) / math.pi
     k = round(k_float)
     if abs(k_float - k) > 1e-6:
         raise ArithmeticError(f"translation number {k_float} is not close to an integer")
@@ -735,23 +670,25 @@ def translation_number_by_iteration(mats, base_theta: float = BASE_DIRECTION,
         raise ValueError("empty path")
     mats = [m.to_float() if m.exact else m for m in mats]
     mat = mats[-1]
-    p = base_theta
-    fp = _tracked_angles(mats, base_theta)[-1]  # lift value F(p)
+    p, image = base_theta, _act(mat, (math.cos(base_theta), math.sin(base_theta)))
+    fp = _tracked_angles(mats, base_theta)[-1]  # lift value F(p) at the image M v(p)
+    # F gains _swept(M v(p), M v(q)) from p to any q within half a turn of p
     if not _near_central(mat) and (cls := _classify(mat, False)) != MatClass.ELLIPTIC:  # elliptic: any start works
         _, (vx, vy) = _eigen_pairs(mat, cls)[0]
         start = _dir_angle(vx, vy) + 0.05
-        fp = _traverse(mat, p, fp, start)
-        p = start
+        start += math.pi * round((p - start) / math.pi)
+        nxt = _act(mat, (math.cos(start), math.sin(start)))
+        fp, p, image = fp + _swept(image, nxt), start, nxt
     # The iterate is p + k pi with fp = F(p).  As F(x + pi) = F(x) + pi,
     # the next iterate F(p) + k pi is carried by its representative
-    # nearest p, so each traversal spans at most half a turn.
+    # nearest p, so each step spans at most a quarter turn.
     k = 0
     half = p, k
     for i in range(2 * iterations):
         if i == iterations:
             half = p, k
         j = round((fp - p) / math.pi)
-        nxt = fp - j * math.pi
-        fp = _traverse(mat, p, fp, nxt)
-        p, k = nxt, k + j
+        q = fp - j * math.pi
+        nxt = _act(mat, (math.cos(q), math.sin(q)))
+        fp, p, k, image = fp + _swept(image, nxt), q, k + j, nxt
     return (p - half[0] + (k - half[1]) * math.pi) / (math.pi * iterations)

@@ -18,6 +18,8 @@ from sl2arc.pretzel import make_family
 from sl2arc.sl2 import ConjugatorResult, Mat2, translation_numbers_along_arc
 from sl2arc.words import evaluate
 
+from test_locus import _UNLIFTABLE
+
 
 # ----------------------------------------------------------------------
 # trace
@@ -280,6 +282,16 @@ def test_interval_does_not_check_the_longitude_determinant(monkeypatch, capsys):
     assert main(["interval", "--n", "1", "--steps", "1"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "interval: (-0.63093, 0)\n" and captured.err == ""
+
+
+@pytest.mark.parametrize("case", sorted(_UNLIFTABLE))
+def test_a_longitude_path_the_track_cannot_lift_exits_3(case, monkeypatch, tmp_path, capsys):
+    path, _, message = _UNLIFTABLE[case]
+    monkeypatch.setattr(Arc, "longitude_images", lambda self: path)
+    assert main(["locus", "--n", "1", "--steps", "5", "--out", str(tmp_path / "locus.csv")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: longitude translation numbers failed: {message}\n"
 
 
 # ----------------------------------------------------------------------

@@ -254,6 +254,14 @@ def test_the_stable_letter_direction_of_another_sample_fails_the_read(reach_arcs
         locus_points(reach_arcs[n])
 
 
+def _fixed_direction_miss(mat: Mat2, direction: tuple) -> float:
+    """The angle, in [-pi/2, pi/2), from a direction to its image under mat."""
+    theta = sl2_module._dir_angle(*direction)
+    cs, sn = math.cos(theta), math.sin(theta)
+    image = sl2_module._dir_angle(mat.a * cs + mat.b * sn, mat.c * cs + mat.d * sn)
+    return (image - theta + math.pi / 2) % math.pi - math.pi / 2
+
+
 @pytest.mark.parametrize("n", range(1, 51))
 def test_the_locus_reads_each_longitude_at_a_direction_it_fixes(reach_arcs, n, monkeypatch):
     # The integrality check (1e-6) would also pass the previous sample's
@@ -271,9 +279,7 @@ def test_the_locus_reads_each_longitude_at_a_direction_it_fixes(reach_arcs, n, m
     locus_points(arc)
     assert len(reads) == sum(s.det_sign == 1 for s in arc.samples) > 0
     for mat, direction in reads:
-        theta = sl2_module._dir_angle(*direction)
-        miss = sl2_module._wrap_half(sl2_module._image(mat, theta)[0] - theta)
-        assert abs(miss) / math.pi <= 1e-9
+        assert abs(_fixed_direction_miss(mat, direction)) / math.pi <= 1e-9
 
 
 @pytest.mark.xfail(raises=GluingError, strict=True, reason=(
@@ -329,6 +335,40 @@ def test_the_undirected_reads_classify_each_endpoint_once(reach_arcs, monkeypatc
     translation_number_by_iteration(longitudes[:100] + [end.scale(1.0 / math.sqrt(end.det()))],
                                     iterations=16)
     assert len(classified) == 1
+
+
+@pytest.mark.parametrize("value", [-1.0, 1.0])
+def test_the_locus_keeps_only_samples_whose_longitude_does_not_translate(value, arc1, locus1,
+                                                                          monkeypatch):
+    odd = {id(m) for m in arc1.longitude_images()[1::2]}
+    read = locus_module._prefix_translation
+
+    def translated(mat, alpha, base_theta, direction):
+        got = read(mat, alpha, base_theta, direction)
+        return got._replace(value=value) if id(mat) in odd else got
+
+    monkeypatch.setattr(locus_module, "_prefix_translation", translated)
+    kept = locus_points(arc1).sample_indices
+    assert kept == tuple(i for i in locus1.sample_indices if i % 2 == 0)
+
+
+_UNLIFTABLE = {
+    # the first longitude sends the base direction to 0
+    "singular first": ([Mat2(0.0, 0.0, 0.0, 0.0), Mat2(0.1, 0.0, 0.0, 0.1)], ArithmeticError,
+                       "direction collapsed; matrix is singular"),
+    # from m to -m the image of the base direction runs through 0
+    "through zero": ([Mat2(0.1, 0.02, -0.03, 0.1), Mat2(-0.1, -0.02, 0.03, -0.1)],
+                     sl2_module.ContinuityError, "image direction collapsed along the path"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNLIFTABLE))
+def test_a_longitude_path_the_track_cannot_lift_is_a_locus_error(case, arc1, monkeypatch):
+    path, error, message = _UNLIFTABLE[case]
+    monkeypatch.setattr(Arc, "longitude_images", lambda self: path)
+    with pytest.raises(LocusError, match=f"longitude translation numbers failed: {message}") as info:
+        locus_points(arc1)
+    assert type(info.value.__cause__) is error
 
 
 def test_locus_of_a_minus_arc_skips_its_translation_numbers():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sl2arc import locus as locus_module
 from sl2arc import sl2
 from sl2arc.arc import continue_arc
 from sl2arc.locus import locus_points
@@ -718,6 +719,15 @@ def test_iteration_estimate_agrees_with_closed_form(path):
     assert abs(endpoint(path).value - iterated) <= 1e-6
 
 
+def test_the_iterate_starts_within_a_quarter_turn_of_the_base():
+    # the start, 0.05 past the expanding direction at 3.12, is 3.17 from the
+    # base 0.0 but within a quarter turn of it modulo pi
+    turn = rotation(3.12)
+    path = [turn @ m @ turn.inverse() for m in stretch_path(2.0)]
+    assert sl2._dir_angle(*eigen_data(path[-1])[0][1]) == pytest.approx(3.12)
+    assert abs(translation_number_by_iteration(path, base_theta=0.0, iterations=1 << 8)) <= 1e-12
+
+
 def test_base_point_independence():
     path = rotation_path(math.pi)
     for theta in (0.1, 1.0, 2.5):
@@ -742,6 +752,28 @@ def test_both_path_entry_points_reject_a_coarse_path():
         translation_number_by_iteration(path)
 
 
+def test_a_singular_first_matrix_raises_an_arithmetic_error():
+    # the zero matrix, and a rank-1 one that sends the base direction exactly to 0
+    c, s = math.cos(BASE_DIRECTION), math.sin(BASE_DIRECTION)
+    for first in (Mat2(0.0, 0.0, 0.0, 0.0), Mat2(-s, c, 0.0, 0.0)):
+        path = [first, first + Mat2(0.1, 0.0, 0.0, 0.1)]
+        with pytest.raises(ArithmeticError, match="direction collapsed; matrix is singular"):
+            translation_numbers_along_arc(path)
+        with pytest.raises(ArithmeticError, match="direction collapsed; matrix is singular"):
+            translation_number_by_iteration(path)
+
+
+def test_a_path_whose_image_passes_through_zero_raises():
+    # from m to -m the image of every direction runs straight through 0;
+    # into the zero matrix it ends there
+    m = Mat2(0.1, 0.02, -0.03, 0.1)
+    for path in ([m, m.neg()], [m, Mat2(0.0, 0.0, 0.0, 0.0)], [m, m.neg(), m]):
+        with pytest.raises(ContinuityError, match="image direction collapsed along the path"):
+            translation_numbers_along_arc(path)
+        with pytest.raises(ContinuityError, match="image direction collapsed along the path"):
+            translation_number_by_iteration(path)
+
+
 def test_path_ending_off_unit_determinant_raises():
     path = [Mat2.identity(exact=False), Mat2(1.2, 0.0, 0.0, 1.2)]
     with pytest.raises(ValueError, match="determinant 1"):
@@ -764,22 +796,86 @@ def test_arc_prefix_values_are_monotone_for_rotations():
 
 
 def _reference_traverse(mat, th_a, al_a, th_b, depth=0):
-    """The lift that recomputes the images at both ends of every segment."""
+    """The certified bisecting lift: the value at th_b of the lift of the
+    circle map of mat whose value at th_a is al_a.  The map's derivative is
+    1 / |M v(theta)|^2, so a segment is safe once its width is small against
+    the squared image norms at its ends (with a Lipschitz safety margin);
+    then the image angle's representative within a quarter turn of al_a is
+    the continuous one."""
     width = abs(th_b - th_a)
     if width == 0.0:
         return al_a
-    raw_b, n_b = sl2._image(mat, th_b)
-    _, n_a = sl2._image(mat, th_a)
     a, b, c, d = mat
+    norms = []
+    for theta in (th_a, th_b):
+        cs, sn = math.cos(theta), math.sin(theta)
+        x, y = a * cs + b * sn, c * cs + d * sn
+        norms.append(math.hypot(x, y))
+        if norms[-1] == 0.0:
+            raise ArithmeticError("direction collapsed; matrix is singular")
+    raw_b = sl2._dir_angle(x, y)
     op_norm = math.sqrt(a * a + b * b + c * c + d * d)
-    m_eff = min(n_a, n_b) - op_norm * width
+    m_eff = min(norms) - op_norm * width
     if m_eff > 0.0 and width / (m_eff * m_eff) <= 0.5:
-        return al_a + sl2._wrap_half(raw_b - al_a)
+        return al_a + ((raw_b - al_a + math.pi / 2) % math.pi - math.pi / 2)
     if depth > 64:
         raise ContinuityError("could not certify a continuous lift segment")
     mid = (th_a + th_b) / 2
     al_mid = _reference_traverse(mat, th_a, al_a, mid, depth + 1)
     return _reference_traverse(mat, mid, al_mid, th_b, depth + 1)
+
+
+def _reference_track(mats, base_theta):
+    """The bisecting angle track: each matrix segment is halved until the
+    image of the base direction moves by less than half its norm, and then
+    the image angle's representative within a quarter turn is taken."""
+    cs, sn = math.cos(base_theta), math.sin(base_theta)
+
+    def advance(m_from, m_to, alpha, depth=0):
+        xa, ya = m_from[0] * cs + m_from[1] * sn, m_from[2] * cs + m_from[3] * sn
+        xb, yb = m_to[0] * cs + m_to[1] * sn, m_to[2] * cs + m_to[3] * sn
+        na, nb = math.hypot(xa, ya), math.hypot(xb, yb)
+        if nb == 0.0:
+            raise ContinuityError("image direction collapsed along the path")
+        if math.hypot(xb - xa, yb - ya) < 0.5 * min(na, nb):
+            return alpha + ((sl2._dir_angle(xb, yb) - alpha + math.pi / 2) % math.pi - math.pi / 2)
+        if depth > 64:
+            raise ContinuityError("matrix path cannot be lifted continuously")
+        mid = tuple((p + q) / 2 for p, q in zip(m_from, m_to))
+        return advance(mid, m_to, advance(m_from, mid, alpha, depth + 1), depth + 1)
+
+    alpha = sl2._dir_angle(mats[0][0] * cs + mats[0][1] * sn, mats[0][2] * cs + mats[0][3] * sn)
+    angles = [alpha + math.pi * round((base_theta - alpha) / math.pi)]
+    for prev, cur in zip(mats, mats[1:]):
+        angles.append(advance(prev, cur, angles[-1]))
+    return angles
+
+
+def _reference_read(mat, alpha, base_theta, direction) -> float:
+    """The translation number, in units of pi, that the bisecting lift reads
+    at the fixed direction's angle placed within a quarter turn of the base."""
+    th_star = sl2._dir_angle(*direction)
+    th_star += math.pi * math.floor((base_theta - th_star) / math.pi + 0.5)
+    return (_reference_traverse(mat, base_theta, alpha, th_star) - th_star) / math.pi
+
+
+def _reference_iteration(mats, base_theta, iterations):
+    """translation_number_by_iteration with every lift step taken by the
+    bisecting references."""
+    mat = mats[-1]
+    p, fp = base_theta, _reference_track(mats, base_theta)[-1]
+    if not sl2._near_central(mat) and classify(mat) != MatClass.ELLIPTIC:
+        start = sl2._dir_angle(*eigen_data(mat)[0][1]) + 0.05
+        p, fp = start, _reference_traverse(mat, p, fp, start)
+    k = 0
+    half = p, k
+    for i in range(2 * iterations):
+        if i == iterations:
+            half = p, k
+        j = round((fp - p) / math.pi)
+        nxt = fp - j * math.pi
+        p, fp, k = nxt, _reference_traverse(mat, p, fp, nxt), k + j
+    return (p - half[0] + (k - half[1]) * math.pi) / (math.pi * iterations)
 
 
 @pytest.fixture(scope="module")
@@ -789,120 +885,70 @@ def longitude_paths():
             for n in (1, 8)}
 
 
-@pytest.fixture(scope="module")
-def longitude_lift_inputs(longitude_paths):
-    """The (mat, base, alpha, theta*) of every lift that the translation
-    numbers along the longitude paths make, keyed by n: the inputs that
-    _traverse took before the bracket answered these reads."""
-    with pytest.MonkeyPatch.context() as mp:
-        return {n: [args for args, _ in
-                    _bracket_reads(mp, lambda: translation_numbers_along_arc(path))]
-                for n, path in longitude_paths.items()}
+def _recorded_reads(monkeypatch, owner, read) -> list:
+    """The (mat, alpha, base, direction, result) of every _prefix_translation
+    call that read() makes through owner's name for it."""
+    prefix, reads = owner._prefix_translation, []
 
+    def recorded(mat, alpha, base_theta, direction=None):
+        reads.append((mat, alpha, base_theta, direction, prefix(mat, alpha, base_theta, direction)))
+        return reads[-1][-1]
 
-def _lift_everything(longitude_lift_inputs):
-    """Every value that goes through _traverse: the lifts of the reads along
-    the arcs' longitudes and the iterated estimates on the rotation paths."""
-    out = [[sl2._traverse(*args) for args in inputs] for inputs in longitude_lift_inputs.values()]
-    for path in (rotation_path(0.9), rotation_path(math.pi), rotation_path(2 * math.pi)):
-        out.append(translation_numbers_along_arc(path))
-        out.append(translation_number_by_iteration(path, iterations=1 << 8))
-    return out
-
-
-def test_the_lift_matches_the_recomputing_reference_bit_for_bit(longitude_lift_inputs, monkeypatch):
-    calls = []
-
-    def checked(mat, th_a, al_a, th_b):
-        got = traverse(mat, th_a, al_a, th_b)
-        assert _bits(got) == _bits(_reference_traverse(mat, th_a, al_a, th_b))
-        calls.append(mat)
-        return got
-
-    traverse = sl2._traverse
-    monkeypatch.setattr(sl2, "_traverse", checked)
-    got = _lift_everything(longitude_lift_inputs)
-    assert len(calls) > 2 * 200
-    monkeypatch.setattr(sl2, "_traverse", _reference_traverse)
-    assert got == _lift_everything(longitude_lift_inputs)
-
-
-def test_the_lift_computes_each_image_once(longitude_lift_inputs, monkeypatch):
-    # both lifts visit the same points; the reference recomputes them
-    image = sl2._image
-    calls = []
-
-    def recorded(mat, theta):
-        calls[-1].append((tuple(mat), theta))
-        return image(mat, theta)
-
-    monkeypatch.setattr(sl2, "_image", recorded)
-    for traverse in (_reference_traverse, sl2._traverse):
-        calls.append([])
-        for args in longitude_lift_inputs[1]:
-            traverse(*args)
-    before, after = calls
-    assert set(after) == set(before)
-    assert len(set(after)) == len(after)
-    assert len(before) > 5 * 200
-    assert len(after) <= len(before) / 2
-
-
-# ----------------------------------------------------------------------
-# the bracketed lift: one image at a fixed direction, _traverse as fallback
-
-
-def _bracket_reads(mp, read):
-    """The (inputs, lift value) of every bracketed lift that read() makes."""
-    bracket, reads = sl2._bracketed_lift, []
-
-    def recorded(*args):
-        reads.append((args, bracket(*args)))
-        return reads[-1][1]
-
-    mp.setattr(sl2, "_bracketed_lift", recorded)
+    monkeypatch.setattr(owner, "_prefix_translation", recorded)
     read()
-    mp.setattr(sl2, "_bracketed_lift", bracket)
-    return reads
-
-
-def _reads_without_fallback(monkeypatch, read):
-    """_bracket_reads, none of which may fall back on _traverse."""
-    def fallback(*args):
-        raise AssertionError(f"the bracket fell back on _traverse at {args}")
-
-    monkeypatch.setattr(sl2, "_traverse", fallback)
-    reads = _bracket_reads(monkeypatch, read)
     monkeypatch.undo()
     return reads
 
 
-def _assert_traversed_integers(reads):
-    for (mat, base, alpha, th_star), value in reads:
-        want = round((sl2._traverse(mat, base, alpha, th_star) - th_star) / math.pi)
-        assert round((value - th_star) / math.pi) == want
+def _assert_reference_reads(path, reads) -> int:
+    """The angle track of path and every non-central read off it against the
+    bisecting references; returns the number of those reads."""
+    tracked = sl2._tracked_angles(path, BASE_DIRECTION)
+    reference = _reference_track(path, BASE_DIRECTION)
+    assert max(abs(a - b) for a, b in zip(tracked, reference)) <= 1e-14
+    index = {id(m): i for i, m in enumerate(path)}
+    checked = 0
+    for mat, alpha, base, direction, got in reads:
+        assert alpha == tracked[index[id(mat)]]
+        if sl2._near_central(mat):
+            continue
+        want = _reference_read(mat, reference[index[id(mat)]], base,
+                               direction or eigen_data(mat)[0][1])
+        assert abs(want - round(want)) <= 1e-6
+        assert got == (float(round(want)), False)
+        checked += 1
+    return checked
 
 
 @pytest.mark.parametrize("n", [1, 8])
-def test_the_bracket_reads_the_traversed_integer_along_longitude_paths(n, longitude_paths,
-                                                                       monkeypatch):
+def test_the_read_gives_the_traversed_integer_along_longitude_paths(n, longitude_paths,
+                                                                    monkeypatch):
     path = longitude_paths[n]
-    reads = _reads_without_fallback(monkeypatch, lambda: translation_numbers_along_arc(path))
-    assert len(reads) == sum(not sl2._near_central(m) for m in path) > 150
-    _assert_traversed_integers(reads)
+    reads = _recorded_reads(monkeypatch, sl2, lambda: translation_numbers_along_arc(path))
+    assert len(reads) == len(path)
+    assert _assert_reference_reads(path, reads) == sum(not sl2._near_central(m) for m in path) > 150
 
 
 @pytest.mark.parametrize("n, step_size, max_steps", [
     (1, 1e-3, 400), (8, 1e-3, 400), (21, 1e-3, 400), (1, 0.02, 1000)])
-def test_the_bracket_reads_the_traversed_integer_on_locus_samples(n, step_size, max_steps,
-                                                                  monkeypatch):
+def test_the_read_gives_the_traversed_integer_on_locus_samples(n, step_size, max_steps,
+                                                               monkeypatch):
     arc = continue_arc(make_family(n), step_size=step_size, max_steps=max_steps)
     assert len(arc.samples) == max_steps + 1
-    reads = _reads_without_fallback(monkeypatch, lambda: locus_points(arc))
+    reads = _recorded_reads(monkeypatch, locus_module, lambda: locus_points(arc))
+    assert all(direction is not None for _, _, _, direction, _ in reads)
     longitudes = arc.longitude_images()
-    assert len(reads) == sum(s.det_sign == 1 and not sl2._near_central(m)
-                             for s, m in zip(arc.samples, longitudes)) >= max_steps - 1
-    _assert_traversed_integers(reads)
+    assert _assert_reference_reads(longitudes, reads) == sum(
+        s.det_sign == 1 and not sl2._near_central(m)
+        for s, m in zip(arc.samples, longitudes)) >= max_steps - 1
+
+
+@pytest.mark.parametrize("theta", [0.9, math.pi, 2 * math.pi, None],
+                         ids=["rotation-0.9", "rotation-pi", "rotation-2pi", "longitude-1"])
+def test_the_iterate_matches_the_bisecting_reference(theta, longitude_paths):
+    path = longitude_paths[1] if theta is None else rotation_path(theta)
+    got = translation_number_by_iteration(path, iterations=1 << 8)
+    assert abs(got - _reference_iteration(path, BASE_DIRECTION, 1 << 8)) <= 1e-12
 
 
 def _hyperbolic_fixing_base(stretch: float) -> Mat2:
@@ -912,50 +958,49 @@ def _hyperbolic_fixing_base(stretch: float) -> Mat2:
     return rotation(BASE_DIRECTION) @ Mat2(stretch, 0.0, 0.0, 1.0 / stretch) @ Mat2(c, s, -s, c)
 
 
-def _counted_traverse(monkeypatch) -> list:
-    """Record the arguments of every _traverse call."""
-    traverse, calls = sl2._traverse, []
-
-    def counted(*args):
-        calls.append(args)
-        return traverse(*args)
-
-    monkeypatch.setattr(sl2, "_traverse", counted)
-    return calls
-
-
 @pytest.mark.parametrize("k", [-2, 0, 1, 3])
-def test_a_fixed_direction_at_the_base_reaches_the_traverse(k, monkeypatch):
+def test_a_fixed_direction_at_the_base_reaches_the_traverse(k):
+    # at the base the read is alpha itself, as the reference traverse's is
     mat = _hyperbolic_fixing_base(3.0)
     direction = (math.cos(BASE_DIRECTION), math.sin(BASE_DIRECTION))
     assert sl2._dir_angle(*direction) == BASE_DIRECTION
-    traverse, calls = sl2._traverse, _counted_traverse(monkeypatch)
     alpha = BASE_DIRECTION + k * math.pi  # the base is fixed, so any lift of it is one
-    got = sl2._prefix_translation(mat, alpha, BASE_DIRECTION, direction)
-    assert got == (float(k), False)
-    assert calls == [(mat, BASE_DIRECTION, alpha, BASE_DIRECTION)]
-    # at the base the lift is its anchor, even one the image angle misses
-    anchor = alpha + 1e-12
-    assert sl2._bracketed_lift(mat, BASE_DIRECTION, anchor, BASE_DIRECTION) == anchor
-    calls.clear()
+    assert sl2._prefix_translation(mat, alpha, BASE_DIRECTION, direction) == (float(k), False)
+    assert _reference_read(mat, alpha, BASE_DIRECTION, direction) == k
+    # the opposite vector is the same direction, read on the base's side
+    opposite = (-direction[0], -direction[1])
+    assert sl2._prefix_translation(mat, alpha, BASE_DIRECTION, opposite) == (float(k), False)
+    # an anchor that is no lift of the fixed base shows through
+    with pytest.raises(ArithmeticError, match="not close to an integer"):
+        sl2._prefix_translation(mat, alpha + 1e-5, BASE_DIRECTION, direction)
     # a few ulps away the image angle is within the rounding of alpha, on
-    # either side of it: the bracket cannot choose, so the traverse answers
+    # either side of it
     near = [x for x in _ulps_around(BASE_DIRECTION, 16) if x != BASE_DIRECTION]
     for stretch in (1.5, 3.0, 10.0):
         mat = _hyperbolic_fixing_base(stretch)
         for th_b in near:
-            assert sl2._bracketed_lift(mat, BASE_DIRECTION, alpha, th_b) == traverse(
-                mat, BASE_DIRECTION, alpha, th_b)
-    assert len(calls) == 3 * len(near)
+            direction = (math.cos(th_b), math.sin(th_b))
+            assert round(_reference_read(mat, alpha, BASE_DIRECTION, direction)) == k
+            assert sl2._prefix_translation(mat, alpha, BASE_DIRECTION, direction) == (float(k), False)
 
 
-def test_a_negative_determinant_reaches_the_traverse(monkeypatch):
-    # the bracket needs an increasing lift
-    mat = Mat2(1.0, 0.0, 0.0, -1.0)
-    traverse, calls = sl2._traverse, _counted_traverse(monkeypatch)
-    assert sl2._bracketed_lift(mat, BASE_DIRECTION, 2.0, 0.1) == traverse(
-        mat, BASE_DIRECTION, 2.0, 0.1)
-    assert len(calls) == 1
+def test_a_negative_determinant_reaches_the_traverse():
+    # the lift of an orientation-reversing map decreases; the read is the
+    # reference traverse's at either fixed direction and any anchor
+    c, s = math.cos(0.4), math.sin(0.4)
+    cases = [(Mat2(1.0, 0.0, 0.0, -1.0), [(1.0, 0.0), (0.0, 1.0)]),
+             (Mat2(3.0, 0.0, 0.0, -1.0 / 3.0), [(1.0, 0.0), (0.0, 1.0)]),
+             (rotation(0.4) @ Mat2(2.0, 0.0, 0.0, -0.5) @ rotation(-0.4), [(c, s), (-s, c)])]
+    u = (math.cos(BASE_DIRECTION), math.sin(BASE_DIRECTION))
+    for mat, directions in cases:
+        image = sl2._dir_angle(mat[0] * u[0] + mat[1] * u[1], mat[2] * u[0] + mat[3] * u[1])
+        for direction in directions:
+            for j in (-1, 0, 2):
+                alpha = image + j * math.pi
+                want = _reference_read(mat, alpha, BASE_DIRECTION, direction)
+                assert abs(want - round(want)) <= 1e-9
+                got = sl2._prefix_translation(mat, alpha, BASE_DIRECTION, direction)
+                assert got == (float(round(want)), False)
 
 
 @pytest.mark.parametrize("offset", [1e-3, 0.3, -1.0])

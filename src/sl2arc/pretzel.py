@@ -190,58 +190,16 @@ def hessian_closed_form(n: int):
 # ----------------------------------------------------------------------
 # exact evaluation helpers
 
-_HESSIAN_SLOTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-
-
-def _partials_at(poly: TracePolynomial, point, slots) -> list:
-    """Exact partials of poly at a rational point in one integer pass.
-
-    Each slot names the variables a partial differentiates by, one index
-    per order r (1 or 2).  Writing the point as p / d, with d the lcm of its
-    denominators, a term c x^e contributes c * (falling factorials of e) *
-    p^(e - delta) * d^(D + r - |e|) to each slot's integer sum, which is
-    thereby homogeneous of degree D = deg - r; one division by d^D ends it.
-    """
-    pt = [Fraction(c) for c in point]
-    d = math.lcm(*(c.denominator for c in pt))
-    order = len(slots[0])
-    deg = poly.degree()
-    top = max(deg - order, 0)
-    p = [c.numerator * (d // c.denominator) for c in pt]
-    px, py, pz = ([v ** e for e in range(deg + 1)] for v in p)
-    dpows = [d ** e for e in range(top + 1)]
-    falling = ([1] * (deg + 1), list(range(deg + 1)), [e * (e - 1) for e in range(deg + 1)])
-    drops = [tuple(slot.count(v) for v in range(3)) for slot in slots]
-    totals = [0] * len(slots)
-    for (i, j, k), c in poly.terms.items():
-        excess = i + j + k - order
-        if excess < 0:
-            continue
-        w = c * dpows[top - excess]
-        for s, (a, b, g) in enumerate(drops):
-            if i >= a and j >= b and k >= g:
-                f = w * falling[a][i] * falling[b][j] * falling[g][k]
-                totals[s] += f * px[i - a] * py[j - b] * pz[k - g]
-    return [Fraction(t, dpows[top]) for t in totals]
-
-
 def gradient_at(poly: TracePolynomial, point) -> tuple:
-    """Exact gradient of a polynomial at a rational point, as Fractions.
-
-    The terms are summed in integers over the point's common denominator
-    and divided once (see _partials_at); no derivative polynomial is built.
-    """
-    return tuple(_partials_at(poly, point, ((0,), (1,), (2,))))
+    """Exact gradient of a polynomial at a rational point, as Fractions."""
+    return tuple(Fraction(poly.derivative(i).evaluate(*point)) for i in range(3))
 
 
 def hessian_at(poly: TracePolynomial, point):
-    """Exact Hessian of a polynomial at a rational point, as Fractions.
-
-    The six distinct second partials come from one integer pass over the
-    terms and one division each (see _partials_at).
-    """
-    h = dict(zip(_HESSIAN_SLOTS, _partials_at(poly, point, _HESSIAN_SLOTS)))
-    return tuple(tuple(h[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
+    """Exact Hessian of a polynomial at a rational point, as Fractions."""
+    grads = [poly.derivative(i) for i in range(3)]
+    return tuple(tuple(Fraction(g.derivative(j).evaluate(*point)) for j in range(3))
+                 for g in grads)
 
 
 def _det3(m) -> Fraction:

@@ -12,15 +12,12 @@ makes one left-to-right pass over the spelling: each letter is a fixed
 sparse linear map on (p0, p1, p2, p3), and at the end
 tr W = 2 p0 + x p1 + y p2 + z p3.  A compile therefore costs the word's
 length times the size of the polynomials it carries, with no recursion.
-Results are memoized under a canonical key, the least rotation of the
-cyclically reduced spelling or of its inverse (traces are conjugation
-invariant, so cyclic rotation is free); a least rotation compares just the
-rotations that start at a longest run of the least letter.
+Each spelling is compiled and memoized under its freely and cyclically
+reduced form: that form is a conjugate of the word, and a trace polynomial
+is conjugation invariant and unique, so the polynomial is the same.
 """
 
 from __future__ import annotations
-
-import re
 
 from .words import Word, WordSyntaxError
 
@@ -175,55 +172,18 @@ Z = TracePolynomial.variable("z")
 _LETTERS = "ABab"
 
 
-def _invert_spelling(s: str) -> str:
-    return s[::-1].swapcase()
-
-
-def _reduce_spelling(s: str) -> str:
+def _reduced(s: str) -> str:
+    """The freely and then cyclically reduced form of s, a conjugate of s."""
     out = []
     for ch in s:
         if out and out[-1] == ch.swapcase():
             out.pop()
         else:
             out.append(ch)
-    return "".join(out)
-
-
-def _cyclic_reduce(s: str) -> str:
+    s = "".join(out)
     while len(s) >= 2 and s[0] == s[-1].swapcase():
         s = s[1:-1]
     return s
-
-
-_RUNS = {ch: re.compile(ch + "+") for ch in _LETTERS}
-
-
-def _least_rotation(s: str) -> str:
-    """Lexicographically least rotation of s.
-
-    It starts at a longest cyclic run of the least letter, so only the
-    rotations starting at such a run are compared.
-    """
-    n = len(s)
-    if n <= 1:
-        return s
-    doubled = s + s
-    run = max(_RUNS[min(s)].findall(doubled))
-    if len(run) >= n:
-        return s
-    i = doubled.find(run)
-    best = doubled[i : i + n]
-    i = doubled.find(run, i + 1)
-    while 0 <= i < n:
-        best = min(best, doubled[i : i + n])
-        i = doubled.find(run, i + 1)
-    return best
-
-
-def _canonical_key(s: str) -> str:
-    """Least rotation of the cyclically reduced spelling or of its inverse."""
-    s = _cyclic_reduce(_reduce_spelling(s))
-    return min(_least_rotation(s), _least_rotation(_invert_spelling(s)))
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +231,7 @@ def _combine(row, p) -> dict:
     return out
 
 
-_MEMO: dict = {}  # canonical key -> trace polynomial, for root spellings only
+_MEMO: dict = {}  # reduced spelling -> trace polynomial
 
 
 def trace_of_spelling(s: str) -> TracePolynomial:
@@ -282,7 +242,7 @@ def trace_of_spelling(s: str) -> TracePolynomial:
     rest = s.lstrip(_LETTERS)
     if rest:
         raise WordSyntaxError(f"unknown letter {rest[0]!r}", len(s) - len(rest))
-    key = _canonical_key(s)
+    key = _reduced(s)
     if key in _MEMO:
         return _MEMO[key]
     # x^i y^j z^k is the int (i base + j) base + k.  Each x or z comes from

@@ -6,7 +6,6 @@ pass/fail line of each test is the acceptance record for that criterion.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from fractions import Fraction

@@ -1,7 +1,7 @@
-"""Every module of the package uses each name it imports, or exports it in
-__all__, and every private helper it defines is referenced somewhere in the
-package.  A stdlib ast scan stands in for a linter's unused-import and
-dead-code rules."""
+"""Every module of the package, every test module and every demo uses each
+name it imports, or exports it in __all__, and every private helper the
+package defines is referenced somewhere in the package.  A stdlib ast scan
+stands in for a linter's unused-import and dead-code rules."""
 
 from __future__ import annotations
 
@@ -11,8 +11,12 @@ from collections import Counter
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "sl2arc"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sl2arc"
+# package modules by their file names, tests and demos by their paths from the root
+SOURCES = {p.name: p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+SOURCES.update((str(p.relative_to(ROOT)), p)
+               for folder in ("tests", "demos") for p in sorted((ROOT / folder).glob("*.py")))
 
 
 def _imported(tree) -> dict:
@@ -36,9 +40,9 @@ def _exported(tree) -> set:
     return set()
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", SOURCES)
 def test_every_import_is_used(module):
-    tree = ast.parse((PACKAGE / module).read_text())
+    tree = ast.parse(SOURCES[module].read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items()
               if name not in used and name not in _exported(tree)}

@@ -216,6 +216,13 @@ def test_locus_reaches_n_9_to_21_with_integer_zero(reach_arcs, n):
         assert abs(translation_number_by_iteration(path, iterations=1 << 12)) <= 1e-4
 
 
+@pytest.mark.parametrize("n", range(1, 51))
+def test_every_index_has_a_negative_orderable_interval(reach_arcs, n):
+    # the 200-step +1 arcs give lo from -0.02467 (n = 1) to -3.389e-5 (n = 50)
+    lo, hi = orderable_interval(locus_points(reach_arcs[n]))
+    assert hi == 0.0 and -math.inf < lo < 0.0
+
+
 def _misdirect(monkeypatch, direction_of):
     """Make the locus read each longitude at direction_of(longitude, the
     stable letter's expanding direction) instead."""

@@ -707,6 +707,17 @@ def test_elliptic_endpoint_is_flagged_with_rotation_number():
     assert res.value == pytest.approx(0.9 / math.pi, abs=1e-9)
 
 
+@pytest.mark.parametrize("phi", [-1.4, -1.0, -0.7, 0.3, 1.4])
+def test_a_one_matrix_path_lifts_within_a_quarter_turn_of_the_base(phi):
+    # the first image angle, taken in [0, pi), wraps below the base for the
+    # negative turns; the first lift must move it back next to the base
+    assert sl2._tracked_angles([rotation(phi)], BASE_DIRECTION)[0] == pytest.approx(
+        BASE_DIRECTION + phi, abs=1e-12)
+    res = translation_numbers_along_arc([rotation(phi)])[0]
+    assert res.elliptic
+    assert res.value == pytest.approx(phi / math.pi, abs=1e-12)
+
+
 @pytest.mark.parametrize("path", [
     rotation_path(0.9),
     rotation_path(math.pi),

@@ -209,9 +209,8 @@ def test_unknown_letter_is_rejected():
 
 
 # ----------------------------------------------------------------------
-# canonical keys against the plain definitions: free reduction letter by
-# letter, cyclic reduction, and the least of all rotations of the word and
-# of its inverse
+# the memo key against the plain definitions: free reduction letter by
+# letter, then cyclic reduction
 
 
 def _reference_key(s: str) -> str:
@@ -224,31 +223,26 @@ def _reference_key(s: str) -> str:
     s = "".join(out)
     while len(s) >= 2 and s[0] == s[-1].swapcase():
         s = s[1:-1]
-    if not s:
-        return ""
-    return min(_reference_rotation(s), _reference_rotation(s[::-1].swapcase()))
-
-
-def _reference_rotation(s: str) -> str:
-    return min(((s + s)[i : i + len(s)] for i in range(len(s))), default=s)
+    return s
 
 
 def _check_keys(spellings):
     keys = set()
     for s in spellings:
-        assert tracepoly._least_rotation(s) == _reference_rotation(s), s
-        key = tracepoly._canonical_key(s)
+        key = tracepoly._reduced(s)
         assert key == _reference_key(s), s
         keys.add(key)
     return keys
 
 
-def test_canonical_keys_of_all_short_spellings():
+def test_reduced_keys_of_all_short_spellings():
     spellings = ("".join(t) for length in range(9) for t in itertools.product("abAB", repeat=length))
-    assert len(_check_keys(spellings)) == 694
+    # the empty word and, for each length n >= 1, 3^n + 2 + (-1)^n cyclically
+    # reduced words
+    assert len(_check_keys(spellings)) == 1 + sum(3 ** n + 2 + (-1) ** n for n in range(1, 9)) == 9857
 
 
-def test_canonical_keys_of_long_random_spellings():
+def test_reduced_keys_of_long_random_spellings():
     rng = random.Random(20261018)
     spellings = []
     for _ in range(300):
@@ -259,3 +253,7 @@ def test_canonical_keys_of_long_random_spellings():
     # long runs of one letter, as in the family words a^(n+1) b a b
     spellings += [f"{'a' * k}bab{'A' * j}B" for k in (1, 50, 101) for j in (0, 3, 101)]
     _check_keys(spellings)
+
+
+def test_a_conjugate_shares_its_reduced_forms_polynomial():
+    assert trace_of_spelling("Bab") is trace_of_spelling("a")

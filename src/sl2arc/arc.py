@@ -28,15 +28,16 @@ the six words builds each distinct suffix and prefix product once (19 and
 2x2 products written out and the gradient summed in locals; it gives each
 word's trace, its gradient through d tr(P X S)/dX = (S P)^T, and its
 image.  The corrector runs on plain float tuples: F and the Jacobian rows
-are tuples, and the bordered matrix is built from the rows' free entries
-and a float gauge row in one array call.  The images of m1, m2, l1, l2 at the
-converged iterate become the sample's stored images (a Mat2 is its entry
-tuple), so no later stage rebuilds them, and the longitude is
-m1 l1 m1^-1 l1^-1 of those images with true inverses.  On {det = 1} these
-rows agree with the character-form rows (exact Jacobian) . D(chi) up to
-multiples of the two determinant rows, by the chain rule that gives the
-exact Jacobian; continue_arc checks at rho_n only that the constraints
-vanish there.
+are tuples, and each iteration writes the rows' free entries, the tangent
+row and a float gauge row into one bordered matrix, and F into one
+right-hand side, both allocated once per reduced system.  The images of
+m1, m2, l1, l2 at the converged iterate become the sample's stored images
+(a Mat2 is its entry tuple), so no later stage rebuilds them, and the
+longitude is m1 l1 m1^-1 l1^-1 of those images with true inverses.  On
+{det = 1} these rows agree with the character-form rows
+(exact Jacobian) . D(chi) up to multiples of the two determinant rows, by
+the chain rule that gives the exact Jacobian; continue_arc checks at rho_n
+only that the constraints vanish there.
 
 Gauge geometry.  Conjugating (Ma, Mb) by the centralizer of Ma moves matrix
 entries without moving the character: the flow fixes Ma and moves Mb by
@@ -63,11 +64,12 @@ fixed by tau . t = 1.  The corrector starts at the Euler predictor, so one
 update reaches the tolerance and a step costs one fused evaluation, one
 lstsq and one value-only pass (F and the word images) to check the update,
 and no SVD.  The corrected points become samples in blocks of _BLOCK = 64:
-the joint conjugators of a block come from one stacked SVD
-(sl2.solve_conjugators), and the termination checks then run over the block
-in step order, so an arc ends on the same sample as with one solve per
-step, and the corrector steps after that sample (at most _BLOCK - 1) are
-dropped.
+the joint conjugators of a block come from one stacked SVD and one stacked
+finish (sl2.solve_conjugators), the block's longitudes and their traces
+from one stacked pass of the Mat2 operations (sl2._products and
+sl2._inverses), and the termination checks then run over the block in step
+order, so an arc ends on the same sample as with one solve per step, and
+the corrector steps after that sample (at most _BLOCK - 1) are dropped.
 The initial orientation is probed one corrector step on each side: the
 direction flag +1 denotes the side whose joint conjugator has determinant
 +1 (a real stable letter exists, the arc glues to an HNN extension, and
@@ -92,7 +94,8 @@ from operator import itemgetter, sub
 import numpy as np
 
 from .pretzel import FamilyInstance, analyze_curve, curve_jacobian
-from .sl2 import ConjugatorResult, Mat2, _max_abs, exact_rank, relation_residual, solve_conjugators
+from .sl2 import (ConjugatorResult, Mat2, _inverses, _max_abs, _products, exact_rank,
+                  relation_residual, solve_conjugators)
 from .tracepass import _letters
 
 __all__ = [
@@ -119,7 +122,7 @@ class GluingError(ValueError):
 # ----------------------------------------------------------------------
 # continuation samples
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepSample:
     """One accepted point of the representation arc.
 
@@ -236,6 +239,12 @@ class _ReducedSystem:
         self._pinned = tuple(pinned_values)
         self._place = itemgetter(*(pins.index(i) if i in pins else 2 + free.index(i)
                                    for i in range(8)))
+        # newton's bordered matrix [jr; tau; gauge] and its two right-hand
+        # sides, refilled in every iteration: e_tau's 1 and the gauge row's
+        # zeros are never overwritten
+        self._bordered = np.empty((7, len(free)))
+        self._rhs = np.zeros((7, 2))
+        self._rhs[5, 1] = 1.0
 
     def expand(self, qr) -> tuple:
         """The full entry tuple with free entries qr."""
@@ -285,7 +294,8 @@ class _ReducedSystem:
         full = self.expand(q.tolist())
         f, jac, images = self.system.evaluate(full)
         tangent = tau
-        take = self.take
+        take, a, b = self.take, self._bordered, self._rhs
+        a[5] = tau
         extra = 0.0  # tau . (q - q_pred) at q = q_pred
         for it in range(max_iter + 1):
             res = max(_max_abs(f), abs(extra))
@@ -294,9 +304,9 @@ class _ReducedSystem:
             if jac is None:
                 f, jac, images = self.system.evaluate(full)
             f1, f2, f3, f4, f5 = f
-            a = np.array((*map(take, jac), tau, self.gauge_row(full)))
-            b = np.array(((-f1, 0.0), (-f2, 0.0), (-f3, 0.0), (-f4, 0.0), (-f5, 0.0),
-                          (-extra, 1.0), (0.0, 0.0)))
+            a[:5] = tuple(map(take, jac))
+            a[6] = self.gauge_row(full)
+            b[:6, 0] = (-f1, -f2, -f3, -f4, -f5, -extra)
             x = np.linalg.lstsq(a, b, rcond=1e-12)[0]
             q = q + x[:, 0]
             tangent = x[:, 1] / np.linalg.norm(x[:, 1])
@@ -358,13 +368,20 @@ def _character_rows(jacobian: tuple, q0: tuple, jac0: np.ndarray) -> np.ndarray:
 
 def _samples_at(points) -> list:
     """The RepSamples at corrected points (t, q, residual, images), with the
-    joint conjugators of all points solved in one stack."""
+    joint conjugators of all points solved in one stack and the longitudes
+    m1 l1 m1^-1 l1^-1 formed in one stacked pass."""
+    if not points:
+        return []
     images = [tuple(map(Mat2._make, point[3])) for point in points]
     conjugators = solve_conjugators([[(m1, m2), (l1, l2)] for m1, m2, l1, l2 in images])
+    stack = np.array(images)
+    m1, l1 = stack[:, 0], stack[:, 2]
+    longitudes = _products(_products(_products(m1, l1), _inverses(m1)), _inverses(l1))
     samples = []
-    for (t, q, residual, _), (m1, m2, l1, l2), conj in zip(points, images, conjugators):
+    for (t, q, residual, _), word_images, conj, longitude, trace in zip(
+            points, images, conjugators, longitudes.tolist(),
+            (longitudes[:, 0] + longitudes[:, 3]).tolist()):
         a11, a12, a21, a22, b11, b12, b21, b22 = q
-        longitude = m1 @ l1 @ m1.inverse() @ l1.inverse()
         if conj.det_sign == 1 and conj.candidate is not None:
             meridian = abs(conj.candidate.trace())
         elif conj.det_sign == 0:
@@ -378,10 +395,10 @@ def _samples_at(points) -> list:
             character=(a11 + a22, b11 + b22, a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22),
             residual=residual,
             conjugator=conj,
-            longitude_trace=longitude.trace(),
+            longitude_trace=trace,
             meridian_trace=meridian,
-            word_images=(m1, m2, l1, l2),
-            longitude=longitude,
+            word_images=word_images,
+            longitude=Mat2._make(longitude),
         ))
     return samples
 
@@ -418,10 +435,10 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     """
     if not 1e-6 <= step_size <= 1e-1:
         raise ValueError(f"step_size must lie in [1e-6, 1e-1], got {step_size}")
-    if direction not in (1, -1):
-        raise ValueError(f"direction must be +1 or -1, got {direction}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    if isinstance(direction, bool) or not isinstance(direction, int) or direction not in (1, -1):
+        raise ValueError(f"direction must be the int +1 or -1, got {direction!r}")
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
+        raise ValueError(f"max_steps must be a nonnegative int, got {max_steps!r}")
     if not trace_ceiling > 2.0:
         raise ValueError(f"trace_ceiling must exceed 2 (a hyperbolic |trace|), got {trace_ceiling}")
     jacobian = curve_jacobian(fam)

@@ -62,7 +62,7 @@ class LocusError(ValueError):
     where a sloped one is required)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocusPoint:
     """One (u, w) = (ln lambda_m, ln lambda_l) sample on one branch."""
 

@@ -159,8 +159,39 @@ class Mat2(NamedTuple):
 
 
 def _frobenius(a, b, c, d) -> float:
-    """Frobenius norm of the entries, exact or float, in float."""
-    return math.sqrt(float(a) ** 2 + float(b) ** 2 + float(c) ** 2 + float(d) ** 2)
+    """Frobenius norm of the entries, exact or float, in float.  Each square
+    is a product, as in _norms (a float's x ** 2 is not always x * x, and
+    raises OverflowError where x * x is inf)."""
+    a, b, c, d = float(a), float(b), float(c), float(d)
+    return math.sqrt(a * a + b * b + c * c + d * d)
+
+
+# Stacked forms: arrays whose last axis holds entry rows (a, b, c, d), with
+# the operations of the Mat2 forms in the same order, so every bit agrees.
+# Entry (i, j) of X Y is x_i1 y_1j + x_i2 y_2j, as in Mat2.__matmul__.
+_LEFT1, _RIGHT1 = np.array((0, 0, 2, 2)), np.array((0, 1, 0, 1))
+_LEFT2, _RIGHT2 = np.array((1, 1, 3, 3)), np.array((2, 3, 2, 3))
+_ADJUGATE, _ADJUGATE_SIGNS = np.array((3, 1, 2, 0)), np.array((1.0, -1.0, -1.0, 1.0))
+
+
+def _products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The products X Y of two stacks of entry rows."""
+    return x[..., _LEFT1] * y[..., _RIGHT1] + x[..., _LEFT2] * y[..., _RIGHT2]
+
+
+def _inverses(x: np.ndarray) -> np.ndarray:
+    """Mat2.inverse of each float entry row of a (K, 4) stack; a zero
+    determinant raises ZeroDivisionError, as there."""
+    det = x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]
+    if not det.all():
+        raise ZeroDivisionError("matrix is singular")
+    return (1.0 / det)[:, None] * (x[:, _ADJUGATE] * _ADJUGATE_SIGNS)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """_frobenius of each entry row of a stack."""
+    s = x * x
+    return np.sqrt(s[..., 0] + s[..., 1] + s[..., 2] + s[..., 3])
 
 
 class MatClass(Enum):
@@ -333,7 +364,7 @@ def exact_nullspace(rows):
 # ----------------------------------------------------------------------
 # conjugator solving
 
-@dataclass
+@dataclass(slots=True)
 class ConjugatorResult:
     """Joint solution data for G A_i = B_i G over all supplied pairs.
 
@@ -419,15 +450,17 @@ def solve_conjugator(pairs) -> ConjugatorResult:
 
 def solve_conjugators(pair_lists) -> list:
     """Solve G A_i = B_i G jointly over the pairs of each list of a stack, in
-    floats, with one SVD for the whole stack.
+    floats, with one SVD and one finishing pass for the whole stack.
 
-    Every list holds the same number of pairs, at least one.  Exact pairs
-    are rounded to float once on entry.  The solution space of a list is the
-    nullspace of its intertwiner rows under an SVD with threshold
-    NULLSPACE_TOL times its largest singular value.  The candidate is scaled
-    to |det| = 1 when an invertible solution exists; when the whole solution
-    space consists of singular matrices the result reports det_sign = 0 and
-    an unscaled witness.
+    Every list holds the same number of pairs, at least one, with finite
+    entries.  Exact pairs are rounded to float once on entry.  The solution
+    space of a list is the nullspace of its intertwiner rows under an SVD
+    with threshold NULLSPACE_TOL times its largest singular value.  Its
+    candidate is the one null vector when the space is a line, and else
+    _spanning_candidate's pick.  The finishing pass takes every candidate
+    at once, in the operations of the Mat2 forms: it scales the candidate
+    to |det| = 1 when it is invertible, and keeps an unscaled witness with
+    det_sign = 0 when it is singular, then measures the relation residual.
     """
     if not pair_lists:
         return []
@@ -435,50 +468,63 @@ def solve_conjugators(pair_lists) -> list:
              for pairs in pair_lists]
     if not lists[0] or any(len(pairs) != len(lists[0]) for pairs in lists):
         raise ValueError("every list needs the same number of pairs, at least one")
-    _, sigs, vts = np.linalg.svd(_intertwiner_rows(lists), full_matrices=False)
-    return [_conjugator(pairs, sig, vt) for pairs, sig, vt in zip(lists, sigs, vts)]
+    pairs = np.array(lists)
+    if not np.isfinite(pairs).all():
+        raise ValueError("pair entries must be finite")
+    _, sig, vt = np.linalg.svd(_intertwiner_rows(lists), full_matrices=False)
+    null = sig <= NULLSPACE_TOL * np.where(sig[:, :1] > 0, sig[:, :1], 1.0)
+    dims = null.sum(axis=1).tolist()
+    g = vt[np.arange(len(lists)), null.argmax(axis=1)]
+    for k, dim in enumerate(dims):
+        if dim > 1:
+            g[k] = _spanning_candidate([Mat2._make(row) for row in vt[k, null[k]].tolist()])
+    # A singular candidate divides by a zero determinant in the discarded
+    # branch of the scaling, and huge entries overflow into a NaN residual.
+    with np.errstate(all="ignore"):
+        det = g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]
+        norm = _norms(g)
+        singular = np.abs(det) <= SINGULAR_DET_TOL * np.maximum(1.0, norm * norm)
+        g = np.where(singular[:, None], g, g * (1.0 / np.sqrt(np.abs(det)))[:, None])
+        residuals = _relation_residuals(g, pairs)
+    signs = np.where(singular, 0, np.where(det > 0, 1, -1)).tolist()
+    return [ConjugatorResult(dim, Mat2._make(row), sign, residual) if dim
+            else ConjugatorResult(0, None, 0, 0.0)
+            for dim, row, sign, residual in zip(dims, g.tolist(), signs, residuals.tolist())]
 
 
-def _conjugator(pairs, sig: np.ndarray, vt: np.ndarray) -> ConjugatorResult:
-    """The result for one list of float pairs from the singular values and
-    right singular vectors of its intertwiner rows."""
-    sig = sig.tolist()
-    cutoff = NULLSPACE_TOL * (sig[0] if sig[0] > 0 else 1.0)
-    basis = [Mat2(*vt[i].tolist()) for i in range(4) if sig[i] <= cutoff]
-    dim = len(basis)
-    if dim == 0:
-        return ConjugatorResult(0, None, 0, 0.0)
+def _spanning_candidate(basis: list) -> Mat2:
+    """The candidate in a solution space of dimension >= 2, given its basis.
 
-    def finish(g: Mat2) -> ConjugatorResult:
-        det = g.det()
-        if abs(det) <= SINGULAR_DET_TOL * max(1.0, g.frobenius() ** 2):
-            return ConjugatorResult(dim, g, 0, relation_residual(g, pairs))
-        scaled = g.scale(1.0 / math.sqrt(abs(det)))
-        return ConjugatorResult(dim, scaled, 1 if det > 0 else -1, relation_residual(scaled, pairs))
-
-    if dim == 1:
-        return finish(basis[0])
-
-    # Higher-dimensional solution space.  Prefer the identity when it lies
-    # near the span (centralizer-style inputs); otherwise hunt for an
-    # invertible combination.  If every g_i and g_i +- g_j is singular, the
-    # determinant form B(g_i, g_j) = (det(g_i + g_j) - det(g_i - g_j)) / 4
-    # vanishes on the whole space, and basis[0] is the singular witness.
+    Prefer the identity when it lies near the span (centralizer-style
+    inputs); otherwise hunt for an invertible combination.  If every g_i and
+    g_i +- g_j is singular, the determinant form
+    B(g_i, g_j) = (det(g_i + g_j) - det(g_i - g_j)) / 4 vanishes on the
+    whole space, and basis[0] is the singular witness.
+    """
     coords = np.array(basis)
     proj = coords.T @ (coords @ np.array([1.0, 0.0, 0.0, 1.0]))
     if np.linalg.norm(proj) > 0.5:
         g = Mat2(*(proj / np.linalg.norm(proj)).tolist())
         if abs(g.det()) > SINGULAR_DET_TOL:
-            return finish(g)
+            return g
     candidates = list(basis)
-    for i in range(dim):
-        for j in range(i + 1, dim):
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
             candidates.append(basis[i] + basis[j])
             candidates.append(basis[i] - basis[j])
     best = max(candidates, key=lambda g: abs(g.det()))
-    if abs(best.det()) <= SINGULAR_DET_TOL:
-        return ConjugatorResult(dim, basis[0], 0, relation_residual(basis[0], pairs))
-    return finish(best)
+    return basis[0] if abs(best.det()) <= SINGULAR_DET_TOL else best
+
+
+def _relation_residuals(g: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """relation_residual of each candidate row of g (K, 4) over its list of
+    pairs (K, P, 2, 4), in the same operations; a NaN reads NaN.  The norms
+    of finite entries are never NaN (only an overflowed gap over an
+    overflowed scale is), so np.maximum picks as Python's max does."""
+    a, b, g = pairs[:, :, 0], pairs[:, :, 1], g[:, None]
+    gap = _norms(_products(g, a) - _products(b, g))
+    scale = _norms(g) * np.maximum(_norms(a), _norms(b))
+    return (gap / np.maximum(1.0, scale)).max(axis=1)
 
 
 # ----------------------------------------------------------------------

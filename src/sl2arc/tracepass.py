@@ -14,9 +14,12 @@ start with a^(n+1), and l2 ends m2 l2), so a TracePlan, built once per word
 set, keeps two tries of single letters: one over the reversed words, whose
 nodes are the distinct suffixes, and one over the words short of their last
 letter, whose nodes are the distinct prefixes.  A pass makes one product per
-node, from its parent's product and its letter; the per-letter products S P
-and the gradient sums stay per word, in the order of a word-by-word pass, so
-every result is bit for bit the same.
+node, from its parent's product and its letter.  For the per-letter
+products S P, the plan precomputes each word's image node and, per letter,
+the triple (letter code, suffix node after it, prefix node before it), so a
+pass loops over plain tuples; the products and the gradient sums stay per
+word, in the order of a word-by-word pass, so every result is bit for bit
+the same.
 """
 
 from __future__ import annotations
@@ -72,14 +75,20 @@ class TracePlan:
     letter times its parent's, and the last node of word i's path holds its
     image.  prefixes is the _trie of the words short of their last letter
     (the whole-word prefix is never read): a node's product is its parent's
-    times its letter.  passes makes both products plus one per letter of
-    every word, and images makes the suffix products only.
+    times its letter.  Per word, the plan keeps its image node and, per
+    letter, the triple (letter code, suffix node after it, prefix node
+    before it).  passes makes both products plus one per letter of every
+    word, and images makes the suffix products only.
     """
 
     def __init__(self, words):
         self.words = tuple(words)
         self.suffixes = _trie(codes[::-1] for codes in self.words)
         self.prefixes = _trie(codes[:-1] for codes in self.words)
+        self._image_nodes = [path[-1] for path in self.suffixes[1]]
+        self._triples = [tuple(zip(codes, reversed(suffix_path[:-1]), prefix_path))
+                         for codes, suffix_path, prefix_path
+                         in zip(self.words, self.suffixes[1], self.prefixes[1])]
 
     def _suffix_products(self, letters: tuple) -> list:
         """The product of every suffix node, by node id."""
@@ -94,7 +103,7 @@ class TracePlan:
     def images(self, letters: tuple) -> list:
         """Each word's image as an entry tuple: the suffix half of a pass."""
         products = self._suffix_products(letters)
-        return [products[path[-1]] for path in self.suffixes[1]]
+        return [products[node] for node in self._image_nodes]
 
     def passes(self, letters: tuple) -> list:
         """(trace, the 8 partials over q, image as an entry tuple) of each word.
@@ -113,13 +122,12 @@ class TracePlan:
                              p21 * x11 + p22 * x21, p21 * x12 + p22 * x22))
         zero = suffixes[0][1]
         out = []
-        for codes, suffix_path, prefix_path in zip(self.words, self.suffixes[1], self.prefixes[1]):
+        for node, triples in zip(self._image_nodes, self._triples):
             g0 = g1 = g2 = g3 = g4 = g5 = g6 = g7 = zero
             # letter i meets the suffix after it, S, and the prefix before it, P
-            after = map(suffixes.__getitem__, reversed(suffix_path))
-            image = next(after)
-            before = map(prefixes.__getitem__, prefix_path)
-            for code, (s11, s12, s21, s22), (p11, p12, p21, p22) in zip(codes, after, before):
+            for code, after, before in triples:
+                s11, s12, s21, s22 = suffixes[after]
+                p11, p12, p21, p22 = prefixes[before]
                 n11 = s11 * p11 + s12 * p21
                 n12 = s11 * p12 + s12 * p22
                 n21 = s21 * p11 + s22 * p21
@@ -136,5 +144,6 @@ class TracePlan:
                     g5 += n21
                     g6 += n12
                     g7 += n22
+            image = suffixes[node]
             out.append((image[0] + image[3], (g0, g1, g2, g3, g4, g5, g6, g7), image))
         return out

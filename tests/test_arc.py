@@ -23,6 +23,7 @@ from sl2arc.arc import (
     irreducibility_margin,
 )
 from sl2arc.cli import main
+from sl2arc.locus import LocusPoint, locus_points
 from sl2arc.pretzel import N_CAP, curve_jacobian, kernel_closed_form, make_family
 from sl2arc.sl2 import Mat2, exact_nullspace, exact_rank
 from sl2arc.tracepass import TracePlan
@@ -268,6 +269,14 @@ def test_invalid_arguments_are_rejected(fam1):
         continue_arc(fam1, direction=0)
     with pytest.raises(ValueError):
         continue_arc(fam1, max_steps=-1)
+    # a float budget never equals the step count, so the arc would run on
+    # past it, and a bool would pass as 1
+    for max_steps in (2.5, math.nan, 3.0, True):
+        with pytest.raises(ValueError, match="max_steps must be a nonnegative int"):
+            continue_arc(fam1, max_steps=max_steps)
+    for direction in (True, 1.0):
+        with pytest.raises(ValueError, match="direction must be the int"):
+            continue_arc(fam1, direction=direction)
 
 
 @pytest.mark.parametrize("ceiling", [1.5, 2.0, -1.0, math.nan])
@@ -847,6 +856,38 @@ def test_samples_store_their_word_images(fam1, arc1):
         assert s.longitude.det() == pytest.approx(1.0, abs=1e-14)
         assert float(s.longitude.trace()) == s.longitude_trace
     assert arc1.longitude_images() == [s.longitude for s in arc1.samples]
+
+
+def _points_of(samples) -> list:
+    """The corrected points (t, q, residual, images) the samples came from."""
+    return [(s.t, (*s.ma, *s.mb), s.residual, s.word_images) for s in samples]
+
+
+def test_a_block_of_one_sample_equals_that_sample_in_a_full_block(free_arc1):
+    assert arc_module._samples_at([]) == []
+    points = _points_of(free_arc1.samples[1:65])
+    block = arc_module._samples_at(points)
+    assert _same_samples(block, free_arc1.samples[1:65])
+    for point, want in zip(points, block):
+        assert _same_samples(arc_module._samples_at([point]), [want])
+
+
+def test_a_singular_image_raises_as_its_inverse_does(free_arc1):
+    (t, q, residual, (m1, m2, l1, l2)), = _points_of(free_arc1.samples[5:6])
+    flat = Mat2(1.0, 2.0, 0.5, 1.0)
+    for images in ((flat, m2, l1, l2), (m1, m2, flat, l2)):
+        with pytest.raises(ZeroDivisionError, match="singular"):
+            arc_module._samples_at([(t, q, residual, images)])
+
+
+def test_records_have_slots_and_still_replace(arc1):
+    sample = arc1.samples[100]
+    point = locus_points(arc1).first[0]
+    for record in (sample, sample.conjugator, point):
+        assert type(record).__slots__ and not hasattr(record, "__dict__")
+    moved = dataclasses.replace(sample, conjugator=dataclasses.replace(sample.conjugator, residual=1.0))
+    assert (moved.conjugator.residual, moved.t) == (1.0, sample.t)
+    assert dataclasses.replace(point, w=0.0) == LocusPoint(point.u, 0.0, point.branch, point.slope)
 
 
 # ----------------------------------------------------------------------

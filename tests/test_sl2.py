@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,12 +10,13 @@ import pytest
 
 from sl2arc import locus as locus_module
 from sl2arc import sl2
-from sl2arc.arc import continue_arc
+from sl2arc.arc import GluingError, continue_arc, glue_hnn
 from sl2arc.locus import locus_points
 from sl2arc.pretzel import make_family
 from sl2arc.sl2 import (
     BASE_DIRECTION,
     Conjugacy,
+    ConjugatorResult,
     ContinuityError,
     Mat2,
     MatClass,
@@ -412,14 +414,36 @@ def _reference_intertwiner_rows(pairs):
 
 
 def _reference_frobenius(m: Mat2) -> float:
-    return math.sqrt(float(m.a) ** 2 + float(m.b) ** 2 + float(m.c) ** 2 + float(m.d) ** 2)
+    a, b, c, d = (float(x) for x in m)
+    return math.sqrt(a * a + b * b + c * c + d * d)
 
 
 def _reference_relation_residual(g, pairs):
     g_norm = _reference_frobenius(g)
-    return max(_reference_frobenius(g @ a - b @ g)
-               / max(1.0, g_norm * max(_reference_frobenius(a), _reference_frobenius(b)))
-               for a, b in pairs)
+    rels = [_reference_frobenius(g @ a - b @ g)
+            / max(1.0, g_norm * max(_reference_frobenius(a), _reference_frobenius(b)))
+            for a, b in pairs]
+    nans = [r for r in rels if math.isnan(r)]
+    return nans[0] if nans else max(rels)
+
+
+def _reference_conjugator(pairs) -> ConjugatorResult:
+    """One list solved and finished in Mat2 forms: the SVD of the reference
+    rows, the candidate, its scaling and its relation residual."""
+    rounded = [(a.to_float(), b.to_float()) for a, b in pairs]
+    _, sig, vt = np.linalg.svd(_reference_stacked_rows([rounded]), full_matrices=False)
+    sig, vt = sig[0].tolist(), vt[0]
+    cutoff = sl2.NULLSPACE_TOL * (sig[0] if sig[0] > 0 else 1.0)
+    basis = [Mat2(*vt[i].tolist()) for i in range(4) if sig[i] <= cutoff]
+    if not basis:
+        return ConjugatorResult(0, None, 0, 0.0)
+    g = basis[0] if len(basis) == 1 else sl2._spanning_candidate(basis)
+    det, norm = g.det(), g.frobenius()
+    if abs(det) <= sl2.SINGULAR_DET_TOL * max(1.0, norm * norm):
+        return ConjugatorResult(len(basis), g, 0, _reference_relation_residual(g, rounded))
+    g = g.scale(1.0 / math.sqrt(abs(det)))
+    return ConjugatorResult(len(basis), g, 1 if det > 0 else -1,
+                            _reference_relation_residual(g, rounded))
 
 
 def _bits(values) -> bytes:
@@ -434,21 +458,21 @@ def _reference_stacked_rows(pair_lists):
 
 def _check_against_references(pair_lists, monkeypatch):
     """Rows, residuals and whole solve_conjugator results of the entry forms
-    equal those of the Mat2 forms.  The solver rounds exact pairs to float
-    on entry, so rows are compared on the rounded pairs."""
+    equal those of the Mat2 forms, and the stacked finish equals the one-list
+    Mat2 finish.  The solver rounds exact pairs to float on entry, so rows
+    are compared on the rounded pairs."""
     results = [solve_conjugator(pairs) for pairs in pair_lists]
     with monkeypatch.context() as patched:
         patched.setattr(sl2, "_intertwiner_rows", _reference_stacked_rows)
-        patched.setattr(sl2, "relation_residual", _reference_relation_residual)
-        references = [solve_conjugator(pairs) for pairs in pair_lists]
-    for pairs, got, want in zip(pair_lists, results, references):
+        from_reference_rows = [solve_conjugator(pairs) for pairs in pair_lists]
+    for pairs, got, patched_got in zip(pair_lists, results, from_reference_rows):
         rounded = [(a.to_float(), b.to_float()) for a, b in pairs]
         rows = _intertwiner_rows([rounded])
         assert rows.shape == (1, 4 * len(pairs), 4)
         assert _bits(rows) == _bits(_reference_intertwiner_rows(rounded))
-        assert got == want
+        want = _reference_conjugator(pairs)
+        assert _result_bits(got) == _result_bits(patched_got) == _result_bits(want)
         if got.candidate is not None:
-            assert _bits(got.candidate.entries()) == _bits(want.candidate.entries())
             for g in (got.candidate, got.candidate.neg()):
                 for some in (pairs, pairs[:1], [(a, a) for a, _ in pairs]):
                     residual = relation_residual(g, some)
@@ -502,10 +526,13 @@ def test_exact_pairs_match_the_mat2_forms(monkeypatch):
 
 
 def _result_bits(result) -> tuple:
-    """Every field of a ConjugatorResult, its floats as IEEE-754 bytes."""
+    """Every field of a ConjugatorResult, its floats as IEEE-754 bytes; a
+    NaN residual reads as NaN whatever its sign bit, which numpy's and
+    Python's float operations need not agree on."""
     entries = () if result.candidate is None else result.candidate.entries()
+    residual = math.nan if math.isnan(result.residual) else result.residual
     return (result.nullspace_dim, result.det_sign, result.candidate is None,
-            _bits(entries + (result.residual,)))
+            _bits(entries + (residual,)))
 
 
 def _check_stacked_equals_single(pair_lists) -> list:
@@ -569,6 +596,53 @@ def test_stacked_solves_equal_single_solves_on_mixed_stacks():
             _check_stacked_equals_single(rng.sample(lists, size))
     _check_stacked_equals_single([pairs[:1] for pairs in lists])
     _check_stacked_equals_single([pairs[1:] for pairs in lists])
+
+
+def _edge_pair_lists() -> list:
+    """Two-pair lists at the edges of the stacked finish: a zero-determinant
+    image (solved with its partner, and alone), entries whose squares
+    overflow into a NaN residual, and an orientation-reversing swap."""
+    c, g = Mat2(2.0, 1.0, 1.0, 1.0), Mat2(1.0, 2.0, 1.0, 3.0)
+    big, flat = Mat2(1e200, 1e200, 0.0, 1e-200), Mat2(1.0, 2.0, 0.5, 1.0)
+    swap = Mat2(0.0, 1.0, 0.0, 0.0), Mat2(0.0, 0.0, 1.0, 0.0)
+    return [
+        [(flat, flat), (c, c)],
+        [(flat, flat), (flat, flat)],
+        [(c, g @ c @ g.inverse()), (big, g @ big @ g.inverse())],
+        [(big, g @ big @ g.inverse()), (big, g @ big @ g.inverse())],
+        [swap, swap],
+    ]
+
+
+def test_the_stacked_finish_matches_the_references_at_the_edges(monkeypatch):
+    lists = _edge_pair_lists()
+    results = _check_against_references(lists, monkeypatch)
+    stacked = _check_stacked_equals_single(lists)
+    for size in (1, 2, 3):
+        _check_stacked_equals_single(lists[:size])
+        _check_stacked_equals_single(lists[-size:])
+    assert [r.det_sign for r in results] == [1, 1, 1, 1, -1]
+    assert [math.isnan(r.residual) for r in stacked] == [False, False, True, True, False]
+
+
+def test_a_nan_residual_from_the_finish_fails_the_gluing_gate(arc_samples):
+    overflowing = solve_conjugator(_edge_pair_lists()[2])
+    assert overflowing.det_sign == 1 and math.isnan(overflowing.residual)
+    sample = dataclasses.replace(arc_samples[1][5], conjugator=overflowing)
+    with pytest.raises(GluingError, match="relation residual nan"):
+        glue_hnn(sample, make_family(1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_rejected_before_the_solve(bad):
+    # an SVD of non-finite rows fails to converge, or never returns; the
+    # check comes first, and no RuntimeWarning escapes it
+    c, x = Mat2(2.0, 1.0, 1.0, 1.0), Mat2(bad, 1.0, 0.0, 1.0)
+    for pairs in ([(x, c)], [(c, c), (c, x)], [(x, x)]):
+        with pytest.raises(ValueError, match="finite"):
+            solve_conjugator(pairs)
+        with pytest.raises(ValueError, match="finite"):
+            solve_conjugators([[(c, c)] * len(pairs), pairs])
 
 
 def test_a_stack_holds_lists_of_one_length():

@@ -28,13 +28,15 @@ the six words builds each distinct suffix and prefix product once (19 and
 2x2 products written out and the gradient summed in locals; it gives each
 word's trace, its gradient through d tr(P X S)/dX = (S P)^T, and its
 image.  The corrector runs on plain float tuples: F and the Jacobian rows
-are tuples, and each iteration writes the rows' free entries, the tangent
-row and a float gauge row into one bordered matrix, and F into one
-right-hand side, both allocated once per reduced system.  The images of
-m1, m2, l1, l2 at the converged iterate become the sample's stored images
-(a Mat2 is its entry tuple), so no later stage rebuilds them, and the
-longitude is m1 l1 m1^-1 l1^-1 of those images with true inverses.  On
-{det = 1} these rows agree with the character-form rows
+are tuples.  Each iteration writes into one bordered matrix, allocated
+once per reduced system, the rows' free entries, the tangent row and the
+gauge row g[free] / sqrt(g . g), and F into one right-hand side; the next
+tangent is the solved column t, copied, over sqrt(t . t).  Both are
+np.linalg.norm's own steps without its wrapper, so every bit is the same.
+The images of m1, m2, l1, l2 at the converged iterate become the sample's
+stored images (a Mat2 is its entry tuple), so no later stage rebuilds
+them, and the longitude is m1 l1 m1^-1 l1^-1 of those images with true
+inverses.  On {det = 1} these rows agree with the character-form rows
 (exact Jacobian) . D(chi) up to multiples of the two determinant rows, by
 the chain rule that gives the exact Jacobian; continue_arc checks at rho_n
 only that the constraints vanish there.
@@ -63,13 +65,16 @@ update also solves it for e_tau, which gives the next tangent with its sign
 fixed by tau . t = 1.  The corrector starts at the Euler predictor, so one
 update reaches the tolerance and a step costs one fused evaluation, one
 lstsq and one value-only pass (F and the word images) to check the update,
-and no SVD.  The corrected points become samples in blocks of _BLOCK = 64:
-the joint conjugators of a block come from one stacked SVD and one stacked
-finish (sl2.solve_conjugators), the block's longitudes and their traces
-from one stacked pass of the Mat2 operations (sl2._products and
-sl2._inverses), and the termination checks then run over the block in step
-order, so an arc ends on the same sample as with one solve per step, and
-the corrector steps after that sample (at most _BLOCK - 1) are dropped.
+and no SVD.  The corrected points become samples in blocks of _BLOCK = 64.
+A block's word images become one (K, 4, 4) array, converted once: its
+(K, 2, 2, 4) view holds the pairs [(m1, m2), (l1, l2)], from which the
+intertwiner rows are built and solved in the stacked SVD and finish that
+sl2.solve_conjugators also runs on its lists (sl2._solve_stack), and its
+m1 and l1 give the block's longitudes and their traces in one stacked
+pass of the Mat2 operations (sl2._products and sl2._inverses).  The
+termination checks then run over the block in step order, so an arc ends
+on the same sample as with one solve per step, and the corrector steps
+after that sample (at most _BLOCK - 1) are dropped.
 The initial orientation is probed one corrector step on each side: the
 direction flag +1 denotes the side whose joint conjugator has determinant
 +1 (a real stable letter exists, the arc glues to an HNN extension, and
@@ -94,8 +99,8 @@ from operator import itemgetter, sub
 import numpy as np
 
 from .pretzel import FamilyInstance, analyze_curve, curve_jacobian
-from .sl2 import (ConjugatorResult, Mat2, _inverses, _max_abs, _products, exact_rank,
-                  relation_residual, solve_conjugators)
+from .sl2 import (ConjugatorResult, Mat2, _inverses, _max_abs, _products, _solve_stack,
+                  exact_rank, relation_residual)
 from .tracepass import _letters
 
 __all__ = [
@@ -254,11 +259,11 @@ class _ReducedSystem:
         """The free entries of the full entry tuple q."""
         return np.array(self.take(q))
 
-    def gauge_row(self, q) -> tuple:
+    def gauge_row(self, q) -> np.ndarray:
         """The free entries of the unit gauge flow tangent."""
         g = np.array(_EntrySystem.gauge_flow(q))
         # np.linalg.norm of a real vector is sqrt(g . g), without its checks
-        return self.take(g / math.sqrt(g.dot(g)))
+        return g[self.free] / math.sqrt(g.dot(g))
 
     def tangent(self, q, jr) -> np.ndarray:
         """Null vector of jr stacked over the unit reduced gauge row at the
@@ -309,7 +314,9 @@ class _ReducedSystem:
             b[:6, 0] = (-f1, -f2, -f3, -f4, -f5, -extra)
             x = np.linalg.lstsq(a, b, rcond=1e-12)[0]
             q = q + x[:, 0]
-            tangent = x[:, 1] / np.linalg.norm(x[:, 1])
+            # np.linalg.norm's own steps: a contiguous copy, its dot, a sqrt
+            tangent = x[:, 1].copy()
+            tangent /= math.sqrt(tangent.dot(tangent))
             full = self.expand(q.tolist())
             f, images = self.system.values(full)
             jac = None
@@ -367,19 +374,21 @@ def _character_rows(jacobian: tuple, q0: tuple, jac0: np.ndarray) -> np.ndarray:
 
 
 def _samples_at(points) -> list:
-    """The RepSamples at corrected points (t, q, residual, images), with the
-    joint conjugators of all points solved in one stack and the longitudes
-    m1 l1 m1^-1 l1^-1 formed in one stacked pass."""
+    """The RepSamples at corrected points (t, q, residual, images).  The
+    block's images (m1, m2, l1, l2) become one (K, 4, 4) array, whose
+    (K, 2, 2, 4) view holds the pairs [(m1, m2), (l1, l2)] of the joint
+    conjugators, solved in one stack, and whose m1 and l1 give the
+    longitudes m1 l1 m1^-1 l1^-1 in one stacked pass."""
     if not points:
         return []
-    images = [tuple(map(Mat2._make, point[3])) for point in points]
-    conjugators = solve_conjugators([[(m1, m2), (l1, l2)] for m1, m2, l1, l2 in images])
-    stack = np.array(images)
+    stack = np.array([point[3] for point in points])
+    pairs = stack.reshape(len(points), 2, 2, 4)
+    conjugators = _solve_stack(pairs, pairs)
     m1, l1 = stack[:, 0], stack[:, 2]
     longitudes = _products(_products(_products(m1, l1), _inverses(m1)), _inverses(l1))
     samples = []
-    for (t, q, residual, _), word_images, conj, longitude, trace in zip(
-            points, images, conjugators, longitudes.tolist(),
+    for (t, q, residual, images), conj, longitude, trace in zip(
+            points, conjugators, longitudes.tolist(),
             (longitudes[:, 0] + longitudes[:, 3]).tolist()):
         a11, a12, a21, a22, b11, b12, b21, b22 = q
         if conj.det_sign == 1 and conj.candidate is not None:
@@ -388,18 +397,13 @@ def _samples_at(points) -> list:
             meridian = math.inf
         else:
             meridian = math.nan
+        # positional, in field order: t, ma, mb, character, residual,
+        # conjugator, longitude_trace, meridian_trace, word_images, longitude
         samples.append(RepSample(
-            t=t,
-            ma=Mat2(a11, a12, a21, a22),
-            mb=Mat2(b11, b12, b21, b22),
-            character=(a11 + a22, b11 + b22, a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22),
-            residual=residual,
-            conjugator=conj,
-            longitude_trace=trace,
-            meridian_trace=meridian,
-            word_images=word_images,
-            longitude=Mat2._make(longitude),
-        ))
+            t, Mat2(a11, a12, a21, a22), Mat2(b11, b12, b21, b22),
+            (a11 + a22, b11 + b22, a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22),
+            residual, conj, trace, meridian, tuple(map(Mat2._make, images)),
+            Mat2._make(longitude)))
     return samples
 
 

@@ -96,6 +96,13 @@ class FamilyInstance:
         return TracePlan(_codes(w) for pair in self.curve_pairs for w in pair)
 
     @cached_property
+    def exact_curve_data(self) -> tuple:
+        """_exact_curve_data of this family, computed on first use and
+        shared by analyze_curve, continue_arc and verify_lemma, which only
+        read it."""
+        return _exact_curve_data(self)
+
+    @cached_property
     def curve_eqs(self) -> tuple:
         """The curve equations tr W1 - tr W2 as trace polynomials, compiled on
         first access; the exact curve data at chi_n do not use them."""
@@ -271,7 +278,7 @@ def _exact_curve_data(fam: FamilyInstance) -> tuple:
 
 def curve_jacobian(fam: FamilyInstance) -> tuple:
     """The exact Jacobian of the three curve equations at chi_n, as Fraction rows."""
-    return _exact_curve_data(fam)[0]
+    return fam.exact_curve_data[0]
 
 
 def _commutator_hessian(traces, jac):
@@ -338,7 +345,7 @@ def analyze_curve(fam: FamilyInstance) -> CurveAnalysis:
     """Exact Jacobian, rank, kernel and Hessian-on-kernel of C_n at chi_n,
     plus local-coordinate verdicts for tr(m1), tr(m2) and tr(m1 l1): true
     iff the word's gradient lies outside the Jacobian row span."""
-    jac, grads, traces, _ = _exact_curve_data(fam)
+    jac, grads, traces, _ = fam.exact_curve_data
     words = {"tr_m1": fam.m1, "tr_m2": fam.m2, "tr_m1l1": fam.m1l1}
     rank = exact_rank(jac)
     kernel: tuple = ()
@@ -489,7 +496,7 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     fam = make_family(n)
     rep = LemmaReport(n=n)
     ra, rb = (Mat2(*map(cmp.value, m.entries())) for m in (fam.rho_a, fam.rho_b))
-    exact_jac, exact_grads, exact_traces, exact_images = _exact_curve_data(fam)
+    exact_jac, exact_grads, exact_traces, exact_images = fam.exact_curve_data
     images, traces = {}, {}
     # the closed forms are those of the curve words, in the order of curve_pairs
     words = (w for pair in fam.curve_pairs for w in pair)

@@ -206,7 +206,10 @@ def _check_unit_det(m: Mat2, exact: bool):
     if exact:
         if det != 1:
             raise ValueError(f"matrix must have determinant 1, got {det}")
-    elif abs(det - 1.0) > 1e-12 * max(1.0, max(abs(a), abs(b), abs(c), abs(d)) ** 2):
+        return
+    # a product, not ** 2, which raises OverflowError where top * top is inf
+    top = max(abs(a), abs(b), abs(c), abs(d))
+    if abs(det - 1.0) > 1e-12 * max(1.0, top * top):
         raise ValueError(f"matrix must have determinant 1, got {det}")
 
 
@@ -391,8 +394,9 @@ _B_TERMS = np.array(((0, 4, 1, 4), (4, 0, 4, 1), (2, 4, 3, 4), (4, 2, 4, 3)))
 
 def _intertwiner_rows(pair_lists) -> np.ndarray:
     """Rows of the linear systems (G A - B G) = 0 in g = (g11, g12, g21, g22)
-    of a stack of K float pair lists with P pairs each, as a (K, 4P, 4)
-    array: four rows per pair, one for each entry (i, j) of G A - B G.
+    of a stack of K float pair lists with P pairs each (nested Mat2 lists or
+    a (K, P, 2, 4) array), as a (K, 4P, 4) array: four rows per pair, one
+    for each entry (i, j) of G A - B G.
 
     Each entry is 0 plus its A terms minus its B terms, so the rows keep the
     sign of an exact zero.
@@ -461,6 +465,11 @@ def solve_conjugators(pair_lists) -> list:
     at once, in the operations of the Mat2 forms: it scales the candidate
     to |det| = 1 when it is invertible, and keeps an unscaled witness with
     det_sign = 0 when it is singular, then measures the relation residual.
+
+    The stacked solve (_solve_stack) has two callers: this function, which
+    builds the rows from the rounded Mat2 lists, and arc's sample blocks,
+    which pass their word images as one (K, 2, 2, 4) array and build the
+    rows from that array.  Both run the same operations on the same floats.
     """
     if not pair_lists:
         return []
@@ -468,13 +477,20 @@ def solve_conjugators(pair_lists) -> list:
              for pairs in pair_lists]
     if not lists[0] or any(len(pairs) != len(lists[0]) for pairs in lists):
         raise ValueError("every list needs the same number of pairs, at least one")
-    pairs = np.array(lists)
+    return _solve_stack(np.array(lists), lists)
+
+
+def _solve_stack(pairs: np.ndarray, rows_from) -> list:
+    """solve_conjugators on the float pairs (K, P, 2, 4), with the
+    intertwiner rows built from rows_from: the same pairs as Mat2 lists, or
+    the array itself.  The finiteness check comes before the rows, whose
+    inf - inf would warn."""
     if not np.isfinite(pairs).all():
         raise ValueError("pair entries must be finite")
-    _, sig, vt = np.linalg.svd(_intertwiner_rows(lists), full_matrices=False)
+    _, sig, vt = np.linalg.svd(_intertwiner_rows(rows_from), full_matrices=False)
     null = sig <= NULLSPACE_TOL * np.where(sig[:, :1] > 0, sig[:, :1], 1.0)
     dims = null.sum(axis=1).tolist()
-    g = vt[np.arange(len(lists)), null.argmax(axis=1)]
+    g = vt[np.arange(len(pairs)), null.argmax(axis=1)]
     for k, dim in enumerate(dims):
         if dim > 1:
             g[k] = _spanning_candidate([Mat2._make(row) for row in vt[k, null[k]].tolist()])
@@ -556,8 +572,9 @@ def eigen_data(m: Mat2):
     Parabolic (|trace| within TRACE_TOL of 2): one pair with eigenvalue
     +-1.0; for a matrix within TRACE_TOL of +-identity the fixed direction
     is arbitrary and (1.0, 0.0) is returned.  Elliptic input raises
-    ValueError.  Directions are unit vectors with first nonzero component
-    positive.
+    ValueError, and a hyperbolic trace whose square overflows raises
+    ArithmeticError.  Directions are unit vectors with first nonzero
+    component positive.
     """
     m = m.to_float() if m.exact else m
     return _eigen_pairs(m, _classify(m, False))
@@ -573,7 +590,9 @@ def _eigen_pairs(m: Mat2, cls: MatClass):
         if _frobenius(m.a - lam, m.b, m.c, m.d - lam) <= TRACE_TOL:
             return ((lam, (1.0, 0.0)),)
         return ((lam, _eigvec(*m, lam)),)
-    root = math.sqrt(tr * tr - 4.0)
+    if (disc := tr * tr - 4.0) == math.inf:
+        raise ArithmeticError(f"eigenvalues overflow: the square of the trace {tr} is inf")
+    root = math.sqrt(disc)
     lam1, lam2 = (tr + root) / 2, (tr - root) / 2
     if abs(lam1) < abs(lam2):
         lam1, lam2 = lam2, lam1

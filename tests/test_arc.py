@@ -25,9 +25,11 @@ from sl2arc.arc import (
 from sl2arc.cli import main
 from sl2arc.locus import LocusPoint, locus_points
 from sl2arc.pretzel import N_CAP, curve_jacobian, kernel_closed_form, make_family
-from sl2arc.sl2 import Mat2, exact_nullspace, exact_rank
+from sl2arc.sl2 import Mat2, exact_nullspace, exact_rank, solve_conjugator
 from sl2arc.tracepass import TracePlan
 from sl2arc.words import evaluate
+
+from test_sl2 import _result_bits
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,13 @@ def arc1(fam1):
 def arcs200():
     """200-step determinant-+1 arcs, keyed by n."""
     return {n: continue_arc(make_family(n), step_size=1e-3, max_steps=200, direction=1)
+            for n in (1, 7, 21)}
+
+
+@pytest.fixture(scope="module")
+def minus_arcs200():
+    """200-step arcs of direction -1, keyed by n."""
+    return {n: continue_arc(make_family(n), step_size=1e-3, max_steps=200, direction=-1)
             for n in (1, 7, 21)}
 
 
@@ -296,9 +305,21 @@ def test_zero_steps_returns_base_sample_only(fam1):
     assert arc.termination_reason == "maxSteps"
 
 
+def _patch_arc_linalg(monkeypatch, **functions):
+    """Replace np.linalg functions as arc's numpy sees them (not as sl2's
+    or pretzel's do)."""
+    linalg = types.ModuleType(np.linalg.__name__)
+    linalg.__dict__.update(vars(np.linalg))
+    linalg.__dict__.update(functions)
+    proxy = types.ModuleType(np.__name__)
+    proxy.__dict__.update(vars(np))
+    proxy.linalg = linalg
+    monkeypatch.setattr(arc_module, "np", proxy)
+
+
 def _count_step_work(monkeypatch) -> dict:
     """Count Jacobian evaluations, value passes, and the lstsq and svd calls
-    made through arc's numpy (not those of sl2 or pretzel)."""
+    made through arc's numpy."""
     counts = {"evaluate": 0, "values": 0, "lstsq": 0, "svd": 0}
 
     def counted(name, fn):
@@ -309,14 +330,8 @@ def _count_step_work(monkeypatch) -> dict:
 
     monkeypatch.setattr(_EntrySystem, "evaluate", counted("evaluate", _EntrySystem.evaluate))
     monkeypatch.setattr(_EntrySystem, "values", counted("values", _EntrySystem.values))
-    linalg = types.ModuleType(np.linalg.__name__)
-    linalg.__dict__.update(vars(np.linalg))
-    linalg.lstsq = counted("lstsq", np.linalg.lstsq)
-    linalg.svd = counted("svd", np.linalg.svd)
-    proxy = types.ModuleType(np.__name__)
-    proxy.__dict__.update(vars(np))
-    proxy.linalg = linalg
-    monkeypatch.setattr(arc_module, "np", proxy)
+    _patch_arc_linalg(monkeypatch, lstsq=counted("lstsq", np.linalg.lstsq),
+                      svd=counted("svd", np.linalg.svd))
     return counts
 
 
@@ -391,15 +406,15 @@ def _assert_matches_reference(arc, reference, char_bound, meridian_bound):
 
 @pytest.mark.parametrize("direction", [1, -1])
 @pytest.mark.parametrize("n", [1, 7, 21])
-def test_the_bordered_tangent_step_matches_the_reference_step(n, direction, arcs200):
+def test_the_bordered_tangent_step_matches_the_reference_step(n, direction, arcs200,
+                                                               minus_arcs200):
     # The tangent comes from the Jacobian at the last iterate rather than at
     # the accepted point, which moves the arc within the corrector's
     # tolerance.  Largest measured gaps: characters 1.04e-11 (n = 1,
     # direction -1; bound margin 9.6x) and meridian traces 9.6e-9 (n = 21,
     # direction +1; margin 10x).
     fam = make_family(n)
-    arc = (arcs200[n] if direction == 1 else
-           continue_arc(fam, step_size=1e-3, max_steps=200, direction=direction))
+    arc = arcs200[n] if direction == 1 else minus_arcs200[n]
     reference = _reference_arc(fam, step_size=1e-3, max_steps=200, direction=direction)
     assert arc.termination_reason == "maxSteps" and len(arc.samples) == 201
     _assert_matches_reference(arc, reference, char_bound=1e-10, meridian_bound=1e-7)
@@ -870,6 +885,73 @@ def test_a_block_of_one_sample_equals_that_sample_in_a_full_block(free_arc1):
     assert _same_samples(block, free_arc1.samples[1:65])
     for point, want in zip(points, block):
         assert _same_samples(arc_module._samples_at([point]), [want])
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("n", [1, 7, 21])
+def test_block_conjugators_equal_the_list_solve(n, direction, arcs200, minus_arcs200):
+    # the block path builds its rows from one array of the word images, the
+    # list path from Mat2 lists: every result agrees bit for bit, from the
+    # arc's blocks, from one block of the whole arc and from one-point blocks
+    samples = (arcs200 if direction == 1 else minus_arcs200)[n].samples
+    assert len(samples) == 201 and samples[0].det_sign == 0  # the singular base sample
+    points = _points_of(samples)
+    whole = arc_module._samples_at(points)
+    for k, (s, again) in enumerate(zip(samples, whole)):
+        want = _result_bits(solve_conjugator([s.word_images[:2], s.word_images[2:]]))
+        assert _result_bits(s.conjugator) == _result_bits(again.conjugator) == want
+        if k % 50 == 0:
+            (alone,) = arc_module._samples_at([points[k]])
+            assert _result_bits(alone.conjugator) == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_image_in_a_block_is_rejected_before_the_solve(bad, free_arc1):
+    # inf - inf in the rows of a pair (x, x) would warn; the check comes first
+    points = _points_of(free_arc1.samples[1:6])
+    t, q, residual, images = points[2]
+    x = Mat2(bad, 1.0, 0.0, 1.0)
+    for where in ((0,), (1,), (3,), (0, 1), (2, 3)):
+        poisoned = [x if k in where else image for k, image in enumerate(images)]
+        block = points[:2] + [(t, q, residual, tuple(poisoned))] + points[3:]
+        for some in (block, block[2:3]):
+            with pytest.raises(ValueError, match="finite"):
+                arc_module._samples_at(some)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("n", [1, 7, 21])
+def test_the_corrector_rows_equal_the_norm_forms(n, direction, monkeypatch):
+    # the gauge row g[free] / sqrt(g . g) and the tangent t / sqrt(t . t)
+    # of a contiguous copy t are np.linalg.norm's forms, bit for bit, at
+    # every predictor and every solve of the arc
+    solves, checked = [], [0]
+    lstsq, newton = np.linalg.lstsq, _ReducedSystem.newton
+
+    def recorded(a, b, **kwargs):
+        out = lstsq(a, b, **kwargs)
+        solves.append((a.copy(), out[0]))
+        return out
+
+    _patch_arc_linalg(monkeypatch, lstsq=recorded)
+
+    def checked_newton(self, q_pred, tau, tol, max_iter):
+        solves.clear()
+        out = newton(self, q_pred, tau, tol, max_iter)
+        full = self.expand(q_pred.tolist())
+        g = np.array(_EntrySystem.gauge_flow(full))
+        want = (g / np.linalg.norm(g))[self.free]
+        assert _bits(self.gauge_row(full)) == _bits(want)
+        if solves:
+            assert _bits(solves[0][0][6]) == _bits(want)
+            x = solves[-1][1][:, 1]
+            assert _bits(out[3]) == _bits(x / np.linalg.norm(x))
+            checked[0] += 1
+        return out
+
+    monkeypatch.setattr(_ReducedSystem, "newton", checked_newton)
+    arc = continue_arc(make_family(n), step_size=1e-3, max_steps=200, direction=direction)
+    assert len(arc.samples) == 201 and checked[0] >= 200
 
 
 def test_a_singular_image_raises_as_its_inverse_does(free_arc1):

@@ -145,6 +145,24 @@ def test_the_longitude_polynomial_is_never_compiled(n, monkeypatch):
     assert tracepoly._MEMO == {}
 
 
+@pytest.mark.parametrize("n", [1, 7])
+def test_the_exact_curve_data_are_computed_once_per_family(n, monkeypatch):
+    # analyze_curve and continue_arc's curve_jacobian read one integer pass
+    calls = []
+
+    def counted(fam):
+        calls.append(fam.n)
+        return _exact_curve_data(fam)
+
+    monkeypatch.setattr(pretzel, "_exact_curve_data", counted)
+    fam = make_family(n)
+    analysis = analyze_curve(fam)
+    assert len(continue_arc(fam, max_steps=5).samples) == 6
+    assert calls == [n]
+    assert curve_jacobian(fam) is analysis.jacobian is fam.exact_curve_data[0]
+    assert fam.exact_curve_data == _exact_curve_data(make_family(n))
+
+
 _CURVE_WORDS = ("m1", "m2", "l1", "l2", "m1l1", "m2l2")
 
 

@@ -223,11 +223,26 @@ def test_elliptic_eigendata_raises():
         eigen_data(rotation(0.3))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_huge_hyperbolic_matrix_is_classified_and_its_overflow_named(sign):
+    # the largest |entry| squared is inf: the determinant test passes, and
+    # eigen_data refuses the inf eigenvalues that tr * tr would give
+    for m in (Mat2(sign * 1e160, 0.0, 0.0, sign * 1e-160), Mat2(sign * 1e160, 1.0, 0.0, sign * 1e-160)):
+        assert classify(m) == MatClass.HYPERBOLIC
+        with pytest.raises(ArithmeticError, match="overflow") as raised:
+            eigen_data(m)
+        assert type(raised.value) is ArithmeticError
+    # just below the overflow of tr * tr the eigendata are finite
+    (lam1, v1), (lam2, _) = eigen_data(Mat2(sign * 1e154, 0.0, 0.0, sign * 1e-154))
+    assert (lam1, v1) == (sign * 1e154, (1.0, 0.0)) and math.isfinite(lam2)
+
+
 def _reference_verdict(m: Mat2):
     """classify's float rules, written with the generic Mat2 queries and
     float() on every entry: the class, or the determinant failure."""
     det = m.det()
-    if abs(det - 1.0) > 1e-12 * max(1.0, max(abs(float(x)) for x in m) ** 2):
+    top = max(abs(float(x)) for x in m)
+    if abs(det - 1.0) > 1e-12 * max(1.0, top * top):
         return "determinant"
     t = abs(float(m.trace()))
     if abs(t - 2.0) <= sl2.TRACE_TOL:

@@ -67,14 +67,14 @@ update reaches the tolerance and a step costs one fused evaluation, one
 lstsq and one value-only pass (F and the word images) to check the update,
 and no SVD.  The corrected points become samples in blocks of _BLOCK = 64.
 A block's word images become one (K, 4, 4) array, converted once: its
-(K, 2, 2, 4) view holds the pairs [(m1, m2), (l1, l2)], from which the
-intertwiner rows are built and solved in the stacked SVD and finish that
-sl2.solve_conjugators also runs on its lists (sl2._solve_stack), and its
-m1 and l1 give the block's longitudes and their traces in one stacked
-pass of the Mat2 operations (sl2._products and sl2._inverses).  The
-termination checks then run over the block in step order, so an arc ends
-on the same sample as with one solve per step, and the corrector steps
-after that sample (at most _BLOCK - 1) are dropped.
+(K, 2, 2, 4) view of the pairs [(m1, m2), (l1, l2)] goes to
+sl2.solve_conjugators, and its m1 and l1 give the block's longitudes in
+one stacked pass of the Mat2 operations (sl2._products and
+sl2._inverses).  A sample stores what the corrector and the block
+computed; its character, longitude trace and meridian trace are read off
+those on access.  The termination checks then run over the block in step
+order, so an arc ends on the same sample as with one solve per step, and
+the corrector steps after that sample (at most _BLOCK - 1) are dropped.
 The initial orientation is probed one corrector step on each side: the
 direction flag +1 denotes the side whose joint conjugator has determinant
 +1 (a real stable letter exists, the arc glues to an HNN extension, and
@@ -99,8 +99,8 @@ from operator import itemgetter, sub
 import numpy as np
 
 from .pretzel import FamilyInstance, analyze_curve, curve_jacobian
-from .sl2 import (ConjugatorResult, Mat2, _inverses, _max_abs, _products, _solve_stack,
-                  exact_rank, relation_residual)
+from .sl2 import (ConjugatorResult, Mat2, _inverses, _max_abs, _products, exact_rank,
+                  relation_residual, solve_conjugators)
 from .tracepass import _letters
 
 __all__ = [
@@ -132,23 +132,40 @@ class RepSample:
     """One accepted point of the representation arc.
 
     residual is the max absolute violation of the 5 constraints after
-    correction; meridian_trace is |tr T| of the determinant-+1 stable letter
-    (+inf at the singular limiting character, nan when no real stable letter
-    exists because the conjugator determinant is negative).  word_images
-    holds the float images of (m1, m2, l1, l2) from the converged iterate,
-    and longitude the commutator [m1, l1] built from them with true inverses.
+    correction.  word_images holds the float images of (m1, m2, l1, l2) from
+    the converged iterate, and longitude the commutator [m1, l1] built from
+    them with true inverses.  The character, the longitude trace and the
+    meridian trace are read off these on access.
     """
 
     t: float
     ma: Mat2
     mb: Mat2
-    character: tuple
     residual: float
     conjugator: ConjugatorResult
-    longitude_trace: float
-    meridian_trace: float
     word_images: tuple
     longitude: Mat2
+
+    @property
+    def character(self) -> tuple:
+        """(tr Ma, tr Mb, tr Ma Mb)."""
+        a11, a12, a21, a22 = self.ma
+        b11, b12, b21, b22 = self.mb
+        return (a11 + a22, b11 + b22, a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22)
+
+    @property
+    def longitude_trace(self) -> float:
+        return self.longitude.trace()
+
+    @property
+    def meridian_trace(self) -> float:
+        """|tr T| of the determinant-+1 stable letter: +inf at the singular
+        limiting character, nan when no real stable letter exists because
+        the conjugator determinant is negative."""
+        conj = self.conjugator
+        if conj.det_sign == 1 and conj.candidate is not None:
+            return abs(conj.candidate.trace())
+        return math.inf if conj.det_sign == 0 else math.nan
 
     @property
     def det_sign(self) -> int:
@@ -382,29 +399,14 @@ def _samples_at(points) -> list:
     if not points:
         return []
     stack = np.array([point[3] for point in points])
-    pairs = stack.reshape(len(points), 2, 2, 4)
-    conjugators = _solve_stack(pairs, pairs)
+    conjugators = solve_conjugators(stack.reshape(len(points), 2, 2, 4))
     m1, l1 = stack[:, 0], stack[:, 2]
     longitudes = _products(_products(_products(m1, l1), _inverses(m1)), _inverses(l1))
-    samples = []
-    for (t, q, residual, images), conj, longitude, trace in zip(
-            points, conjugators, longitudes.tolist(),
-            (longitudes[:, 0] + longitudes[:, 3]).tolist()):
-        a11, a12, a21, a22, b11, b12, b21, b22 = q
-        if conj.det_sign == 1 and conj.candidate is not None:
-            meridian = abs(conj.candidate.trace())
-        elif conj.det_sign == 0:
-            meridian = math.inf
-        else:
-            meridian = math.nan
-        # positional, in field order: t, ma, mb, character, residual,
-        # conjugator, longitude_trace, meridian_trace, word_images, longitude
-        samples.append(RepSample(
-            t, Mat2(a11, a12, a21, a22), Mat2(b11, b12, b21, b22),
-            (a11 + a22, b11 + b22, a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22),
-            residual, conj, trace, meridian, tuple(map(Mat2._make, images)),
-            Mat2._make(longitude)))
-    return samples
+    # positional, in field order
+    return [RepSample(t, Mat2._make(q[:4]), Mat2._make(q[4:]), residual, conj,
+                      tuple(map(Mat2._make, images)), Mat2._make(longitude))
+            for (t, q, residual, images), conj, longitude in zip(
+                points, conjugators, longitudes.tolist())]
 
 
 def _probe_det_sign(reduced: _ReducedSystem, q0: tuple,
@@ -507,7 +509,7 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
             elif sample.det_sign != base_det_sign:
                 reason = "classChange"
                 break
-            if math.isfinite(sample.meridian_trace) and sample.meridian_trace > trace_ceiling:
+            if trace_ceiling < sample.meridian_trace < math.inf:  # a nan never stops
                 reason = "meridianTraceCeiling"
                 break
     return Arc(fam, tuple(samples), reason, direction, step_size, pins)

@@ -207,9 +207,10 @@ def _check_unit_det(m: Mat2, exact: bool):
         if det != 1:
             raise ValueError(f"matrix must have determinant 1, got {det}")
         return
-    # a product, not ** 2, which raises OverflowError where top * top is inf
+    # a product, not ** 2, which raises OverflowError where top * top is inf;
+    # a nan or infinite det passes the tolerance test alone
     top = max(abs(a), abs(b), abs(c), abs(d))
-    if abs(det - 1.0) > 1e-12 * max(1.0, top * top):
+    if not (math.isfinite(det) and abs(det - 1.0) <= 1e-12 * max(1.0, top * top)):
         raise ValueError(f"matrix must have determinant 1, got {det}")
 
 
@@ -217,7 +218,8 @@ def classify(m: Mat2) -> MatClass:
     """Elliptic, parabolic or hyperbolic by |trace| against 2.
 
     Exact matrices are compared exactly; floats use a band of width
-    TRACE_TOL around |trace| = 2 for the parabolic verdict.
+    TRACE_TOL around |trace| = 2 for the parabolic verdict.  A determinant
+    that is not 1 (within a tolerance for floats) raises ValueError.
     """
     return _classify(m, m.exact)
 
@@ -392,18 +394,17 @@ _A_TERMS = np.array(((0, 2, 4, 4), (1, 3, 4, 4), (4, 4, 0, 2), (4, 4, 1, 3)))
 _B_TERMS = np.array(((0, 4, 1, 4), (4, 0, 4, 1), (2, 4, 3, 4), (4, 2, 4, 3)))
 
 
-def _intertwiner_rows(pair_lists) -> np.ndarray:
+def _intertwiner_rows(pairs: np.ndarray) -> np.ndarray:
     """Rows of the linear systems (G A - B G) = 0 in g = (g11, g12, g21, g22)
-    of a stack of K float pair lists with P pairs each (nested Mat2 lists or
-    a (K, P, 2, 4) array), as a (K, 4P, 4) array: four rows per pair, one
-    for each entry (i, j) of G A - B G.
+    of a (K, P, 2, 4) float stack of K lists of P pairs, as a (K, 4P, 4)
+    array: four rows per pair, one for each entry (i, j) of G A - B G.
 
     Each entry is 0 plus its A terms minus its B terms, so the rows keep the
     sign of an exact zero.
     """
-    k, p = len(pair_lists), len(pair_lists[0])
+    k, p = pairs.shape[:2]
     entries = np.zeros((k, p, 2, 5))
-    entries[..., :4] = pair_lists
+    entries[..., :4] = pairs
     rows = (0.0 + entries[:, :, 0, _A_TERMS]) - entries[:, :, 1, _B_TERMS]
     return rows.reshape(k, 4 * p, 4)
 
@@ -456,38 +457,31 @@ def solve_conjugators(pair_lists) -> list:
     """Solve G A_i = B_i G jointly over the pairs of each list of a stack, in
     floats, with one SVD and one finishing pass for the whole stack.
 
-    Every list holds the same number of pairs, at least one, with finite
-    entries.  Exact pairs are rounded to float once on entry.  The solution
-    space of a list is the nullspace of its intertwiner rows under an SVD
-    with threshold NULLSPACE_TOL times its largest singular value.  Its
-    candidate is the one null vector when the space is a line, and else
-    _spanning_candidate's pick.  The finishing pass takes every candidate
-    at once, in the operations of the Mat2 forms: it scales the candidate
-    to |det| = 1 when it is invertible, and keeps an unscaled witness with
-    det_sign = 0 when it is singular, then measures the relation residual.
-
-    The stacked solve (_solve_stack) has two callers: this function, which
-    builds the rows from the rounded Mat2 lists, and arc's sample blocks,
-    which pass their word images as one (K, 2, 2, 4) array and build the
-    rows from that array.  Both run the same operations on the same floats.
+    The stack is K lists of P pairs each, P at least one, with finite
+    entries: nested lists of Mat2 pairs, exact or float, or a (K, P, 2, 4)
+    array such as the view of arc's block of word images.  It is converted
+    to one float array once, which rounds exact entries as Mat2.to_float
+    does, and the finiteness check comes before the rows, whose inf - inf
+    would warn.  The solution space of a list is the nullspace of its
+    intertwiner rows under an SVD with threshold NULLSPACE_TOL times its
+    largest singular value.  Its candidate is the one null vector when the
+    space is a line, and else _spanning_candidate's pick.  The finishing
+    pass takes every candidate at once, in the operations of the Mat2
+    forms: it scales the candidate to |det| = 1 when it is invertible, and
+    keeps an unscaled witness with det_sign = 0 when it is singular, then
+    measures the relation residual.
     """
-    if not pair_lists:
+    if not len(pair_lists):
         return []
-    lists = [[(a.to_float() if a.exact else a, b.to_float() if b.exact else b) for a, b in pairs]
-             for pairs in pair_lists]
-    if not lists[0] or any(len(pairs) != len(lists[0]) for pairs in lists):
+    try:
+        pairs = np.array(pair_lists, dtype=float)  # numpy rejects a ragged stack
+    except ValueError:
+        pairs = np.empty(0)
+    if pairs.ndim != 4 or pairs.shape[2:] != (2, 4) or not pairs.shape[1]:
         raise ValueError("every list needs the same number of pairs, at least one")
-    return _solve_stack(np.array(lists), lists)
-
-
-def _solve_stack(pairs: np.ndarray, rows_from) -> list:
-    """solve_conjugators on the float pairs (K, P, 2, 4), with the
-    intertwiner rows built from rows_from: the same pairs as Mat2 lists, or
-    the array itself.  The finiteness check comes before the rows, whose
-    inf - inf would warn."""
     if not np.isfinite(pairs).all():
         raise ValueError("pair entries must be finite")
-    _, sig, vt = np.linalg.svd(_intertwiner_rows(rows_from), full_matrices=False)
+    _, sig, vt = np.linalg.svd(_intertwiner_rows(pairs), full_matrices=False)
     null = sig <= NULLSPACE_TOL * np.where(sig[:, :1] > 0, sig[:, :1], 1.0)
     dims = null.sum(axis=1).tolist()
     g = vt[np.arange(len(pairs)), null.argmax(axis=1)]
@@ -568,12 +562,12 @@ def eigen_data(m: Mat2):
     """Eigenvalue/direction pairs for non-elliptic determinant-1 matrices,
     in floats; an exact matrix is rounded to float once on entry.
 
-    Hyperbolic: two pairs, the eigenvalue of larger magnitude first.
-    Parabolic (|trace| within TRACE_TOL of 2): one pair with eigenvalue
-    +-1.0; for a matrix within TRACE_TOL of +-identity the fixed direction
-    is arbitrary and (1.0, 0.0) is returned.  Elliptic input raises
-    ValueError, and a hyperbolic trace whose square overflows raises
-    ArithmeticError.  Directions are unit vectors with first nonzero
+    Hyperbolic: two pairs, the eigenvalue of larger magnitude first, then
+    its reciprocal.  Parabolic (|trace| within TRACE_TOL of 2): one pair
+    with eigenvalue +-1.0; for a matrix within TRACE_TOL of +-identity the
+    fixed direction is arbitrary and (1.0, 0.0) is returned.  Elliptic
+    input raises ValueError, and a hyperbolic trace whose square overflows
+    raises ArithmeticError.  Directions are unit vectors with first nonzero
     component positive.
     """
     m = m.to_float() if m.exact else m
@@ -592,10 +586,10 @@ def _eigen_pairs(m: Mat2, cls: MatClass):
         return ((lam, _eigvec(*m, lam)),)
     if (disc := tr * tr - 4.0) == math.inf:
         raise ArithmeticError(f"eigenvalues overflow: the square of the trace {tr} is inf")
-    root = math.sqrt(disc)
-    lam1, lam2 = (tr + root) / 2, (tr - root) / 2
-    if abs(lam1) < abs(lam2):
-        lam1, lam2 = lam2, lam1
+    # the larger |eigenvalue| without cancellation, and the other as its
+    # reciprocal (det 1), which (tr - root) / 2 would lose to cancellation
+    lam1 = (tr + math.copysign(math.sqrt(disc), tr)) / 2
+    lam2 = 1.0 / lam1
     return ((lam1, _eigvec(*m, lam1)), (lam2, _eigvec(*m, lam2)))
 
 

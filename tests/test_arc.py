@@ -29,7 +29,7 @@ from sl2arc.sl2 import Mat2, exact_nullspace, exact_rank, solve_conjugator
 from sl2arc.tracepass import TracePlan
 from sl2arc.words import evaluate
 
-from test_sl2 import _result_bits
+from test_sl2 import _bits, _result_bits
 
 
 @pytest.fixture(scope="module")
@@ -817,20 +817,13 @@ def test_a_shorter_arc_is_a_prefix_of_a_longer_one(max_steps, fam1, free_arc1):
     assert _same_samples(arc.samples, free_arc1.samples[:max_steps + 1])
 
 
-def _rising_meridian(samples_at):
-    """_samples_at with the meridian trace replaced by 2 + t, which rises
-    along the arc (the true one falls over its first few units of t)."""
-    def rising(points):
-        return [dataclasses.replace(s, meridian_trace=2.0 + s.t) for s in samples_at(points)]
-    return rising
-
-
 @pytest.mark.parametrize("k", [1, 63, 64, 65, 130])
 def test_the_ceiling_stops_the_arc_at_the_first_sample_above_it(k, fam1, monkeypatch):
     # The corrector runs ahead of the checks by at most one block of
     # samples, and the samples after the first one above the ceiling are
-    # dropped.
-    monkeypatch.setattr(arc_module, "_samples_at", _rising_meridian(arc_module._samples_at))
+    # dropped.  The meridian trace is replaced by 2 + t, which rises along
+    # the arc (the true one falls over its first few units of t).
+    monkeypatch.setattr(arc_module.RepSample, "meridian_trace", property(lambda s: 2.0 + s.t))
     free = continue_arc(fam1, step_size=1e-3, max_steps=200, direction=1, trace_ceiling=math.inf)
     ceiling = math.nextafter(free.samples[k].meridian_trace, 0.0)
     ends = []
@@ -903,6 +896,31 @@ def test_block_conjugators_equal_the_list_solve(n, direction, arcs200, minus_arc
         if k % 50 == 0:
             (alone,) = arc_module._samples_at([points[k]])
             assert _result_bits(alone.conjugator) == want
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("n", [1, 7, 21])
+def test_the_derived_values_equal_the_stored_formulas(n, direction, arcs200, minus_arcs200):
+    # a sample derives its character, longitude trace and meridian trace on
+    # access, in the float operations that once built them into the record:
+    # the longitude traces as one stacked sum over the block
+    samples = (arcs200 if direction == 1 else minus_arcs200)[n].samples
+    longitudes = np.array([s.longitude for s in samples])
+    for s, trace in zip(samples, (longitudes[:, 0] + longitudes[:, 3]).tolist()):
+        a11, a12, a21, a22 = s.ma
+        b11, b12, b21, b22 = s.mb
+        conj = s.conjugator
+        if conj.det_sign == 1 and conj.candidate is not None:
+            meridian = abs(conj.candidate.trace())
+        elif conj.det_sign == 0:
+            meridian = math.inf
+        else:
+            meridian = math.nan
+        character = (a11 + a22, b11 + b22, a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22)
+        values = (*s.character, s.longitude_trace, s.meridian_trace)
+        assert all(type(x) is float for x in values)
+        assert _bits(values) == _bits((*character, trace, meridian))
+    assert {s.det_sign for s in samples} == ({0, 1} if direction == 1 else {0, -1})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -271,10 +271,10 @@ def test_interval_does_not_check_the_longitude_determinant(monkeypatch, capsys):
     images = tuple(evaluate(getattr(fam, w), ma, mb) for w in ("m1", "m2", "l1", "l2"))
     longitude = Mat2(2.0, 0.0, 0.0, 0.5 + 1e-9)
     sample = RepSample(
-        t=0.1, ma=ma, mb=mb, character=(2.0, 2.0, 2.0), residual=0.0,
+        t=0.1, ma=ma, mb=mb, residual=0.0,
         conjugator=ConjugatorResult(1, Mat2(3.0, 0.0, 0.0, 1.0 / 3.0), 1, 0.0),
-        longitude_trace=float(longitude.trace()), meridian_trace=10.0 / 3.0,
         word_images=images, longitude=longitude)
+    assert sample.character == (2.0, 2.0, 2.0) and sample.meridian_trace == 10.0 / 3.0
     arc = Arc(fam, (sample,), "maxSteps", 1, 1e-3, (0, 1))
     with pytest.raises(ValueError, match="determinant 1"):
         translation_numbers_along_arc(arc.longitude_images())

@@ -223,6 +223,16 @@ def test_every_index_has_a_negative_orderable_interval(reach_arcs, n):
     assert hi == 0.0 and -math.inf < lo < 0.0
 
 
+def test_the_two_meridian_eigenvalues_are_reciprocal(reach_arcs):
+    # u2 is log |1 / lambda1|, not log |(tr - root) / 2|, whose cancellation
+    # put |u1 + u2| at 6.8e-9 at n = 50
+    worst = 0.0
+    for arc in reach_arcs.values():
+        locus = locus_points(arc)
+        worst = max([worst] + [abs(p.u + q.u) for p, q in zip(locus.first, locus.second)])
+    assert worst <= 4e-15
+
+
 def _misdirect(monkeypatch, direction_of):
     """Make the locus read each longitude at direction_of(longitude, the
     stable letter's expanding direction) instead."""
@@ -399,9 +409,8 @@ def _fake_arc(fam, conjugator: Mat2, ma: Mat2, mb: Mat2) -> Arc:
     images = tuple(evaluate(getattr(fam, w), ma, mb) for w in ("m1", "m2", "l1", "l2"))
     im1, _, il1, _ = images
     sample = RepSample(
-        t=0.1, ma=ma, mb=mb, character=(2.0, 2.0, 2.0), residual=0.0,
+        t=0.1, ma=ma, mb=mb, residual=0.0,
         conjugator=ConjugatorResult(1, conjugator, 1, 0.0),
-        longitude_trace=2.0, meridian_trace=abs(conjugator.trace()),
         word_images=images, longitude=im1 @ il1 @ im1.inverse() @ il1.inverse())
     return Arc(fam, (sample,), "maxSteps", 1, 1e-3, (0, 1))
 

@@ -232,9 +232,23 @@ def test_a_huge_hyperbolic_matrix_is_classified_and_its_overflow_named(sign):
         with pytest.raises(ArithmeticError, match="overflow") as raised:
             eigen_data(m)
         assert type(raised.value) is ArithmeticError
-    # just below the overflow of tr * tr the eigendata are finite
-    (lam1, v1), (lam2, _) = eigen_data(Mat2(sign * 1e154, 0.0, 0.0, sign * 1e-154))
-    assert (lam1, v1) == (sign * 1e154, (1.0, 0.0)) and math.isfinite(lam2)
+        assert _reference_verdict(m) == MatClass.HYPERBOLIC
+    # below the overflow of tr * tr the eigendata are finite, and the small
+    # eigenvalue is the reciprocal of the large one, not lost to cancellation
+    for big in (1e154, 1e150, 1e100, 1e8):
+        (lam1, v1), (lam2, _) = eigen_data(Mat2(sign * big, 0.0, 0.0, sign / big))
+        assert (lam1, v1, lam2) == (sign * big, (1.0, 0.0), sign / big)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_determinant_is_refused(bad):
+    # NaN <= tol is False and so is inf > inf: the tolerance test alone
+    # passes a non-finite determinant, the finiteness test refuses it
+    for m in (Mat2(bad, 0.0, 0.0, 1.0), Mat2(1.0, bad, 0.0, 1.0)):
+        assert _reference_verdict(m) == "determinant"
+        for call in (classify, eigen_data):
+            with pytest.raises(ValueError, match="determinant 1"):
+                call(m)
 
 
 def _reference_verdict(m: Mat2):
@@ -242,7 +256,7 @@ def _reference_verdict(m: Mat2):
     float() on every entry: the class, or the determinant failure."""
     det = m.det()
     top = max(abs(float(x)) for x in m)
-    if abs(det - 1.0) > 1e-12 * max(1.0, top * top):
+    if not math.isfinite(det) or not abs(det - 1.0) <= 1e-12 * max(1.0, top * top):
         return "determinant"
     t = abs(float(m.trace()))
     if abs(t - 2.0) <= sl2.TRACE_TOL:
@@ -263,10 +277,8 @@ def _reference_eigen_data(m: Mat2, verdict):
         if sl2._frobenius(m.a - lam, m.b, m.c, m.d - lam) <= sl2.TRACE_TOL:
             return ((lam, (1.0, 0.0)),)
         return ((lam, eigvec(lam)),)
-    root = math.sqrt(tr * tr - 4.0)
-    lam1, lam2 = (tr + root) / 2, (tr - root) / 2
-    if abs(lam1) < abs(lam2):
-        lam1, lam2 = lam2, lam1
+    lam1 = (tr + math.copysign(math.sqrt(tr * tr - 4.0), tr)) / 2
+    lam2 = 1.0 / lam1
     return ((lam1, eigvec(lam1)), (lam2, eigvec(lam2)))
 
 
@@ -413,10 +425,11 @@ def test_hyperbolic_eigendata_exact_when_discriminant_is_square():
 # longitude: the references that the entry forms must match bit for bit.
 
 def _reference_intertwiner_rows(pairs):
+    """The rows of a list of pairs, each a Mat2 or an entry sequence."""
     rows = []
-    for a, b in pairs:
-        aa = ((a.a, a.b), (a.c, a.d))
-        bb = ((b.a, b.b), (b.c, b.d))
+    for (a11, a12, a21, a22), (b11, b12, b21, b22) in pairs:
+        aa = ((a11, a12), (a21, a22))
+        bb = ((b11, b12), (b21, b22))
         for i in range(2):
             for j in range(2):
                 row = [0, 0, 0, 0]
@@ -446,7 +459,8 @@ def _reference_conjugator(pairs) -> ConjugatorResult:
     """One list solved and finished in Mat2 forms: the SVD of the reference
     rows, the candidate, its scaling and its relation residual."""
     rounded = [(a.to_float(), b.to_float()) for a, b in pairs]
-    _, sig, vt = np.linalg.svd(_reference_stacked_rows([rounded]), full_matrices=False)
+    _, sig, vt = np.linalg.svd(_reference_stacked_rows(np.array([rounded])),
+                               full_matrices=False)
     sig, vt = sig[0].tolist(), vt[0]
     cutoff = sl2.NULLSPACE_TOL * (sig[0] if sig[0] > 0 else 1.0)
     basis = [Mat2(*vt[i].tolist()) for i in range(4) if sig[i] <= cutoff]
@@ -467,8 +481,9 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
-def _reference_stacked_rows(pair_lists):
-    return np.array([_reference_intertwiner_rows(pairs) for pairs in pair_lists], dtype=float)
+def _reference_stacked_rows(pairs: np.ndarray) -> np.ndarray:
+    """The rows of a (K, P, 2, 4) stack, read through Python floats."""
+    return np.array([_reference_intertwiner_rows(some) for some in pairs.tolist()], dtype=float)
 
 
 def _check_against_references(pair_lists, monkeypatch):
@@ -482,7 +497,7 @@ def _check_against_references(pair_lists, monkeypatch):
         from_reference_rows = [solve_conjugator(pairs) for pairs in pair_lists]
     for pairs, got, patched_got in zip(pair_lists, results, from_reference_rows):
         rounded = [(a.to_float(), b.to_float()) for a, b in pairs]
-        rows = _intertwiner_rows([rounded])
+        rows = _intertwiner_rows(np.array([rounded]))
         assert rows.shape == (1, 4 * len(pairs), 4)
         assert _bits(rows) == _bits(_reference_intertwiner_rows(rounded))
         want = _reference_conjugator(pairs)
@@ -693,7 +708,8 @@ def test_rows_keep_the_sign_of_a_zero(monkeypatch):
         [(Mat2(one, z, z, one), Mat2(one, z, z, one))],
     ]
     _check_against_references(pair_lists, monkeypatch)
-    rows = _intertwiner_rows(pair_lists[1])
+    rows = _intertwiner_rows(np.array(pair_lists[1:2]))
+    assert rows.shape == (1, 4, 4)
     assert not np.signbit(rows).any()
 
 

@@ -52,8 +52,9 @@ print(f"  max |first + second| = {worst:.2e}  (branches are negatives)")
 print()
 
 print("== longitude translation numbers ==")
-values = set(locus.longitude_translations)
-print(f"  values on accepted samples: {sorted(values)}")
+glueable = sum(s.det_sign == 1 for s in arc.samples)
+print(f"  read at the meridian's expanding direction on {glueable} glueable samples")
+print(f"  {len(locus.first)} read 0 and are kept (the CSV's trans_longitude column is 0)")
 print()
 
 lo, hi = orderable_interval(locus)

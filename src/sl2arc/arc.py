@@ -163,7 +163,7 @@ class RepSample:
         limiting character, nan when no real stable letter exists because
         the conjugator determinant is negative."""
         conj = self.conjugator
-        if conj.det_sign == 1 and conj.candidate is not None:
+        if conj.det_sign == 1:
             return abs(conj.candidate.trace())
         return math.inf if conj.det_sign == 0 else math.nan
 
@@ -292,7 +292,7 @@ class _ReducedSystem:
         aug[5] = self.gauge_row(q)
         return np.linalg.svd(aug)[2][-1]
 
-    def newton(self, q_pred, tau, tol: float, max_iter: int) -> tuple:
+    def newton(self, q_pred, tau) -> tuple:
         """Correct the predictor q_pred onto {F = 0} inside the
         pseudo-arclength hyperplane tau . (q - q_pred) = 0, with each update
         orthogonal to the gauge flow.
@@ -303,14 +303,14 @@ class _ReducedSystem:
         kernel direction of jr orthogonal to the gauge flow with
         tau . t > 0, the next step's tangent (Allgower & Georg ch. 2-3).
         Each updated iterate is checked by a value-only pass; only when that
-        misses tol does a full evaluation follow, for the next solve.
+        misses NEWTON_TOL does a full evaluation follow, for the next solve.
 
         The iterate q is the free-entry array and full its entry tuple, on
         which the passes run as given.  Returns (the full entry tuple,
         residual, word images, tangent) at the last iterate: the converged
-        one, the one after max_iter updates, or the first whose residual is
-        not finite.  The tangent comes from the last solve, and is tau
-        itself when q_pred is returned unsolved.
+        one, the one after NEWTON_MAX_ITER updates, or the first whose
+        residual is not finite.  The tangent comes from the last solve, and
+        is tau itself when q_pred is returned unsolved.
         """
         q = q_pred
         full = self.expand(q.tolist())
@@ -319,9 +319,9 @@ class _ReducedSystem:
         take, a, b = self.take, self._bordered, self._rhs
         a[5] = tau
         extra = 0.0  # tau . (q - q_pred) at q = q_pred
-        for it in range(max_iter + 1):
+        for it in range(NEWTON_MAX_ITER + 1):
             res = max(_max_abs(f), abs(extra))
-            if res <= tol or not math.isfinite(res) or it == max_iter:
+            if res <= NEWTON_TOL or not math.isfinite(res) or it == NEWTON_MAX_ITER:
                 return full, res, images, tangent
             if jac is None:
                 f, jac, images = self.system.evaluate(full)
@@ -419,7 +419,7 @@ def _probe_det_sign(reduced: _ReducedSystem, q0: tuple,
     the other side's joint conjugator has determinant -1.  Returns 0 when the
     probe step fails or the conjugator stays singular.
     """
-    q, res, images, _ = reduced.newton(reduced.reduce(q0) + h * v0, v0, NEWTON_TOL, NEWTON_MAX_ITER)
+    q, res, images, _ = reduced.newton(reduced.reduce(q0) + h * v0, v0)
     if not res <= NEWTON_TOL:
         return 0
     return _samples_at([(h, q, res, images)])[0].det_sign
@@ -489,8 +489,7 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
                 reason = "maxSteps"
                 break
             step += 1
-            q, res, images, v = reduced.newton(reduced.reduce(q) + step_size * v, v,
-                                               NEWTON_TOL, NEWTON_MAX_ITER)
+            q, res, images, v = reduced.newton(reduced.reduce(q) + step_size * v, v)
             if not res <= NEWTON_TOL:
                 if step == 1:
                     raise ContinuationError(
@@ -543,7 +542,7 @@ def glue_hnn(sample: RepSample, fam: FamilyInstance) -> GluedRepresentation:
     either residual exceeds GLUE_TOL.
     """
     conj = sample.conjugator
-    if conj.det_sign != 1 or conj.candidate is None:
+    if conj.det_sign != 1:
         raise GluingError(
             f"no determinant-+1 real conjugator at t={sample.t:.6g} "
             f"(determinant class {conj.det_sign_label})")

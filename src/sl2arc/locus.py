@@ -6,23 +6,24 @@ common fixed directions of that peripheral pair give two locus points
 
     (u, w) = (ln |lambda_m|, ln |lambda_l|)
 
-one per direction; the second branch is the negation of the first, because
-swapping the fixed point inverts both eigenvalues.  Branches are tracked
-continuously in t by matching fixed directions to the previous sample in
-projective distance.  Samples of conjugator class other than +1 are
-skipped; every other sample must pass the gluing gate arc.glue_hnn, which
-supplies T, and T must be hyperbolic (|trace| > 2 + 1e-9).  A point enters
-the locus only when the longitude's path-lifted translation number, read at
-T's expanding fixed direction (the longitude commutes with T, so fixes it),
-is 0; samples with other translation numbers belong to other components of
-the locus and are skipped, not errors.
+one per direction: branch-first at T's expanding direction and
+branch-second at its contracting one, the negation of the first, because
+swapping the fixed point inverts both eigenvalues.  Every accepted sample
+has a hyperbolic T, so the expanding eigenvalue never changes place along
+an arc and the branches need no tracking.  Samples of conjugator class
+other than +1 are skipped; every other sample must pass the gluing gate
+arc.glue_hnn, which supplies T, and T must be hyperbolic by eigen_data's
+TRACE_TOL band.  A point enters the locus only when the longitude's
+path-lifted translation number, read at T's expanding fixed direction (the
+longitude commutes with T, so fixes it), is 0; samples with other
+translation numbers belong to other components of the locus and are
+skipped, not errors.
 
-Points are stored ordered by u ascending.  Branches are first tracked along
-the arc in sample order (projective continuity needs it) and then sorted,
-so the tail of the list -- the largest-u fifth -- is the approach to the
-point at infinity of the extended variety (the t -> 0 end, where the
-meridian eigenvalue diverges and the longitude eigenvalue tends to 1): that
-is where the arc flattens onto the u-axis.
+Points are stored ordered by u ascending, so the tail of the list -- the
+largest-u fifth -- is the approach to the point at infinity of the extended
+variety (the t -> 0 end, where the meridian eigenvalue diverges and the
+longitude eigenvalue tends to 1): that is where the arc flattens onto the
+u-axis.
 
 The orderable-slope interval collects r = -w/u over branch-first points and
 returns the interval between 0 (exclusive) and the extreme sampled slope;
@@ -52,7 +53,6 @@ __all__ = [
     "peripheral_point_pair",
 ]
 
-HYPERBOLIC_MARGIN = 1e-9
 HORIZONTAL_TOL = 1e-9
 
 
@@ -77,15 +77,13 @@ class LocusArc:
     """Locus points per branch plus asymptote diagnostics.
 
     Points are ordered by u ascending on the first branch (the second branch
-    and the parallel sample_indices / longitude_translations tuples share
-    that order); the tail is the last 20% of points -- the largest-u end,
-    nearest the point at infinity.
+    and the parallel sample_indices tuple share that order); the tail is the
+    last 20% of points -- the largest-u end, nearest the point at infinity.
     """
 
     first: tuple
     second: tuple
     sample_indices: tuple
-    longitude_translations: tuple
     max_abs_w: float
     tail_max_abs_w: float
     tail_final_abs_w: float
@@ -94,14 +92,7 @@ class LocusArc:
     tail_slope: float
 
 
-_EMPTY = LocusArc((), (), (), (), 0.0, 0.0, 0.0, 0.0, True, math.nan)
-
-
-def _projective_gap(v: tuple, w: tuple) -> float:
-    """Distance between unit directions modulo sign."""
-    plus = math.hypot(v[0] - w[0], v[1] - w[1])
-    minus = math.hypot(v[0] + w[0], v[1] + w[1])
-    return min(plus, minus)
+_EMPTY = LocusArc((), (), (), 0.0, 0.0, 0.0, 0.0, True, math.nan)
 
 
 def _eigenvalue_at(m: Mat2, direction: tuple) -> float:
@@ -117,38 +108,25 @@ def _slope(u: float, w: float) -> float:
     return -w / u if u != 0.0 else math.nan
 
 
-def _point_pair(pairs: tuple, longitude: Mat2, prev_direction: tuple | None) -> tuple:
-    """peripheral_point_pair from the meridian's two eigen pairs."""
-    if prev_direction is None:
-        chosen = 0  # eigen_data puts the larger |eigenvalue| first
-    else:
-        gaps = [_projective_gap(prev_direction, p[1]) for p in pairs]
-        chosen = 0 if gaps[0] <= gaps[1] else 1
-    lam_m, direction = pairs[chosen]
-    other_lam, other_direction = pairs[1 - chosen]
-    u1 = math.log(abs(lam_m))
-    w1 = math.log(abs(_eigenvalue_at(longitude, direction)))
-    u2 = math.log(abs(other_lam))
-    w2 = math.log(abs(_eigenvalue_at(longitude, other_direction)))
-    first = LocusPoint(u1, w1, "first", _slope(u1, w1))
-    second = LocusPoint(u2, w2, "second", _slope(u2, w2))
-    return first, second, direction
-
-
-def peripheral_point_pair(meridian: Mat2, longitude: Mat2,
-                          prev_direction: tuple | None = None) -> tuple:
+def peripheral_point_pair(meridian: Mat2, longitude: Mat2) -> tuple:
     """Both locus points of one commuting hyperbolic peripheral pair.
 
     Returns (first, second, direction): branch-first is the point at the
-    meridian's expanding fixed direction when prev_direction is None, else
-    at the direction projectively closest to prev_direction; branch-second
-    is its negation (the other fixed direction).  direction is the fixed
-    direction chosen for branch-first, for continuity tracking.
+    meridian's expanding fixed direction, which is returned as direction
+    for the longitude's translation read, and branch-second the point at
+    its contracting one.  A meridian that eigen_data does not split into
+    two fixed directions -- parabolic within TRACE_TOL, elliptic,
+    non-finite or off determinant 1 -- raises LocusError.
     """
-    pairs = eigen_data(meridian)
-    if len(pairs) != 2:
-        raise LocusError("meridian eigendata degenerate: need two distinct real fixed directions")
-    return _point_pair(pairs, longitude, prev_direction)
+    try:  # a parabolic meridian's one pair fails the unpacking
+        (lam1, direction), (lam2, other) = eigen_data(meridian)
+    except ValueError as exc:
+        raise LocusError(
+            f"meridian is not hyperbolic (|trace| = {abs(meridian.trace()):.6g})") from exc
+    u1, w1 = math.log(abs(lam1)), math.log(abs(_eigenvalue_at(longitude, direction)))
+    u2, w2 = math.log(abs(lam2)), math.log(abs(_eigenvalue_at(longitude, other)))
+    return (LocusPoint(u1, w1, "first", _slope(u1, w1)),
+            LocusPoint(u2, w2, "second", _slope(u2, w2)), direction)
 
 
 def locus_points(arc: Arc) -> LocusArc:
@@ -166,40 +144,26 @@ def locus_points(arc: Arc) -> LocusArc:
         angles = _tracked_angles(longitude_mats, BASE_DIRECTION)
     except (ArithmeticError, ValueError) as exc:
         raise LocusError(f"longitude translation numbers failed: {exc}") from exc
-    first: list = []
-    second: list = []
-    indices: list = []
-    kept_translations: list = []
-    prev_direction = None
+    rows = []
     for idx, sample in enumerate(arc.samples):
         if sample.det_sign != 1:
             continue
-        t_letter = glue_hnn(sample, arc.family).t_letter
-        if not abs(t_letter.trace()) > 2.0 + HYPERBOLIC_MARGIN:
-            raise LocusError(
-                f"meridian is not hyperbolic at t={sample.t:.6g} "
-                f"(|trace| = {abs(t_letter.trace()):.6g})")
-        pairs = eigen_data(t_letter)
+        meridian, longitude = glue_hnn(sample, arc.family).t_letter, longitude_mats[idx]
         try:
-            trans = _prefix_translation(longitude_mats[idx], angles[idx], BASE_DIRECTION,
-                                        pairs[0][1])
+            p1, p2, direction = peripheral_point_pair(meridian, longitude)
+        except LocusError as exc:
+            raise LocusError(f"{exc} at t={sample.t:.6g}") from exc
+        try:
+            trans = _prefix_translation(longitude, angles[idx], BASE_DIRECTION, direction)
         except (ArithmeticError, ValueError) as exc:
             raise LocusError(f"longitude translation numbers failed: {exc}") from exc
-        if trans.value != 0.0:
-            continue
-        p1, p2, prev_direction = _point_pair(pairs, longitude_mats[idx], prev_direction)
-        first.append(p1)
-        second.append(p2)
-        indices.append(idx)
-        kept_translations.append(trans.value)
+        if trans.value == 0.0:
+            rows.append((p1.u, idx, p1, p2))
 
-    if not first:
+    if not rows:
         return _EMPTY
-    order = sorted(range(len(first)), key=lambda i: (first[i].u, indices[i]))
-    first = [first[i] for i in order]
-    second = [second[i] for i in order]
-    indices = [indices[i] for i in order]
-    kept_translations = [kept_translations[i] for i in order]
+    rows.sort()
+    _, indices, first, second = zip(*rows)
     tail_start = max(0, len(first) - max(1, len(first) // 5))
     tail = first[tail_start:]
     abs_w = [abs(p.w) for p in first]
@@ -209,10 +173,9 @@ def locus_points(arc: Arc) -> LocusArc:
     tail_slopes = sorted(p.slope for p in tail)
     tail_slope = tail_slopes[len(tail_slopes) // 2]
     return LocusArc(
-        first=tuple(first),
-        second=tuple(second),
-        sample_indices=tuple(indices),
-        longitude_translations=tuple(kept_translations),
+        first=first,
+        second=second,
+        sample_indices=indices,
         max_abs_w=max(abs_w),
         tail_max_abs_w=max(tail_abs_w),
         tail_final_abs_w=tail_abs_w[-1],
@@ -249,7 +212,7 @@ CSV_HEADER = ("t,x,y,z,tr_meridian,tr_longitude,u1,w1,u2,w2,slope1,"
               "det_conjugator,residual,trans_longitude")
 
 
-_CSV_ROW = "%.17g," * 11 + "%d,%.17g,%.17g"
+_CSV_ROW = "%.17g," * 11 + "%d,%.17g,0"  # every accepted sample translates by 0
 
 
 def csv_text(arc: Arc, locus_arc: LocusArc) -> str:
@@ -266,7 +229,7 @@ def csv_text(arc: Arc, locus_arc: LocusArc) -> str:
         lines.append(_CSV_ROW % (
             s.t, x, y, z, s.meridian_trace, s.longitude_trace,
             p1.u, p1.w, p2.u, p2.w, p1.slope, s.conjugator.det_sign,
-            s.residual, locus_arc.longitude_translations[pos]))
+            s.residual))
     return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import sl2arc.arc as arc_module
 from sl2arc.arc import (
+    NEWTON_MAX_ITER,
     NEWTON_TOL,
     ContinuationError,
     GluingError,
@@ -349,7 +350,7 @@ def test_a_step_costs_one_jacobian_one_value_pass_and_one_solve(n, monkeypatch):
         "evaluate": 100, "values": 100, "lstsq": 100, "svd": 0}
 
 
-def _reference_newton(self, q_pred, tau, tol, max_iter):
+def _reference_newton(self, q_pred, tau):
     """The step without the bordered tangent: a full evaluation at every
     iterate, a one-right-hand-side lstsq update, and the next tangent from
     the SVD at the accepted point, sign-matched to tau."""
@@ -357,14 +358,14 @@ def _reference_newton(self, q_pred, tau, tol, max_iter):
     a = np.empty((7, len(self.free)))
     a[5] = tau
     b = np.zeros(7)
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         full = self.expand(q)
         f, jac, images = self.system.evaluate(full)
         jr = np.array(jac)[:, self.free]
         extra = float(np.dot(tau, q - q_pred))
         res = max(float(np.abs(f).max()), abs(extra))
-        if res <= tol or not math.isfinite(res) or it == max_iter:
-            if not res <= tol:
+        if res <= NEWTON_TOL or not math.isfinite(res) or it == NEWTON_MAX_ITER:
+            if not res <= NEWTON_TOL:
                 return full, res, images, tau
             v = self.tangent(full, jr)
             return full, res, images, v if float(np.dot(v, tau)) >= 0.0 else -v
@@ -737,8 +738,8 @@ def _newton_steps(monkeypatch, record: list):
         evaluations[0] += 1
         return evaluate_entries(self, q)
 
-    def counted_newton(self, *args):
-        out = newton(self, *args)
+    def counted_newton(self, q_pred, tau):
+        out = newton(self, q_pred, tau)
         record.append(evaluations[0])
         return out
 
@@ -953,9 +954,9 @@ def test_the_corrector_rows_equal_the_norm_forms(n, direction, monkeypatch):
 
     _patch_arc_linalg(monkeypatch, lstsq=recorded)
 
-    def checked_newton(self, q_pred, tau, tol, max_iter):
+    def checked_newton(self, q_pred, tau):
         solves.clear()
-        out = newton(self, q_pred, tau, tol, max_iter)
+        out = newton(self, q_pred, tau)
         full = self.expand(q_pred.tolist())
         g = np.array(_EntrySystem.gauge_flow(full))
         want = (g / np.linalg.norm(g))[self.free]

@@ -7,7 +7,7 @@ import pytest
 
 import sl2arc.locus as locus_module
 import sl2arc.sl2 as sl2_module
-from sl2arc.arc import Arc, GluedRepresentation, GluingError, RepSample, continue_arc
+from sl2arc.arc import Arc, GluedRepresentation, GluingError, RepSample, continue_arc, glue_hnn
 from sl2arc.locus import (
     CSV_HEADER,
     LocusError,
@@ -27,6 +27,7 @@ from sl2arc.sl2 import (
     Mat2,
     eigen_data,
     relation_residual,
+    rotation,
     translation_number_by_iteration,
     translation_numbers_along_arc,
 )
@@ -75,23 +76,31 @@ def test_point_pair_identity_longitude_is_horizontal():
     assert math.isnan(first.slope) or first.slope == 0.0 or first.slope == -0.0
 
 
-def test_point_pair_continuity_tracking():
-    m, l = _diag(2.0), _diag(5.0)
-    first, second, direction = peripheral_point_pair(m, l)
-    # feeding the chosen direction back keeps the same branch assignment
-    again, _, _ = peripheral_point_pair(m, l, prev_direction=direction)
-    assert (again.u, again.w) == (first.u, first.w)
-    # feeding the other fixed direction swaps the branches
-    other_direction = eigen_data(m)[1][1]
-    swapped, swapped_second, _ = peripheral_point_pair(
-        m, l, prev_direction=tuple(float(c) for c in other_direction))
-    assert (swapped.u, swapped.w) == (second.u, second.w)
-    assert (swapped_second.u, swapped_second.w) == (first.u, first.w)
-
-
 def test_point_pair_rejects_parabolic_meridian():
     with pytest.raises(LocusError):
         peripheral_point_pair(Mat2(1.0, 1.0, 0.0, 1.0), _diag(2.0))
+
+
+_NOT_HYPERBOLIC = {
+    "elliptic": rotation(0.3),
+    "nan": Mat2(math.nan, 0.0, 0.0, math.nan),
+    "off determinant": Mat2(3.0, 0.0, 0.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_HYPERBOLIC))
+def test_a_meridian_eigen_data_cannot_split_is_a_locus_error(case, fam1, monkeypatch):
+    # eigen_data's TRACE_TOL band and determinant check are the one gate;
+    # its ValueError becomes a LocusError naming |trace|, and t on an arc
+    meridian = _NOT_HYPERBOLIC[case]
+    with pytest.raises(LocusError, match=r"not hyperbolic \(\|trace\| = "):
+        peripheral_point_pair(meridian, _diag(2.0))
+    ident = Mat2.identity(exact=False)
+    monkeypatch.setattr(locus_module, "glue_hnn",
+                        lambda sample, fam: GluedRepresentation(meridian, 0.0, 0.0))
+    with pytest.raises(LocusError, match=r"hyperbolic .* at t=0\.1$") as info:
+        locus_points(_fake_arc(fam1, meridian, ident, ident))
+    assert type(info.value.__cause__.__cause__) is ValueError
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +143,6 @@ def test_interval_empty_raises():
 def test_locus_accepts_every_glueable_sample(arc1, locus1):
     assert len(locus1.first) == len(locus1.second)
     assert len(locus1.first) == len(locus1.sample_indices)
-    assert len(locus1.first) == len(locus1.longitude_translations)
     # the whole +1-direction arc past t=0 is glueable
     assert len(locus1.first) == len(arc1.samples) - 1
     assert all(arc1.samples[i].det_sign == 1 for i in locus1.sample_indices)
@@ -149,8 +157,11 @@ def test_locus_points_are_ordered_by_u(arc1, locus1):
                                                  reverse=True)
 
 
-def test_locus_longitude_translations_vanish(locus1):
-    assert all(v == 0.0 for v in locus1.longitude_translations)
+def test_locus_longitude_translations_vanish(arc1, locus1):
+    # at n = 1 the undirected reads, at each longitude's own expanding
+    # direction, agree with the locus: every accepted sample translates by 0
+    translations = translation_numbers_along_arc(arc1.longitude_images())
+    assert {translations[i].value for i in locus1.sample_indices} == {0.0}
 
 
 def test_locus_branches_are_negatives(locus1):
@@ -205,7 +216,6 @@ def test_locus_reaches_n_9_to_21_with_integer_zero(reach_arcs, n):
     assert arc.pins == (0, 1)
     locus = locus_points(arc)
     assert len(locus.first) == sum(s.det_sign == 1 for s in arc.samples) > 0
-    assert set(locus.longitude_translations) == {0.0}
     # the iterate-limit reference agrees on a subsample; it classifies the
     # endpoint, so the endpoint is scaled to determinant 1 first
     longitudes = arc.longitude_images()
@@ -231,6 +241,28 @@ def test_the_two_meridian_eigenvalues_are_reciprocal(reach_arcs):
         locus = locus_points(arc)
         worst = max([worst] + [abs(p.u + q.u) for p, q in zip(locus.first, locus.second)])
     assert worst <= 4e-15
+
+
+def _projective_gap(v: tuple, w: tuple) -> float:
+    """Distance between unit directions modulo sign."""
+    return min(math.dist(v, w), math.hypot(v[0] + w[0], v[1] + w[1]))
+
+
+def test_the_expanding_direction_stays_the_nearer_one_along_an_arc(reach_arcs):
+    # Every accepted sample's stable letter is hyperbolic, so its expanding
+    # eigenvalue never changes place: the expanding direction is nearer the
+    # previous accepted sample's than the contracting one is, by at least
+    # 1.86e4x on the 200-step arcs and 86x on the n = 1 arc of step 0.1.
+    coarse = continue_arc(make_family(1), step_size=0.1, max_steps=100, direction=1)
+    worst = math.inf
+    for arc in [*reach_arcs.values(), coarse]:
+        kept = sorted(locus_points(arc).sample_indices)
+        assert len(kept) == sum(s.det_sign == 1 for s in arc.samples) > 0
+        pairs = [eigen_data(glue_hnn(arc.samples[i], arc.family).t_letter) for i in kept]
+        for ((_, prev), _), ((_, expanding), (_, contracting)) in zip(pairs, pairs[1:]):
+            near, far = _projective_gap(prev, expanding), _projective_gap(prev, contracting)
+            worst = min(worst, far / near if near else math.inf)
+    assert worst >= 10.0
 
 
 def _misdirect(monkeypatch, direction_of):
@@ -398,7 +430,6 @@ def test_locus_of_a_minus_arc_skips_its_translation_numbers():
         translation_numbers_along_arc(arc.longitude_images())
     locus = locus_points(arc)
     assert locus.first == locus.second == locus.sample_indices == ()
-    assert locus.longitude_translations == ()
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +501,7 @@ def test_csv_schema_and_order(arc1, locus1):
         assert len(fields) == 14
         ts.append(float(fields[0]))
         assert fields[11] == "1"
-        assert float(fields[13]) == 0.0
+        assert fields[13] == "0"
     assert ts == sorted(ts)
 
 

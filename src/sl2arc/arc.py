@@ -39,7 +39,9 @@ them, and the longitude is m1 l1 m1^-1 l1^-1 of those images with true
 inverses.  On {det = 1} these rows agree with the character-form rows
 (exact Jacobian) . D(chi) up to multiples of the two determinant rows, by
 the chain rule that gives the exact Jacobian; continue_arc checks at rho_n
-only that the constraints vanish there.
+only that the constraints vanish there, exactly: det rho_n(a) =
+det rho_n(b) = 1, and each curve pair's two traces agree in the exact
+curve data.
 
 Gauge geometry.  Conjugating (Ma, Mb) by the centralizer of Ma moves matrix
 entries without moving the character: the flow fixes Ma and moves Mb by
@@ -98,9 +100,9 @@ from operator import itemgetter, sub
 
 import numpy as np
 
-from .pretzel import FamilyInstance, analyze_curve, curve_jacobian
-from .sl2 import (ConjugatorResult, Mat2, _inverses, _max_abs, _products, exact_rank,
-                  relation_residual, solve_conjugators)
+from .pretzel import FamilyInstance, analyze_curve
+from .sl2 import (ConjugatorResult, Mat2, _inverses, _max_abs, _products, _relation_residuals,
+                  exact_rank, solve_conjugators)
 from .tracepass import _letters
 
 __all__ = [
@@ -134,8 +136,11 @@ class RepSample:
     residual is the max absolute violation of the 5 constraints after
     correction.  word_images holds the float images of (m1, m2, l1, l2) from
     the converged iterate, and longitude the commutator [m1, l1] built from
-    them with true inverses.  The character, the longitude trace and the
-    meridian trace are read off these on access.
+    them with true inverses.  commutation_residual is the relation residual
+    of the conjugator's candidate over the pair (longitude, longitude), how
+    far it is from commuting with the longitude (nan without a candidate).
+    The character, the longitude trace and the meridian trace are read off
+    these on access.
     """
 
     t: float
@@ -145,6 +150,7 @@ class RepSample:
     conjugator: ConjugatorResult
     word_images: tuple
     longitude: Mat2
+    commutation_residual: float
 
     @property
     def character(self) -> tuple:
@@ -390,39 +396,53 @@ def _character_rows(jacobian: tuple, q0: tuple, jac0: np.ndarray) -> np.ndarray:
     return rows
 
 
+_NO_CANDIDATE = (math.nan,) * 4  # a nullspace of dimension 0 commutes with nothing
+
+
 def _samples_at(points) -> list:
     """The RepSamples at corrected points (t, q, residual, images).  The
     block's images (m1, m2, l1, l2) become one (K, 4, 4) array, whose
     (K, 2, 2, 4) view holds the pairs [(m1, m2), (l1, l2)] of the joint
     conjugators, solved in one stack, and whose m1 and l1 give the
-    longitudes m1 l1 m1^-1 l1^-1 in one stacked pass."""
+    longitudes m1 l1 m1^-1 l1^-1 in one stacked pass; the candidates'
+    commutation residuals with the longitudes take one more."""
     if not points:
         return []
     stack = np.array([point[3] for point in points])
     conjugators = solve_conjugators(stack.reshape(len(points), 2, 2, 4))
     m1, l1 = stack[:, 0], stack[:, 2]
     longitudes = _products(_products(_products(m1, l1), _inverses(m1)), _inverses(l1))
+    candidates = np.array([_NO_CANDIDATE if conj.candidate is None else conj.candidate
+                           for conj in conjugators])
+    with np.errstate(all="ignore"):  # huge entries overflow into a nan, as in the solve
+        commutations = _relation_residuals(candidates, np.stack((longitudes, longitudes), 1)[:, None])
     # positional, in field order
     return [RepSample(t, Mat2._make(q[:4]), Mat2._make(q[4:]), residual, conj,
-                      tuple(map(Mat2._make, images)), Mat2._make(longitude))
-            for (t, q, residual, images), conj, longitude in zip(
-                points, conjugators, longitudes.tolist())]
+                      tuple(map(Mat2._make, images)), Mat2._make(longitude), commutation)
+            for (t, q, residual, images), conj, longitude, commutation in zip(
+                points, conjugators, longitudes.tolist(), commutations.tolist())]
 
 
 def _probe_det_sign(reduced: _ReducedSystem, q0: tuple,
-                    v0: np.ndarray, h: float) -> int:
-    """Conjugator determinant class one corrector step along +v0.
+                    v0: np.ndarray, h: float) -> tuple:
+    """(conjugator determinant class, cause) one corrector step along +v0.
 
     The two sides of the arc through the limiting character are separated by
     this class from the very first sample: only one side carries a real
     determinant-+1 stable letter (the side that glues to an HNN extension);
-    the other side's joint conjugator has determinant -1.  Returns 0 when the
-    probe step fails or the conjugator stays singular.
+    the other side's joint conjugator has determinant -1.  The class is 0
+    when the probe step fails or the conjugator stays singular, and the
+    cause then says which, with its value; it is "" otherwise.
     """
     q, res, images, _ = reduced.newton(reduced.reduce(q0) + h * v0, v0)
     if not res <= NEWTON_TOL:
-        return 0
-    return _samples_at([(h, q, res, images)])[0].det_sign
+        return 0, f"Newton residual {res:.3e} misses NEWTON_TOL {NEWTON_TOL:.0e}"
+    conj = _samples_at([(h, q, res, images)])[0].conjugator
+    if conj.det_sign:
+        return conj.det_sign, ""
+    if conj.candidate is None:
+        return 0, "no conjugator, nullspace dimension 0"
+    return 0, f"singular conjugator, det_sign 0 at det {conj.candidate.det():.3e}"
 
 
 def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
@@ -437,7 +457,8 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
     finite), or on a change of conjugator determinant class; trace_ceiling
     must exceed 2, the least hyperbolic |trace|, and may be inf.  Raises
     ContinuationError when the curve rank at chi_n is not 2, when rho_n does
-    not solve the constraints, or when Newton fails at the first step.
+    not solve the constraints exactly, when the orientation probe fails on
+    both sides, or when Newton fails at the first step.
     """
     if not 1e-6 <= step_size <= 1e-1:
         raise ValueError(f"step_size must lie in [1e-6, 1e-1], got {step_size}")
@@ -447,32 +468,37 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
         raise ValueError(f"max_steps must be a nonnegative int, got {max_steps!r}")
     if not trace_ceiling > 2.0:
         raise ValueError(f"trace_ceiling must exceed 2 (a hyperbolic |trace|), got {trace_ceiling}")
-    jacobian = curve_jacobian(fam)
+    jacobian, _, traces, _ = fam.exact_curve_data
     rank = exact_rank(jacobian)
     if rank != 2:
         raise ContinuationError(f"curve rank at chi_n is {rank}, need 2")
+    # Audit, exactly: rho_n solves the constraints, so a curve pair whose
+    # words disagree at rho_n fails it.
+    dets = fam.rho_a.det(), fam.rho_b.det()
+    if dets != (1, 1):
+        raise ContinuationError(
+            f"base point audit failed: det rho_n(a) = {dets[0]}, det rho_n(b) = {dets[1]}")
+    for (w1, w2), name in zip(fam.curve_pairs, ("(m1, m2)", "(l1, l2)", "(m1 l1, m2 l2)")):
+        if traces[w1] != traces[w2]:
+            raise ContinuationError(f"base point audit failed: the pair {name} has traces "
+                                    f"{traces[w1]} and {traces[w2]} at rho_n")
 
     system = _EntrySystem(fam)
     q0 = _base_point(fam)
-    f0, jac0, images0 = system.evaluate(q0)
+    _, jac0, images0 = system.evaluate(q0)
     jac0 = np.array(jac0)
-    # Audit: rho_n solves the constraints, relative to the largest curve-row
-    # entry; a curve pair whose words disagree at rho_n fails it.
-    value = float(np.max(np.abs(f0))) / max(1.0, float(np.max(np.abs(jac0[2:]))))
-    if value > 1e-12:
-        raise ContinuationError(
-            f"base point audit failed (constraint value {value:.3e}, relative)")
     pins = _select_pins(_character_rows(jacobian, q0, jac0), fam.rho_a)
     reduced = _ReducedSystem(system, pins, [q0[p] for p in pins])
     v0 = reduced.tangent(q0, jac0[:, reduced.free])
-    plus = _probe_det_sign(reduced, q0, v0, step_size)
+    plus, plus_cause = _probe_det_sign(reduced, q0, v0, step_size)
     if plus != 1:
-        minus = _probe_det_sign(reduced, q0, -v0, step_size)
+        minus, minus_cause = _probe_det_sign(reduced, q0, -v0, step_size)
         if minus == 1:
             v0 = -v0
         elif plus == 0 and minus == 0:
             raise ContinuationError(
-                "orientation probe failed on both sides of the limiting character")
+                "orientation probe failed on both sides of the limiting character "
+                f"(+ side: {plus_cause}; - side: {minus_cause})")
     if direction < 0:
         v0 = -v0
 
@@ -536,8 +562,8 @@ def glue_hnn(sample: RepSample, fam: FamilyInstance) -> GluedRepresentation:
 
     fam names the family the sample belongs to.  T is the conjugator with
     determinant +1 and nonnegative trace; its relation residual is the one
-    solve_conjugator stored (negating T leaves it unchanged), and its
-    commutation with the sample's longitude is measured the same way.
+    solve_conjugators stored and its commutation residual with the
+    longitude the one the sample stored (negating T leaves both unchanged).
     Raises GluingError when no determinant-+1 real conjugator exists or
     either residual exceeds GLUE_TOL.
     """
@@ -549,8 +575,7 @@ def glue_hnn(sample: RepSample, fam: FamilyInstance) -> GluedRepresentation:
     t_letter = conj.candidate
     if t_letter.trace() < 0:
         t_letter = t_letter.neg()
-    rel = conj.residual
-    comm = relation_residual(t_letter, [(sample.longitude, sample.longitude)])
+    rel, comm = conj.residual, sample.commutation_residual
     if not rel <= GLUE_TOL:
         raise GluingError(
             f"gluing relation residual {rel:.3e} exceeds {GLUE_TOL:.0e}")

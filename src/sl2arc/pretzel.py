@@ -129,7 +129,7 @@ def make_family(n: int) -> FamilyInstance:
     if n > N_CAP:
         raise ValueError(f"n = {n} exceeds the cap {N_CAP}")
     (tm1, m2), (tl1, l2) = lin_presentation(-2, 1, n).parsed_sides()
-    m1, l1 = (Word(w.letters[1:-1]) for w in (tm1, tl1))  # strip t ... t^-1
+    m1, l1 = (Word(w.spelled()[1:-1]) for w in (tm1, tl1))  # strip t ... t^-1
     return FamilyInstance(n, m1, m2, l1, l2, commutator(m1, l1), Mat2(-1, 1, 0, -1),
                           Mat2(2 * n + 1, n, 2, 1), (-2, 2 * n + 2, -2 * n))
 

@@ -380,7 +380,7 @@ class ConjugatorResult:
     nullspace_dim: int
     candidate: Mat2 | None
     det_sign: int
-    residual: float  # relation_residual(candidate, pairs)
+    residual: float  # _relation_residuals of the candidate over the pairs
 
     @property
     def det_sign_label(self) -> str:
@@ -420,31 +420,6 @@ def _max_abs(values) -> float:
         elif x != x:
             return x
     return top
-
-
-def relation_residual(g: Mat2, pairs) -> float:
-    """max over pairs of ||G A - B G||_F / max(1, ||G||_F max(||A||_F, ||B||_F)).
-
-    Relative to the operator scale, so that large letters and large images
-    are not mistaken for failed relations.  A NaN in any pair reads NaN.
-    """
-    if not pairs:
-        raise ValueError("at least one pair is required")
-    g11, g12, g21, g22 = g
-    g_norm = _frobenius(g11, g12, g21, g22)
-    worst = 0.0
-    for (a11, a12, a21, a22), (b11, b12, b21, b22) in pairs:
-        gap = _frobenius((g11 * a11 + g12 * a21) - (b11 * g11 + b12 * g21),
-                         (g11 * a12 + g12 * a22) - (b11 * g12 + b12 * g22),
-                         (g21 * a11 + g22 * a21) - (b21 * g11 + b22 * g21),
-                         (g21 * a12 + g22 * a22) - (b21 * g12 + b22 * g22))
-        scale = max(_frobenius(a11, a12, a21, a22), _frobenius(b11, b12, b21, b22))
-        rel = gap / max(1.0, g_norm * scale)
-        if rel > worst:
-            worst = rel
-        elif rel != rel:  # the first NaN, as _max_abs reads it
-            return rel
-    return worst
 
 
 def solve_conjugator(pairs) -> ConjugatorResult:
@@ -527,10 +502,15 @@ def _spanning_candidate(basis: list) -> Mat2:
 
 
 def _relation_residuals(g: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """relation_residual of each candidate row of g (K, 4) over its list of
-    pairs (K, P, 2, 4), in the same operations; a NaN reads NaN.  The norms
-    of finite entries are never NaN (only an overflowed gap over an
-    overflowed scale is), so np.maximum picks as Python's max does."""
+    """The relation residual of each candidate row of g (K, 4) over its list
+    of pairs (K, P, 2, 4), P at least one:
+
+        max over pairs of ||G A - B G||_F / max(1, ||G||_F max(||A||_F, ||B||_F)),
+
+    relative to the operator scale, so that large letters and large images
+    are not mistaken for failed relations.  A NaN in any pair reads NaN.
+    The norms of finite entries are never NaN (only an overflowed gap over
+    an overflowed scale is), so np.maximum picks as Python's max would."""
     a, b, g = pairs[:, :, 0], pairs[:, :, 1], g[:, None]
     gap = _norms(_products(g, a) - _products(b, g))
     scale = _norms(g) * np.maximum(_norms(a), _norms(b))

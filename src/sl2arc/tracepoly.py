@@ -19,7 +19,7 @@ is conjugation invariant and unique, so the polynomial is the same.
 
 from __future__ import annotations
 
-from .words import Word, WordSyntaxError
+from .words import Word, WordSyntaxError, free_reduction
 
 _VARS = "xyz"
 
@@ -174,13 +174,7 @@ _LETTERS = "ABab"
 
 def _reduced(s: str) -> str:
     """The freely and then cyclically reduced form of s, a conjugate of s."""
-    out = []
-    for ch in s:
-        if out and out[-1] == ch.swapcase():
-            out.pop()
-        else:
-            out.append(ch)
-    s = "".join(out)
+    s = free_reduction(s)
     while len(s) >= 2 and s[0] == s[-1].swapcase():
         s = s[1:-1]
     return s

@@ -1,19 +1,23 @@
 """Freely reduced words in the free group F = <a, b>.
 
-A word is stored as a tuple of (generator, exponent) pairs with nonzero
-exponents and no two adjacent pairs sharing a generator, e.g.
+A word is its freely reduced spelling: one character per letter, lowercase
+for a generator and uppercase for its inverse, with no letter next to its
+inverse, e.g.
 
-    a^2 b a^-1   <->   (('a', 2), ('b', 1), ('a', -1))
+    a^2 b a^-1   <->   "aabA"
 
 Text form: letters from the generating set, lowercase for a generator and
 uppercase for its inverse, with optional ^k exponents (k a nonzero decimal
 integer).  Whitespace separates atoms but is otherwise ignored, so
-"a^2 b a", "a^2ba" and "aa b a" all parse to the same word.
+"a^2 b a", "a^2ba" and "aa b a" all parse to the same word.  The printed
+form and evaluate read the spelling's maximal runs of one letter, so
+"aabA" prints as "a^2 b a^-1".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 DEFAULT_GENERATORS = ("a", "b")
 
@@ -26,77 +30,64 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-def _reduce(pairs):
-    """Merge adjacent pairs with equal generator and drop zero exponents."""
+def free_reduction(spelling: str) -> str:
+    """The freely reduced form of a spelling: every letter that meets its
+    inverse cancels, left to right."""
     out = []
-    for gen, exp in pairs:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
+    for ch in spelling:
+        if out and out[-1] == ch.swapcase():
             out.pop()
-            if merged:
-                out.append((gen, merged))
         else:
-            out.append((gen, exp))
-    return tuple(out)
+            out.append(ch)
+    return "".join(out)
+
+
+def _power(spelling: str, exp: int) -> str:
+    """The spelling repeated exp times, inverted first when exp < 0."""
+    return (spelling if exp > 0 else spelling[::-1].swapcase()) * abs(exp)
+
+
+def _runs(spelling: str):
+    """(generator, exponent) of each maximal run of one letter."""
+    for ch, run in groupby(spelling):
+        k = len(list(run))
+        yield (ch, k) if ch.islower() else (ch.lower(), -k)
 
 
 @dataclass(frozen=True)
 class Word:
-    """A freely reduced word.  Immutable; multiply with *, invert with **-1."""
+    """A freely reduced word, stored as its spelling (reduced on
+    construction).  Immutable; multiply with *, invert with **-1."""
 
-    letters: tuple = ()
+    spelling: str = ""
 
     def __post_init__(self):
-        for i, (gen, exp) in enumerate(self.letters):
-            if not isinstance(exp, int) or exp == 0:
-                raise ValueError(f"invalid exponent {exp!r} for generator {gen!r}")
-            if i and self.letters[i - 1][0] == gen:
-                raise ValueError(f"word not reduced at pair {i}: repeated {gen!r}")
-
-    @staticmethod
-    def from_pairs(pairs) -> "Word":
-        """Build a word from (generator, exponent) pairs, reducing as needed."""
-        return Word(_reduce(pairs))
+        object.__setattr__(self, "spelling", free_reduction(self.spelling))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(_reduce(self.letters + other.letters))
+        return Word(self.spelling + other.spelling)
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return self ** -1
 
     def __pow__(self, k: int) -> "Word":
-        if k == 0:
-            return Word()
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        return Word(_power(self.spelling, k))
 
     def __len__(self) -> int:
-        """Total letter count, counting exponents with multiplicity."""
-        return sum(abs(e) for _, e in self.letters)
+        return len(self.spelling)
 
     @property
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.spelling
 
     def spelled(self) -> str:
         """One character per letter: lowercase generator, uppercase inverse."""
-        parts = []
-        for gen, exp in self.letters:
-            parts.append((gen if exp > 0 else gen.upper()) * abs(exp))
-        return "".join(parts)
+        return self.spelling
 
     def __str__(self) -> str:
-        if not self.letters:
+        if not self.spelling:
             return "1"
-        atoms = []
-        for gen, exp in self.letters:
-            atoms.append(gen if exp == 1 else f"{gen}^{exp}")
-        return " ".join(atoms)
+        return " ".join(gen if exp == 1 else f"{gen}^{exp}" for gen, exp in _runs(self.spelling))
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -122,8 +113,9 @@ def _maybe_exponent(text: str, i: int):
 
 
 def _parse_sequence(text: str, i: int, gens, depth: int):
-    """Parse letters and parenthesized groups until ')' or end of text."""
-    pairs = []
+    """Parse letters and parenthesized groups until ')' or end of text;
+    returns (the spelling read, unreduced, and the next index)."""
+    parts = []
     n = len(text)
     while i < n:
         ch = text[i]
@@ -133,26 +125,19 @@ def _parse_sequence(text: str, i: int, gens, depth: int):
         if ch == ")":
             if depth == 0:
                 raise WordSyntaxError("unmatched ')'", i)
-            return pairs, i
+            return "".join(parts), i
         if ch == "(":
             inner, j = _parse_sequence(text, i + 1, gens, depth + 1)
             if j >= n or text[j] != ")":
                 raise WordSyntaxError("unmatched '('", i)
-            exp, j = _maybe_exponent(text, j + 1)
-            if exp < 0:
-                inner = [(g, -e) for g, e in reversed(inner)]
-                exp = -exp
-            for _ in range(exp):
-                pairs.extend(inner)
-            i = j
+            exp, i = _maybe_exponent(text, j + 1)
+            parts.append(_power(inner, exp))
             continue
-        low = ch.lower()
-        if low not in gens:
+        if ch.lower() not in gens:
             raise WordSyntaxError(f"unknown letter {ch!r}", i)
-        sign = 1 if ch.islower() else -1
         exp, i = _maybe_exponent(text, i + 1)
-        pairs.append((low, sign * exp))
-    return pairs, i
+        parts.append(_power(ch, exp))
+    return "".join(parts), i
 
 
 def parse_word(text: str, generators=DEFAULT_GENERATORS) -> Word:
@@ -163,10 +148,10 @@ def parse_word(text: str, generators=DEFAULT_GENERATORS) -> Word:
     Raises WordSyntaxError on unknown letters, dangling/zero exponents, or
     stray characters.  The empty string is the identity.
     """
-    pairs, i = _parse_sequence(text, 0, set(generators), 0)
+    spelling, i = _parse_sequence(text, 0, set(generators), 0)
     if i != len(text):
         raise WordSyntaxError("unmatched ')'", i)
-    return Word(_reduce(pairs))
+    return Word(spelling)
 
 
 def invert(word: Word) -> Word:
@@ -182,12 +167,13 @@ def evaluate(word: Word, ma, mb):
     """Image of the word under the representation a -> ma, b -> mb.
 
     The letters multiply left to right: evaluate(parse_word("ab")) = ma @ mb.
-    Matrices must be invertible Mat2 values; exact entries stay exact.
+    Each maximal run of one letter is one power of its matrix.  Matrices
+    must be invertible Mat2 values; exact entries stay exact.
     """
     from .sl2 import Mat2
 
     table = {"a": ma, "b": mb}
     out = Mat2.identity(exact=ma.exact and mb.exact)
-    for gen, exp in word.letters:
+    for gen, exp in _runs(word.spelling):
         out = out @ (table[gen] ** exp)
     return out

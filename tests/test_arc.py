@@ -25,12 +25,13 @@ from sl2arc.arc import (
 )
 from sl2arc.cli import main
 from sl2arc.locus import LocusPoint, locus_points
-from sl2arc.pretzel import N_CAP, curve_jacobian, kernel_closed_form, make_family
+from sl2arc.pretzel import (N_CAP, FamilyInstance, curve_jacobian, kernel_closed_form,
+                             lin_presentation, make_family)
 from sl2arc.sl2 import Mat2, exact_nullspace, exact_rank, solve_conjugator
 from sl2arc.tracepass import TracePlan
-from sl2arc.words import evaluate
+from sl2arc.words import Word, commutator, evaluate
 
-from test_sl2 import _bits, _result_bits
+from test_sl2 import _bits, _reference_relation_residual, _residual_bits, _result_bits
 
 
 @pytest.fixture(scope="module")
@@ -924,6 +925,25 @@ def test_the_derived_values_equal_the_stored_formulas(n, direction, arcs200, min
     assert {s.det_sign for s in samples} == ({0, 1} if direction == 1 else {0, -1})
 
 
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("n", [1, 7, 21])
+def test_the_stored_commutation_residual_is_the_reference_one(n, direction, arcs200,
+                                                              minus_arcs200):
+    # each sample's candidate over the pair (longitude, longitude), stacked
+    # over the block, is the scalar Mat2 form's residual bit for bit, for
+    # the candidate and its negation; the gluing gate reads it unchanged
+    fam = make_family(n)
+    samples = (arcs200 if direction == 1 else minus_arcs200)[n].samples
+    for s in samples:
+        g, pairs = s.conjugator.candidate, [(s.longitude, s.longitude)]
+        want = _residual_bits(_reference_relation_residual(g, pairs))
+        assert _residual_bits(s.commutation_residual) == want
+        assert _residual_bits(_reference_relation_residual(g.neg(), pairs)) == want
+        if s.det_sign == 1:
+            glued = glue_hnn(s, fam).longitude_commutation_residual
+            assert _bits(glued) == _bits(s.commutation_residual)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_image_in_a_block_is_rejected_before_the_solve(bad, free_arc1):
     # inf - inf in the rows of a pair (x, x) would warn; the check comes first
@@ -1026,7 +1046,7 @@ def test_glue_hnn_rejects_a_nan_residual(residual, fam1, arc1):
         s = dataclasses.replace(s, conjugator=dataclasses.replace(s.conjugator, residual=math.nan))
         match = "relation residual"
     else:
-        s = dataclasses.replace(s, longitude=Mat2(math.nan, 0.0, 0.0, 1.0))
+        s = dataclasses.replace(s, commutation_residual=math.nan)
         match = "commute"
     with pytest.raises(GluingError, match=match):
         glue_hnn(s, fam1)
@@ -1047,3 +1067,48 @@ def test_continuation_audits_its_base_point(fam1):
     bad = dataclasses.replace(fam1, m1=fam1.m2)
     with pytest.raises(ContinuationError, match="audit failed"):
         continue_arc(bad, max_steps=2)
+    # the exact audit names the pair and its two traces at rho_n
+    want = [bad.image(w).trace() for w in (bad.m1l1, bad.m2l2)]
+    assert want[0] != want[1]
+    with pytest.raises(ContinuationError, match=(
+            rf"^base point audit failed: the pair \(m1 l1, m2 l2\) has traces "
+            rf"{want[0]} and {want[1]} at rho_n$")):
+        continue_arc(bad, max_steps=2)
+    # a pair off determinant 1, given rho_n's exact curve data to pass the
+    # rank gate, fails the determinant audit
+    off = dataclasses.replace(fam1, rho_b=Mat2(6, 2, 4, 2))
+    vars(off)["exact_curve_data"] = fam1.exact_curve_data
+    with pytest.raises(ContinuationError, match=(
+            r"^base point audit failed: det rho_n\(a\) = 1, det rho_n\(b\) = 4$")):
+        continue_arc(off, max_steps=2)
+
+
+def _second_presentation(n: int) -> FamilyInstance:
+    """The family read off lin_presentation(1, -2, n), which presents
+    P(3, -3, 2n+1), the same knot, with rho'(a) = [[-1, 1], [0, -1]] and
+    rho'(b) = [[-(2n+3), -(3n+5)], [2, 3]] at chi' = (-2, -2n, 2n+2)."""
+    (tm1, m2), (tl1, l2) = lin_presentation(1, -2, n).parsed_sides()
+    m1, l1 = (Word(w.spelled()[1:-1]) for w in (tm1, tl1))  # strip t ... t^-1
+    return FamilyInstance(n, m1, m2, l1, l2, commutator(m1, l1), Mat2(-1, 1, 0, -1),
+                          Mat2(-(2 * n + 3), -(3 * n + 5), 2, 3), (-2, -2 * n, 2 * n + 2))
+
+
+def test_the_probe_failure_names_a_newton_residual_on_each_side():
+    # at n = 250 the probe steps stop at residuals near 8e-10 on both sides
+    newton = r"Newton residual \d\.\d{3}e-\d\d misses NEWTON_TOL 1e-10"
+    with pytest.raises(ContinuationError, match=(
+            rf"^orientation probe failed on both sides of the limiting character "
+            rf"\(\+ side: {newton}; - side: {newton}\)$")):
+        continue_arc(make_family(250), max_steps=2)
+
+
+def test_the_probe_failure_names_a_singular_conjugator_on_each_side():
+    # the second presentation runs at n = 27; at n = 28 both probes converge
+    # but both conjugators fall under SINGULAR_DET_TOL
+    arc = continue_arc(_second_presentation(27), max_steps=2)
+    assert [s.det_sign for s in arc.samples] == [0, 1, 1]
+    singular = r"singular conjugator, det_sign 0 at det -?\d\.\d{3}e-\d\d"
+    with pytest.raises(ContinuationError, match=(
+            rf"^orientation probe failed on both sides of the limiting character "
+            rf"\(\+ side: {singular}; - side: {singular}\)$")):
+        continue_arc(_second_presentation(28), max_steps=2)

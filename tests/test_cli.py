@@ -273,7 +273,7 @@ def test_interval_does_not_check_the_longitude_determinant(monkeypatch, capsys):
     sample = RepSample(
         t=0.1, ma=ma, mb=mb, residual=0.0,
         conjugator=ConjugatorResult(1, Mat2(3.0, 0.0, 0.0, 1.0 / 3.0), 1, 0.0),
-        word_images=images, longitude=longitude)
+        word_images=images, longitude=longitude, commutation_residual=0.0)  # both diagonal
     assert sample.character == (2.0, 2.0, 2.0) and sample.meridian_trace == 10.0 / 3.0
     arc = Arc(fam, (sample,), "maxSteps", 1, 1e-3, (0, 1))
     with pytest.raises(ValueError, match="determinant 1"):

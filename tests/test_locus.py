@@ -26,12 +26,13 @@ from sl2arc.sl2 import (
     ConjugatorResult,
     Mat2,
     eigen_data,
-    relation_residual,
     rotation,
     translation_number_by_iteration,
     translation_numbers_along_arc,
 )
 from sl2arc.words import evaluate
+
+from test_sl2 import _stacked_residual
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +232,19 @@ def test_every_index_has_a_negative_orderable_interval(reach_arcs, n):
     # the 200-step +1 arcs give lo from -0.02467 (n = 1) to -3.389e-5 (n = 50)
     lo, hi = orderable_interval(locus_points(reach_arcs[n]))
     assert hi == 0.0 and -math.inf < lo < 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 51))
+def test_every_minus_arc_has_an_empty_locus(n):
+    # past the singular base sample every conjugator of a -1 arc has
+    # determinant -1, so no sample glues and there is no slope interval
+    arc = continue_arc(make_family(n), step_size=1e-3, max_steps=200, direction=-1)
+    assert arc.termination_reason == "maxSteps" and len(arc.samples) == 201
+    assert {s.det_sign for s in arc.samples[1:]} == {-1}
+    locus = locus_points(arc)
+    assert locus.first == locus.second == locus.sample_indices == ()
+    with pytest.raises(LocusError, match="^empty locus arc has no slope interval$"):
+        orderable_interval(locus)
 
 
 def test_the_two_meridian_eigenvalues_are_reciprocal(reach_arcs):
@@ -439,10 +453,12 @@ def test_locus_of_a_minus_arc_skips_its_translation_numbers():
 def _fake_arc(fam, conjugator: Mat2, ma: Mat2, mb: Mat2) -> Arc:
     images = tuple(evaluate(getattr(fam, w), ma, mb) for w in ("m1", "m2", "l1", "l2"))
     im1, _, il1, _ = images
+    longitude = im1 @ il1 @ im1.inverse() @ il1.inverse()
+    commutation = _stacked_residual(conjugator, [(longitude, longitude)])
     sample = RepSample(
         t=0.1, ma=ma, mb=mb, residual=0.0,
         conjugator=ConjugatorResult(1, conjugator, 1, 0.0),
-        word_images=images, longitude=im1 @ il1 @ im1.inverse() @ il1.inverse())
+        word_images=images, longitude=longitude, commutation_residual=float(commutation))
     return Arc(fam, (sample,), "maxSteps", 1, 1e-3, (0, 1))
 
 
@@ -478,7 +494,7 @@ def test_locus_rejects_a_letter_that_commutes_but_does_not_glue(arc1, k):
     s = arc1.samples[k]
     letter = s.longitude ** 3
     pairs = [s.word_images[:2], s.word_images[2:]]
-    conj = ConjugatorResult(1, letter, 1, relation_residual(letter, pairs))
+    conj = ConjugatorResult(1, letter, 1, float(_stacked_residual(letter, pairs)))
     arc = dataclasses.replace(arc1, samples=(dataclasses.replace(s, conjugator=conj),))
     with pytest.raises(GluingError, match="relation residual"):
         locus_points(arc)

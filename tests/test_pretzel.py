@@ -10,6 +10,7 @@ from sl2arc import pretzel, tracepoly
 from sl2arc.arc import continue_arc
 from sl2arc.pretzel import (
     _FLOAT_TOL,
+    N_CAP,
     FamilyInstance,
     _commutator_hessian,
     _exact_curve_data,
@@ -147,7 +148,7 @@ def test_the_longitude_polynomial_is_never_compiled(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 7])
 def test_the_exact_curve_data_are_computed_once_per_family(n, monkeypatch):
-    # analyze_curve and continue_arc's curve_jacobian read one integer pass
+    # analyze_curve and continue_arc read one integer pass
     calls = []
 
     def counted(fam):
@@ -287,6 +288,12 @@ def test_verify_lemma_passes_n1_with_expected_witnesses():
     assert rep.local_coordinates == {"tr_m1": True, "tr_m2": True}
     names = [a.name for a in rep.assertions]
     assert len(names) == len(set(names))
+
+
+def test_the_hessian_on_the_kernel_is_72_times_the_square_of_2n_plus_1():
+    # H = 8 g g^T and g . k = 3(2n+1), so k^T H k = 72 (2n+1)^2 exactly
+    for n in [*range(1, 51), 1000, N_CAP]:
+        assert analyze_curve(make_family(n)).hessian_on_kernel == 72 * (2 * n + 1) ** 2, n
 
 
 def test_verify_lemma_report_serializations():

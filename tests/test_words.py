@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from sl2arc.words import (
 
 def random_word(rng: random.Random, max_len: int = 12) -> Word:
     spelling = "".join(rng.choice("abAB") for _ in range(rng.randint(0, max_len)))
-    return Word.from_pairs([(ch.lower(), 1 if ch.islower() else -1) for ch in spelling])
+    return parse_word(spelling)
 
 
 def random_unimodular(rng: random.Random) -> Mat2:
@@ -33,6 +34,18 @@ def test_parse_and_spell_round_trip():
     assert str(w) == "a^2 b a b"
     assert len(w) == 5
     assert parse_word(str(w)) == w
+
+
+def test_a_word_is_its_reduced_spelling():
+    assert [f.name for f in dataclasses.fields(Word)] == ["spelling"]
+    assert Word("abBAab") == Word("ab") and Word("aA").is_identity
+    w = parse_word("a^-3 (ba)^2 B")
+    assert w.spelled() == "AAAbabaB" and len(w) == 8
+    assert str(w) == "a^-3 b a b a b^-1" and parse_word(str(w)) == w
+    assert parse_word("a (ab)^-1 b") == Word("aBAb")
+    assert parse_word("A^-2 B^2 (a B)^-2") == Word("aaBBbAbA") == Word("aaBAbA")
+    assert (w ** 2).spelled() == "AAAbabaBAAAbabaB" and (w ** -1).spelled() == "bABABaaa"
+    assert str(Word()) == "1" and Word() ** 5 == Word() and w ** 0 == Word()
 
 
 def test_parse_inverse_exponents():

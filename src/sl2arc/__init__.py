@@ -13,7 +13,6 @@ from .sl2 import (
     same_trace_conjugacy,
     solve_conjugator,
     solve_conjugators,
-    translation_number_by_iteration,
     translation_numbers_along_arc,
 )
 from .pretzel import (
@@ -41,7 +40,6 @@ from .arc import (
     RepSample,
     continue_arc,
     glue_hnn,
-    irreducibility_margin,
 )
 from .locus import (
     LocusArc,

@@ -12,9 +12,7 @@ provides:
     det Ma = det Mb = 1 and the three curve equations, with 2 entries of Ma
     frozen at their rho_n values as gauge pins;
   * glue_hnn -- promote a sample to an HNN extension by normalizing the joint
-    conjugator of {(m1, m2), (l1, l2)} to determinant +1 (the stable letter);
-  * irreducibility_margin -- |tr rho([m1, l1]) - 2|, which must stay positive
-    off the limiting character.
+    conjugator of {(m1, m2), (l1, l2)} to determinant +1 (the stable letter).
 
 Constraint evaluation.  Each curve equation is tr W1 - tr W2 for one of
 the family's curve_pairs, evaluated as the trace of a product of 2x2 matrices
@@ -95,7 +93,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from operator import itemgetter, sub
 
 import numpy as np
@@ -114,7 +112,6 @@ __all__ = [
     "analyze_curve",
     "continue_arc",
     "glue_hnn",
-    "irreducibility_margin",
 ]
 
 
@@ -401,15 +398,18 @@ _NO_CANDIDATE = (math.nan,) * 4  # a nullspace of dimension 0 commutes with noth
 
 def _samples_at(points) -> list:
     """The RepSamples at corrected points (t, q, residual, images).  The
-    block's images (m1, m2, l1, l2) become one (K, 4, 4) array, whose
+    block's images (m1, m2, l1, l2), read through one flat iterator of their
+    entries, become one (K, 4, 4) array, whose
     (K, 2, 2, 4) view holds the pairs [(m1, m2), (l1, l2)] of the joint
     conjugators, solved in one stack, and whose m1 and l1 give the
     longitudes m1 l1 m1^-1 l1^-1 in one stacked pass; the candidates'
     commutation residuals with the longitudes take one more."""
     if not points:
         return []
-    stack = np.array([point[3] for point in points])
-    conjugators = solve_conjugators(stack.reshape(len(points), 2, 2, 4))
+    count = len(points)
+    stack = np.fromiter(chain.from_iterable(chain.from_iterable(point[3] for point in points)),
+                        float, 16 * count).reshape(count, 4, 4)
+    conjugators = solve_conjugators(stack.reshape(count, 2, 2, 4))
     m1, l1 = stack[:, 0], stack[:, 2]
     longitudes = _products(_products(_products(m1, l1), _inverses(m1)), _inverses(l1))
     candidates = np.array([_NO_CANDIDATE if conj.candidate is None else conj.candidate
@@ -541,7 +541,7 @@ def continue_arc(fam: FamilyInstance, step_size: float = 1e-3,
 
 
 # ----------------------------------------------------------------------
-# HNN gluing and irreducibility
+# HNN gluing
 
 @dataclass(frozen=True)
 class GluedRepresentation:
@@ -583,8 +583,3 @@ def glue_hnn(sample: RepSample, fam: FamilyInstance) -> GluedRepresentation:
         raise GluingError(
             f"stable letter fails to commute with the longitude ({comm:.3e})")
     return GluedRepresentation(t_letter, rel, comm)
-
-
-def irreducibility_margin(sample: RepSample) -> float:
-    """|tr rho([m1, l1]) - 2|: zero exactly at the limiting character."""
-    return abs(sample.longitude_trace - 2.0)

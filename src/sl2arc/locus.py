@@ -19,6 +19,10 @@ longitude commutes with T, so fixes it), is 0; samples with other
 translation numbers belong to other components of the locus and are
 skipped, not errors.
 
+peripheral_point_pair reads one sample; locus_points reads every glued
+sample of an arc at once, in the scalar read's operations over (K, 4)
+stacks, so each number is the scalar read's, bit for bit.
+
 Points are stored ordered by u ascending, so the tail of the list -- the
 largest-u fifth -- is the approach to the point at infinity of the extended
 variety (the t -> 0 end, where the meridian eigenvalue diverges and the
@@ -35,9 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
-from .arc import Arc, glue_hnn
-from .sl2 import BASE_DIRECTION, Mat2, _prefix_translation, _tracked_angles, eigen_data
+import numpy as np
+
+from .arc import Arc, GluingError, glue_hnn
+from .sl2 import BASE_DIRECTION, Mat2, _hyperbolic_split, _tracked_angles, _translations, eigen_data
 
 __all__ = [
     "LocusArc",
@@ -104,6 +111,25 @@ def _eigenvalue_at(m: Mat2, direction: tuple) -> float:
     return ix[1] / vy
 
 
+def _eigenvalues_at(mats: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """_eigenvalue_at of each row of a (K, 4) float stack at its row of a
+    (K, 2) stack of directions."""
+    a, b, c, d = mats.T
+    vx, vy = directions.T
+    with np.errstate(all="ignore"):  # the branch not taken may divide by 0
+        return np.where(np.abs(vx) >= np.abs(vy), (a * vx + b * vy) / vx, (c * vx + d * vy) / vy)
+
+
+def _entry_rows(mats: list) -> np.ndarray:
+    """Float Mat2s as a (K, 4) stack, read through one flat iterator."""
+    return np.fromiter(chain.from_iterable(mats), float, 4 * len(mats)).reshape(len(mats), 4)
+
+
+def _logs(x: np.ndarray) -> list:
+    """math.log of each |x| (np.log rounds differently)."""
+    return list(map(math.log, np.abs(x).tolist()))
+
+
 def _slope(u: float, w: float) -> float:
     return -w / u if u != 0.0 else math.nan
 
@@ -116,28 +142,50 @@ def peripheral_point_pair(meridian: Mat2, longitude: Mat2) -> tuple:
     for the longitude's translation read, and branch-second the point at
     its contracting one.  A meridian that eigen_data does not split into
     two fixed directions -- parabolic within TRACE_TOL, elliptic,
-    non-finite or off determinant 1 -- raises LocusError.
+    non-finite or off determinant 1 -- or whose eigenvalues overflow, and a
+    longitude with eigenvalue 0 at either direction, raise LocusError.
     """
     try:  # a parabolic meridian's one pair fails the unpacking
         (lam1, direction), (lam2, other) = eigen_data(meridian)
     except ValueError as exc:
         raise LocusError(
             f"meridian is not hyperbolic (|trace| = {abs(meridian.trace()):.6g})") from exc
-    u1, w1 = math.log(abs(lam1)), math.log(abs(_eigenvalue_at(longitude, direction)))
-    u2, w2 = math.log(abs(lam2)), math.log(abs(_eigenvalue_at(longitude, other)))
+    except ArithmeticError as exc:
+        raise LocusError(f"meridian eigendata failed: {exc}") from exc
+    ev1, ev2 = _eigenvalue_at(longitude, direction), _eigenvalue_at(longitude, other)
+    if ev1 == 0.0 or ev2 == 0.0:
+        raise LocusError("longitude has eigenvalue 0 at a fixed direction of the meridian")
+    u1, w1 = math.log(abs(lam1)), math.log(abs(ev1))
+    u2, w2 = math.log(abs(lam2)), math.log(abs(ev2))
     return (LocusPoint(u1, w1, "first", _slope(u1, w1)),
             LocusPoint(u2, w2, "second", _slope(u2, w2)), direction)
 
 
 def locus_points(arc: Arc) -> LocusArc:
-    """Extract both locus branches from an arc's glueable samples in one pass.
+    """Extract both locus branches from an arc's glueable samples in one
+    stacked read.
 
-    Each determinant-+1 sample decomposes its stable letter T once, and
-    reads its longitude's translation integer off the arc's one angle track
-    at T's expanding direction, so no longitude is classified or decomposed.
-    An arc with no determinant-+1 sample gives the empty LocusArc untracked.
+    Each determinant-+1 sample passes the gluing gate once, in sample
+    order.  The glued samples' stable letters split into eigenvalues and
+    fixed directions, their longitudes give their eigenvalues there, and
+    their translation integers come off the arc's one angle track at the
+    expanding directions, so no longitude is classified or decomposed.  The
+    first failing sample raises what the read one sample at a time raises,
+    with its checks in that order: gluing, then hyperbolicity, then the
+    translation read.  An arc with no determinant-+1 sample gives the empty
+    LocusArc untracked.
     """
-    if not any(sample.det_sign == 1 for sample in arc.samples):
+    samples = arc.samples
+    indices, letters, unglued = [], [], None
+    for idx, sample in enumerate(samples):
+        if sample.det_sign == 1:
+            try:
+                letters.append(glue_hnn(sample, arc.family).t_letter)
+            except GluingError as exc:  # raised once the samples before it are read
+                unglued = exc
+                break
+            indices.append(idx)
+    if not indices and unglued is None:
         return _EMPTY
     longitude_mats = arc.longitude_images()
     try:
@@ -145,24 +193,32 @@ def locus_points(arc: Arc) -> LocusArc:
     except (ArithmeticError, ValueError) as exc:
         raise LocusError(f"longitude translation numbers failed: {exc}") from exc
     rows = []
-    for idx, sample in enumerate(arc.samples):
-        if sample.det_sign != 1:
-            continue
-        meridian, longitude = glue_hnn(sample, arc.family).t_letter, longitude_mats[idx]
+    if indices:
+        longitudes = _entry_rows([longitude_mats[idx] for idx in indices])
+        lam1, lam2, expanding, contracting, split = _hyperbolic_split(_entry_rows(letters))
+        ev1, ev2 = _eigenvalues_at(longitudes, expanding), _eigenvalues_at(longitudes, contracting)
+        readable = split & (ev1 != 0.0) & (ev2 != 0.0)
+        stop = len(indices) if readable.all() else int(readable.argmin())
         try:
-            p1, p2, direction = peripheral_point_pair(meridian, longitude)
-        except LocusError as exc:
-            raise LocusError(f"{exc} at t={sample.t:.6g}") from exc
-        try:
-            trans = _prefix_translation(longitude, angles[idx], BASE_DIRECTION, direction)
+            values = _translations(longitudes[:stop], np.array([angles[idx] for idx in indices[:stop]]),
+                                   BASE_DIRECTION, expanding[:stop])
         except (ArithmeticError, ValueError) as exc:
             raise LocusError(f"longitude translation numbers failed: {exc}") from exc
-        if trans.value == 0.0:
-            rows.append((p1.u, idx, p1, p2))
-
+        if stop < len(indices):  # the scalar read of the first row the split rejects raises
+            idx = indices[stop]
+            try:
+                peripheral_point_pair(letters[stop], longitude_mats[idx])
+            except LocusError as exc:
+                raise LocusError(f"{exc} at t={samples[idx].t:.6g}") from exc
+        kept = np.flatnonzero(values == 0.0)
+        u1, w1, u2, w2 = (_logs(x[kept]) for x in (lam1, ev1, lam2, ev2))
+        rows = sorted(zip(u1, [indices[k] for k in kept.tolist()],
+                          map(LocusPoint, u1, w1, repeat("first"), map(_slope, u1, w1)),
+                          map(LocusPoint, u2, w2, repeat("second"), map(_slope, u2, w2))))
+    if unglued is not None:
+        raise unglued
     if not rows:
         return _EMPTY
-    rows.sort()
     _, indices, first, second = zip(*rows)
     tail_start = max(0, len(first) - max(1, len(first) // 5))
     tail = first[tail_start:]

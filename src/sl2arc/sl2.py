@@ -25,9 +25,8 @@ sends a cone of less than half a turn onto one, so along a straight matrix
 segment, or across such a cone of directions under one matrix, the lift
 gains exactly the angle the images sweep.  One angle track along the path
 pins the lift at every prefix: translation_numbers_along_arc reads each
-prefix off it at a fixed direction of the prefix (the locus reads a
-longitude at its commuting stable letter's instead), and
-translation_number_by_iteration is the iterate-limit reference.
+prefix off it at a fixed direction of the prefix, and the locus reads a
+longitude at its commuting stable letter's instead.
 """
 
 from __future__ import annotations
@@ -167,7 +166,9 @@ def _frobenius(a, b, c, d) -> float:
 
 
 # Stacked forms: arrays whose last axis holds entry rows (a, b, c, d), with
-# the operations of the Mat2 forms in the same order, so every bit agrees.
+# the operations of the Mat2 forms in the same order, so every bit agrees
+# (also _hyperbolic_split and _translations, which call math's hypot and
+# atan2 per element, as numpy's round differently).
 # Entry (i, j) of X Y is x_i1 y_1j + x_i2 y_2j, as in Mat2.__matmul__.
 _LEFT1, _RIGHT1 = np.array((0, 0, 2, 2)), np.array((0, 1, 0, 1))
 _LEFT2, _RIGHT2 = np.array((1, 1, 3, 3)), np.array((2, 3, 2, 3))
@@ -274,11 +275,6 @@ def same_trace_conjugacy(m1: Mat2, m2: Mat2) -> Conjugacy:
     if s1 == 0 or s2 == 0:
         return Conjugacy.NOT_APPLICABLE
     return Conjugacy.CONJUGATE_DET_PLUS if s1 == s2 else Conjugacy.CONJUGATE_DET_MINUS
-
-
-def rotation(theta: float) -> Mat2:
-    """R(theta) = [[cos, -sin], [sin, cos]]; note Delta(R) = -2 sin(theta)."""
-    return Mat2(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
 
 
 def conjugation_delta_formulas(p: Mat2, kind: str, value):
@@ -573,6 +569,48 @@ def _eigen_pairs(m: Mat2, cls: MatClass):
     return ((lam1, _eigvec(*m, lam1)), (lam2, _eigvec(*m, lam2)))
 
 
+def _hypots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """math.hypot of each pair of entries (np.hypot rounds differently)."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
+
+
+def _eigvecs(a, b, c, d, lam) -> tuple:
+    """_eigvec of each row of the entry columns a, b, c, d at lam, as the
+    columns x, y of the directions, and where its norm is not 0 (where
+    _eigvec does not raise)."""
+    p, q = a - lam, d - lam
+    first = _hypots(p, b) >= _hypots(c, q)
+    x, y = np.where(first, -b, -q), np.where(first, p, c)
+    n = _hypots(x, y)
+    x, y = x / n, y / n
+    flip = (x < 0) | ((x == 0) & (y < 0))
+    return np.where(flip, -x, x), np.where(flip, -y, y), n != 0
+
+
+def _hyperbolic_split(m: np.ndarray) -> tuple:
+    """eigen_data of each float entry row of a (K, 4) stack, in the
+    operations of _check_unit_det, _classify, _eigen_pairs and _eigvec, for
+    the rows it splits into two pairs: (lam1, lam2, first directions, second
+    directions, split), the directions as (K, 2) arrays.  split is False
+    exactly where eigen_data raises or returns one pair, and the other
+    entries of such a row mean nothing."""
+    a, b, c, d = m.T
+    with np.errstate(all="ignore"):
+        det = a * d - b * c
+        top = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+        tr = a + d
+        t = np.abs(tr)
+        split = (np.isfinite(det) & (np.abs(det - 1.0) <= 1e-12 * np.maximum(1.0, top * top))
+                 & ~(np.abs(t - 2.0) <= TRACE_TOL) & ~(t < 2.0))
+        disc = tr * tr - 4.0
+        lam1 = (tr + np.copysign(np.sqrt(disc), tr)) / 2
+        lam2 = 1.0 / lam1
+        x1, y1, found1 = _eigvecs(a, b, c, d, lam1)
+        x2, y2, found2 = _eigvecs(a, b, c, d, lam2)
+    split &= (disc != math.inf) & found1 & found2
+    return lam1, lam2, np.stack((x1, y1), 1), np.stack((x2, y2), 1), split
+
+
 # ----------------------------------------------------------------------
 # circle lifts and translation numbers
 
@@ -681,6 +719,46 @@ def _prefix_translation(mat, alpha: float, base_theta: float,
     return PathTranslation(float(k), False)
 
 
+def _translations(mats: np.ndarray, alphas: np.ndarray, base_theta: float,
+                  directions: np.ndarray) -> np.ndarray:
+    """_prefix_translation(mat, alpha, base_theta, direction).value of each
+    row of a (K, 4) float stack, its tracked angle and its (K, 2) direction,
+    in the operations of _near_central, _act, _swept and _prefix_translation.
+
+    A row the stacked read cannot vouch for -- a non-finite central read, a
+    cone that collapses, or a miss of the 1e-6 integrality check -- is read
+    again by _prefix_translation, in row order, so the first that fails
+    raises its error there.
+    """
+    a, b, c, d = mats.T
+    ux, uy = math.cos(base_theta), math.sin(base_theta)
+    x, y = directions.T
+    with np.errstate(all="ignore"):
+        bb, cc = b * b, c * c
+        p, q, r, s = a - 1.0, d - 1.0, a + 1.0, d + 1.0
+        central = ((np.sqrt(p * p + bb + cc + q * q) <= CENTRAL_TOL)
+                   | (np.sqrt(r * r + bb + cc + s * s) <= CENTRAL_TOL))
+        flip = ~(ux * x + uy * y >= 0.0)
+        vx, vy = np.where(flip, -x, x), np.where(flip, -y, y)
+        mux, muy = a * ux + b * uy, c * ux + d * uy
+        mvx, mvy = a * vx + b * vy, c * vx + d * vy
+        cross1, dot1 = mux * mvy - muy * mvx, mux * mvx + muy * mvy
+        cross2, dot2 = ux * vy - uy * vx, ux * vx + uy * vy
+        offset = alphas - base_theta
+        k_float = (offset + np.fromiter(map(math.atan2, cross1.tolist(), dot1.tolist()), float, len(a))
+                   - np.fromiter(map(math.atan2, cross2.tolist(), dot2.tolist()), float, len(a))) / math.pi
+        k_float = np.where(central, offset / math.pi, k_float)
+        k = np.rint(k_float)
+        unread = np.where(central, ~np.isfinite(k_float),
+                          ((cross1 == 0.0) & (dot1 <= 0.0)) | ((cross2 == 0.0) & (dot2 <= 0.0))
+                          | ~(np.abs(k_float - k) <= 1e-6))
+    values = k + 0.0  # float(round(x)) is never -0.0
+    for i in np.flatnonzero(unread).tolist():
+        values[i] = _prefix_translation(Mat2._make(mats[i].tolist()), alphas[i].item(), base_theta,
+                                        tuple(directions[i].tolist())).value
+    return values
+
+
 def translation_numbers_along_arc(mats, base_theta: float = BASE_DIRECTION) -> list:
     """Translation number of the lifted endpoint of every prefix of a matrix
     path, read off one shared angle track.
@@ -694,40 +772,3 @@ def translation_numbers_along_arc(mats, base_theta: float = BASE_DIRECTION) -> l
     mats = [m.to_float() if m.exact else m for m in mats]
     return [_prefix_translation(m, alpha, base_theta)
             for m, alpha in zip(mats, _tracked_angles(mats, base_theta))]
-
-
-def translation_number_by_iteration(mats, base_theta: float = BASE_DIRECTION,
-                                    iterations: int = 1 << 16) -> float:
-    """Reference value for the path's endpoint: the displacement between
-    iterates n and 2n of the lifted map, divided by n pi.
-
-    The limit does not depend on the starting direction; for non-elliptic
-    endpoints a start near the attracting fixed direction is used so the
-    transient is negligible.
-    """
-    if not mats:
-        raise ValueError("empty path")
-    mats = [m.to_float() if m.exact else m for m in mats]
-    mat = mats[-1]
-    p, image = base_theta, _act(mat, (math.cos(base_theta), math.sin(base_theta)))
-    fp = _tracked_angles(mats, base_theta)[-1]  # lift value F(p) at the image M v(p)
-    # F gains _swept(M v(p), M v(q)) from p to any q within half a turn of p
-    if not _near_central(mat) and (cls := _classify(mat, False)) != MatClass.ELLIPTIC:  # elliptic: any start works
-        _, (vx, vy) = _eigen_pairs(mat, cls)[0]
-        start = _dir_angle(vx, vy) + 0.05
-        start += math.pi * round((p - start) / math.pi)
-        nxt = _act(mat, (math.cos(start), math.sin(start)))
-        fp, p, image = fp + _swept(image, nxt), start, nxt
-    # The iterate is p + k pi with fp = F(p).  As F(x + pi) = F(x) + pi,
-    # the next iterate F(p) + k pi is carried by its representative
-    # nearest p, so each step spans at most a quarter turn.
-    k = 0
-    half = p, k
-    for i in range(2 * iterations):
-        if i == iterations:
-            half = p, k
-        j = round((fp - p) / math.pi)
-        q = fp - j * math.pi
-        nxt = _act(mat, (math.cos(q), math.sin(q)))
-        fp, p, k, image = fp + _swept(image, nxt), q, k + j, nxt
-    return (p - half[0] + (k - half[1]) * math.pi) / (math.pi * iterations)

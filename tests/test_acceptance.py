@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from references import translation_number_by_iteration
 from test_words import random_unimodular, random_word
 
 from sl2arc.arc import analyze_curve, continue_arc
@@ -24,7 +25,6 @@ from sl2arc.sl2 import (
     Mat2,
     conjugation_delta_formulas,
     same_trace_conjugacy,
-    translation_number_by_iteration,
     translation_numbers_along_arc,
 )
 from sl2arc.tracepoly import trace_polynomial

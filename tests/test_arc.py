@@ -21,7 +21,6 @@ from sl2arc.arc import (
     analyze_curve,
     continue_arc,
     glue_hnn,
-    irreducibility_margin,
 )
 from sl2arc.cli import main
 from sl2arc.locus import LocusPoint, locus_points
@@ -31,6 +30,7 @@ from sl2arc.sl2 import Mat2, exact_nullspace, exact_rank, solve_conjugator
 from sl2arc.tracepass import TracePlan
 from sl2arc.words import Word, commutator, evaluate
 
+from references import irreducibility_margin
 from test_sl2 import _bits, _reference_relation_residual, _residual_bits, _result_bits
 
 

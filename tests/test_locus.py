@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
+import struct
 
+import numpy as np
 import pytest
 
+import sl2arc.cli as cli_module
 import sl2arc.locus as locus_module
 import sl2arc.sl2 as sl2_module
 from sl2arc.arc import Arc, GluedRepresentation, GluingError, RepSample, continue_arc, glue_hnn
+from sl2arc.cli import main as cli_main
 from sl2arc.locus import (
     CSV_HEADER,
     LocusError,
@@ -21,18 +26,19 @@ from sl2arc.locus import (
     peripheral_point_pair,
     svg_text,
 )
-from sl2arc.pretzel import make_family
+from sl2arc.pretzel import make_family, verify_lemma
 from sl2arc.sl2 import (
+    BASE_DIRECTION,
     ConjugatorResult,
     Mat2,
     eigen_data,
-    rotation,
-    translation_number_by_iteration,
     translation_numbers_along_arc,
 )
 from sl2arc.words import evaluate
 
+from references import rotation, translation_number_by_iteration
 from test_sl2 import _stacked_residual
+from test_words import random_unimodular
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +235,9 @@ def test_locus_reaches_n_9_to_21_with_integer_zero(reach_arcs, n):
 
 @pytest.mark.parametrize("n", range(1, 51))
 def test_every_index_has_a_negative_orderable_interval(reach_arcs, n):
+    # the whole family end to end: the exact and the float report pass, and
     # the 200-step +1 arcs give lo from -0.02467 (n = 1) to -3.389e-5 (n = 50)
+    assert verify_lemma(n).all_pass and verify_lemma(n, exact=False).all_pass
     lo, hi = orderable_interval(locus_points(reach_arcs[n]))
     assert hi == 0.0 and -math.inf < lo < 0.0
 
@@ -262,14 +270,19 @@ def _projective_gap(v: tuple, w: tuple) -> float:
     return min(math.dist(v, w), math.hypot(v[0] + w[0], v[1] + w[1]))
 
 
-def test_the_expanding_direction_stays_the_nearer_one_along_an_arc(reach_arcs):
+@pytest.fixture(scope="module")
+def coarse_arc():
+    """The n = 1 arc of 100 steps of 0.1."""
+    return continue_arc(make_family(1), step_size=0.1, max_steps=100, direction=1)
+
+
+def test_the_expanding_direction_stays_the_nearer_one_along_an_arc(reach_arcs, coarse_arc):
     # Every accepted sample's stable letter is hyperbolic, so its expanding
     # eigenvalue never changes place: the expanding direction is nearer the
     # previous accepted sample's than the contracting one is, by at least
     # 1.86e4x on the 200-step arcs and 86x on the n = 1 arc of step 0.1.
-    coarse = continue_arc(make_family(1), step_size=0.1, max_steps=100, direction=1)
     worst = math.inf
-    for arc in [*reach_arcs.values(), coarse]:
+    for arc in [*reach_arcs.values(), coarse_arc]:
         kept = sorted(locus_points(arc).sample_indices)
         assert len(kept) == sum(s.det_sign == 1 for s in arc.samples) > 0
         pairs = [eigen_data(glue_hnn(arc.samples[i], arc.family).t_letter) for i in kept]
@@ -279,15 +292,22 @@ def test_the_expanding_direction_stays_the_nearer_one_along_an_arc(reach_arcs):
     assert worst >= 10.0
 
 
+def _rows(mats, directions) -> list:
+    """The (longitude, direction) of each row of the stacked translation read."""
+    return [(Mat2._make(m), tuple(v)) for m, v in zip(mats.tolist(), directions.tolist())]
+
+
 def _misdirect(monkeypatch, direction_of):
     """Make the locus read each longitude at direction_of(longitude, the
-    stable letter's expanding direction) instead."""
-    read = locus_module._prefix_translation
+    stable letter's expanding direction) instead, row by row of its stacked
+    translation read."""
+    read = locus_module._translations
 
-    def misdirected(mat, alpha, base_theta, direction):
-        return read(mat, alpha, base_theta, direction_of(mat, direction))
+    def misdirected(mats, alphas, base_theta, directions):
+        moved = [direction_of(mat, direction) for mat, direction in _rows(mats, directions)]
+        return read(mats, alphas, base_theta, np.array(moved).reshape(-1, 2))
 
-    monkeypatch.setattr(locus_module, "_prefix_translation", misdirected)
+    monkeypatch.setattr(locus_module, "_translations", misdirected)
 
 
 @pytest.mark.parametrize("n", REACH_N)
@@ -332,13 +352,13 @@ def test_the_locus_reads_each_longitude_at_a_direction_it_fixes(reach_arcs, n, m
     # 3.6e-7 (n = 3); the stable letter's own direction is missed by at most
     # 4.7e-10, so at n = 50 the 1e-9 bound no longer tells the two apart.
     arc, reads = reach_arcs[n], []
-    read = locus_module._prefix_translation
+    read = locus_module._translations
 
-    def recorded(mat, alpha, base_theta, direction):
-        reads.append((mat, direction))
-        return read(mat, alpha, base_theta, direction)
+    def recorded(mats, alphas, base_theta, directions):
+        reads.extend(_rows(mats, directions))
+        return read(mats, alphas, base_theta, directions)
 
-    monkeypatch.setattr(locus_module, "_prefix_translation", recorded)
+    monkeypatch.setattr(locus_module, "_translations", recorded)
     locus_points(arc)
     assert len(reads) == sum(s.det_sign == 1 for s in arc.samples) > 0
     for mat, direction in reads:
@@ -356,21 +376,24 @@ def test_locus_reaches_n_100():
 
 
 def test_locus_decomposes_one_matrix_per_sample_and_never_a_longitude(arc1, monkeypatch):
-    longitudes = {id(m) for m in arc1.longitude_images()}
+    longitudes = set(arc1.longitude_images())
     calls = {"locus eigen_data": 0, "longitude": 0}
     sl2_classify, sl2_eigen_data = sl2_module.classify, sl2_module.eigen_data
+    split = locus_module._hyperbolic_split
 
-    def counted(mat):
-        calls["locus eigen_data"] += 1
-        return eigen_data(mat)
+    def counted(stack):
+        calls["locus eigen_data"] += len(stack)
+        calls["longitude"] += sum(Mat2._make(row) in longitudes for row in stack.tolist())
+        return split(stack)
 
     def watched(fn):
         def call(mat, *args):
-            calls["longitude"] += id(mat) in longitudes
+            calls["longitude"] += mat in longitudes
             return fn(mat, *args)
         return call
 
-    monkeypatch.setattr(locus_module, "eigen_data", counted)
+    monkeypatch.setattr(locus_module, "_hyperbolic_split", counted)
+    monkeypatch.setattr(locus_module, "eigen_data", watched(eigen_data))
     monkeypatch.setattr(sl2_module, "classify", watched(sl2_classify))
     monkeypatch.setattr(sl2_module, "_classify", watched(sl2_module._classify))
     monkeypatch.setattr(sl2_module, "eigen_data", watched(sl2_eigen_data))
@@ -403,14 +426,15 @@ def test_the_undirected_reads_classify_each_endpoint_once(reach_arcs, monkeypatc
 @pytest.mark.parametrize("value", [-1.0, 1.0])
 def test_the_locus_keeps_only_samples_whose_longitude_does_not_translate(value, arc1, locus1,
                                                                           monkeypatch):
-    odd = {id(m) for m in arc1.longitude_images()[1::2]}
-    read = locus_module._prefix_translation
+    odd = set(arc1.longitude_images()[1::2])
+    read = locus_module._translations
 
-    def translated(mat, alpha, base_theta, direction):
-        got = read(mat, alpha, base_theta, direction)
-        return got._replace(value=value) if id(mat) in odd else got
+    def translated(mats, alphas, base_theta, directions):
+        got = read(mats, alphas, base_theta, directions)
+        return np.array([value if mat in odd else v
+                         for (mat, _), v in zip(_rows(mats, directions), got.tolist())])
 
-    monkeypatch.setattr(locus_module, "_prefix_translation", translated)
+    monkeypatch.setattr(locus_module, "_translations", translated)
     kept = locus_points(arc1).sample_indices
     assert kept == tuple(i for i in locus1.sample_indices if i % 2 == 0)
 
@@ -498,6 +522,257 @@ def test_locus_rejects_a_letter_that_commutes_but_does_not_glue(arc1, k):
     arc = dataclasses.replace(arc1, samples=(dataclasses.replace(s, conjugator=conj),))
     with pytest.raises(GluingError, match="relation residual"):
         locus_points(arc)
+
+
+def test_a_meridian_whose_eigenvalues_overflow_is_a_locus_error(fam1, monkeypatch, capsys):
+    # the square of the trace 1e160 is inf; the locus names the sample's t
+    # and the CLI exits 3, the code of a numerical failure
+    ident = Mat2.identity(exact=False)
+    letter = Mat2(1e160, 0.0, 0.0, 1e-160)
+    with pytest.raises(LocusError, match="^meridian eigendata failed: eigenvalues overflow"):
+        peripheral_point_pair(letter, ident)
+    arc = _fake_arc(fam1, letter, ident, ident)
+    with pytest.raises(LocusError, match=r"^meridian eigendata failed: eigenvalues overflow: "
+                                         r"the square of the trace 1e\+160 is inf at t=0\.1$") as info:
+        locus_points(arc)
+    assert type(info.value.__cause__.__cause__) is ArithmeticError
+    monkeypatch.setattr(cli_module, "continue_arc", lambda *args, **kwargs: arc)
+    assert cli_main(["interval", "--n", "1", "--steps", "1"]) == 3
+    assert capsys.readouterr() == ("", f"error: {info.value}\n")
+
+
+def test_a_longitude_with_eigenvalue_0_is_a_locus_error(fam1, monkeypatch, capsys):
+    # a quarter turn sends T = diag(3, 1/3)'s direction (1, 0) to (0, -1)
+    ident = Mat2.identity(exact=False)
+    turn = Mat2(0.0, 1.0, -1.0, 0.0)
+    with pytest.raises(LocusError, match="^longitude has eigenvalue 0 at a fixed direction"):
+        peripheral_point_pair(_diag(3.0), turn)
+    sample = _fake_arc(fam1, _diag(3.0), ident, ident).samples[0]
+    arc = Arc(fam1, (dataclasses.replace(sample, longitude=turn),), "maxSteps", 1, 1e-3, (0, 1))
+    with pytest.raises(LocusError, match="^longitude has eigenvalue 0 at a fixed direction of "
+                                         r"the meridian at t=0\.1$") as info:
+        locus_points(arc)
+    assert type(info.value.__cause__) is LocusError and info.value.__cause__.__cause__ is None
+    monkeypatch.setattr(cli_module, "continue_arc", lambda *args, **kwargs: arc)
+    assert cli_main(["interval", "--n", "1", "--steps", "1"]) == 3
+    assert capsys.readouterr() == ("", f"error: {info.value}\n")
+
+
+# ----------------------------------------------------------------------
+# the stacked read against the scalar one
+
+
+def _scalar_rows(arc) -> list:
+    """The (sample index, first, second) rows of locus_points, read one
+    sample at a time by glue_hnn, peripheral_point_pair and
+    _prefix_translation: the scalar reference."""
+    if not any(sample.det_sign == 1 for sample in arc.samples):
+        return []
+    longitudes = arc.longitude_images()
+    try:
+        angles = sl2_module._tracked_angles(longitudes, BASE_DIRECTION)
+    except (ArithmeticError, ValueError) as exc:
+        raise LocusError(f"longitude translation numbers failed: {exc}") from exc
+    rows = []
+    for idx, sample in enumerate(arc.samples):
+        if sample.det_sign != 1:
+            continue
+        meridian, longitude = glue_hnn(sample, arc.family).t_letter, longitudes[idx]
+        try:
+            p1, p2, direction = peripheral_point_pair(meridian, longitude)
+        except LocusError as exc:
+            raise LocusError(f"{exc} at t={sample.t:.6g}") from exc
+        try:
+            trans = sl2_module._prefix_translation(longitude, angles[idx], BASE_DIRECTION, direction)
+        except (ArithmeticError, ValueError) as exc:
+            raise LocusError(f"longitude translation numbers failed: {exc}") from exc
+        if trans.value == 0.0:
+            rows.append((p1.u, idx, p1, p2))
+    return [row[1:] for row in sorted(rows)]
+
+
+def _stacked_rows(arc) -> list:
+    locus = locus_points(arc)
+    return list(zip(locus.sample_indices, locus.first, locus.second))
+
+
+def _point_bytes(p: LocusPoint) -> bytes:
+    return struct.pack("<3d", p.u, p.w, p.slope) + p.branch.encode()
+
+
+def _outcome(read, arc):
+    """read(arc)'s rows with their points as IEEE bytes, or the chain of
+    (type, message) of its error and the causes behind it."""
+    try:
+        rows = read(arc)
+    except Exception as exc:  # every error is compared
+        chain = []
+        while exc is not None:
+            chain.append((type(exc), str(exc)))
+            exc = exc.__cause__
+        return chain
+    return [(idx, _point_bytes(p1), _point_bytes(p2)) for idx, p1, p2 in rows]
+
+
+def _bytes(*values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@pytest.mark.parametrize("n", [*range(1, 51), "coarse"])
+def test_the_stacked_read_is_the_scalar_read_bit_for_bit(reach_arcs, coarse_arc, n):
+    # every glued sample: u, w and slope of both points through locus_points,
+    # and the expanding direction and translation integer of the stacked
+    # primitives, as IEEE bytes
+    arc = coarse_arc if n == "coarse" else reach_arcs[n]
+    rows = _outcome(_stacked_rows, arc)
+    assert rows == _outcome(_scalar_rows, arc)
+    assert len(rows) == sum(s.det_sign == 1 for s in arc.samples) > 0
+    longitudes, glued = arc.longitude_images(), [i for i, s in enumerate(arc.samples) if s.det_sign == 1]
+    angles = sl2_module._tracked_angles(longitudes, BASE_DIRECTION)
+    letters = [glue_hnn(arc.samples[i], arc.family).t_letter for i in glued]
+    mats = np.array([longitudes[i] for i in glued])
+    lam1, lam2, expanding, contracting, split = sl2_module._hyperbolic_split(np.array(letters))
+    values = sl2_module._translations(mats, np.array([angles[i] for i in glued]), BASE_DIRECTION,
+                                      expanding)
+    assert split.all()
+    for k, (i, letter) in enumerate(zip(glued, letters)):
+        (want1, direction), (want2, other) = eigen_data(letter)
+        assert _bytes(lam1[k], lam2[k], *expanding[k], *contracting[k]) == _bytes(
+            want1, want2, *direction, *other)
+        trans = sl2_module._prefix_translation(longitudes[i], angles[i], BASE_DIRECTION, direction)
+        assert _bytes(values[k]) == _bytes(trans.value)
+
+
+def _stacked_primitives(letter: Mat2, longitude: Mat2) -> tuple:
+    """The split flag, eigenvalues, directions and longitude eigenvalues of
+    one row through the stacked primitives."""
+    lam1, lam2, expanding, contracting, split = sl2_module._hyperbolic_split(np.array([letter]))
+    stack = np.array([longitude])
+    return (bool(split[0]), lam1[0], lam2[0], tuple(expanding[0].tolist()),
+            tuple(contracting[0].tolist()), locus_module._eigenvalues_at(stack, expanding)[0],
+            locus_module._eigenvalues_at(stack, contracting)[0])
+
+
+_LETTERS = [
+    _diag(3.0), _diag(-0.25), Mat2(2.0, 1.0, 1.0, 1.0), Mat2(-5.0, 3.0, 2.0, -1.4),
+    Mat2(1.0, 1e-300, 0.0, 1.0), Mat2(1e150, 1.0, -1.0, 0.0), Mat2(0.5, -4.0, 0.5, -2.0),
+    # the TRACE_TOL band and its edges, parabolic, elliptic and central
+    Mat2(1.0 + 5e-10, 1.0, 0.0, 1.0), Mat2(1.0 + 2e-9, 0.0, 0.0, 1.0 / (1.0 + 2e-9)),
+    Mat2(1.0, 1.0, 0.0, 1.0), Mat2(-1.0, 0.5, 0.0, -1.0), rotation(0.3), rotation(math.pi),
+    Mat2.identity(exact=False),
+    # off determinant 1, not finite, overflowing
+    Mat2(3.0, 0.0, 0.0, 0.5), Mat2(math.nan, 0.0, 0.0, math.nan), Mat2(math.inf, 0.0, 0.0, 0.0),
+    Mat2(1e160, 0.0, 0.0, 1e-160), Mat2(-1e200, 0.0, 0.0, -1e-200), Mat2(0.0, 0.0, 0.0, 0.0),
+]
+_LONGITUDES = [Mat2.identity(exact=False), Mat2(0.0, 1.0, -1.0, 0.0), _diag(2.0),
+               Mat2(0.0, 0.0, 0.0, 0.0), Mat2(math.nan, 1.0, 2.0, 3.0), Mat2(1e300, -1e300, 1e300, 1e300)]
+
+
+def test_the_stacked_split_fails_exactly_where_the_scalar_read_raises():
+    # crafted and random letters against crafted longitudes: a row the split
+    # accepts gives the scalar read's numbers as IEEE bytes, and the scalar
+    # read raises on exactly the rows it rejects
+    rng = random.Random(33)
+    letters = _LETTERS + [Mat2(*map(float, random_unimodular(rng))) for _ in range(200)]
+    accepted = 0
+    for letter in letters:
+        for longitude in _LONGITUDES + [Mat2(*map(float, random_unimodular(rng)))]:
+            split, lam1, lam2, expanding, contracting, ev1, ev2 = _stacked_primitives(letter, longitude)
+            try:
+                peripheral_point_pair(letter, longitude)
+            except LocusError:
+                assert not (split and ev1 != 0.0 and ev2 != 0.0), (letter, longitude)
+                continue
+            assert split and ev1 != 0.0 and ev2 != 0.0, (letter, longitude)
+            (want1, direction), (want2, other) = eigen_data(letter)
+            assert _bytes(lam1, lam2, *expanding, *contracting) == _bytes(
+                want1, want2, *direction, *other)
+            assert _bytes(ev1, ev2) == _bytes(locus_module._eigenvalue_at(longitude, direction),
+                                              locus_module._eigenvalue_at(longitude, other))
+            accepted += 1
+    assert accepted > 900
+
+
+def test_the_stacked_translation_read_is_the_scalar_read_on_each_row():
+    # central, collapsing, non-finite and off-integer rows: each row of the
+    # stacked read gives _prefix_translation's value as IEEE bytes, or
+    # raises its error
+    rng = random.Random(34)
+    cases = [(Mat2.identity(exact=False), 0.9, (1.0, 0.0)), (Mat2(-1.0, 0.0, 0.0, -1.0), 4.0, (0.0, 1.0)),
+             (Mat2.identity(exact=False), math.nan, (1.0, 0.0)), (Mat2.identity(exact=False), math.inf, (1.0, 0.0)),
+             (_diag(2.0), BASE_DIRECTION, (1.0, 0.0)), (_diag(2.0), BASE_DIRECTION - math.pi, (0.0, 1.0)),
+             (_diag(2.0), BASE_DIRECTION + 1e-3, (1.0, 0.0)), (_diag(2.0), math.nan, (1.0, 0.0)),
+             (_diag(-2.0), BASE_DIRECTION + math.pi, (1.0, 0.0)), (Mat2(0.0, 0.0, 0.0, 0.0), 0.5, (1.0, 0.0)),
+             (_diag(2.0), BASE_DIRECTION, (0.0, 0.0)), (_diag(2.0), BASE_DIRECTION, (math.nan, 0.0)),
+             (Mat2(math.inf, 0.0, 0.0, 1.0), BASE_DIRECTION, (1.0, 0.0))]
+    for _ in range(300):
+        mat = Mat2(*map(float, random_unimodular(rng)))
+        pairs = eigen_data(mat) if abs(mat.trace()) >= 2 else ((0.0, (0.6, 0.8)),)
+        alpha = sl2_module._tracked_angles([mat], BASE_DIRECTION)[0] + math.pi * rng.randint(-3, 3)
+        cases.extend((mat, alpha, direction) for _, direction in pairs)
+    for mat, alpha, direction in cases:
+        try:
+            want = _bytes(sl2_module._prefix_translation(mat, alpha, BASE_DIRECTION, direction).value)
+        except (ArithmeticError, ValueError) as exc:
+            want = (type(exc), str(exc))
+        try:
+            got = _bytes(*sl2_module._translations(np.array([mat]), np.array([alpha]), BASE_DIRECTION,
+                                                   np.array([direction])))
+        except (ArithmeticError, ValueError) as exc:
+            got = (type(exc), str(exc))
+        assert got == want, (mat, alpha, direction)
+
+
+def _elliptic_letter(sample: RepSample) -> RepSample:
+    return dataclasses.replace(sample, conjugator=ConjugatorResult(1, rotation(0.3), 1, 0.0))
+
+
+def _turned_longitude(sample: RepSample) -> RepSample:
+    # the base direction's image turns by 1e-3 but T's direction does not
+    # move with it, so the read misses its integer by 1e-3 / pi
+    return dataclasses.replace(sample, longitude=rotation(1e-3) @ sample.longitude)
+
+
+def _unglued(sample: RepSample) -> RepSample:
+    return dataclasses.replace(sample, commutation_residual=1.0)
+
+
+_FAILURES = {
+    "elliptic": (_elliptic_letter, LocusError,
+                 r"^meridian is not hyperbolic \(\|trace\| = 1\.91067\) at t=0\.1$"),
+    "turned": (_turned_longitude, LocusError,
+               r"^longitude translation numbers failed: translation number .* is not close to an integer$"),
+    "unglued": (_unglued, GluingError, r"^stable letter fails to commute with the longitude \(1\.000e\+00\)$"),
+}
+
+
+@pytest.mark.parametrize("first, later", [
+    (a, b) for a in sorted(_FAILURES) for b in sorted(_FAILURES) if a != b])
+def test_the_first_failing_sample_raises_the_scalar_reads_error(arc1, first, later):
+    # sample 100 fails one check and sample 200 another: the stacked read
+    # raises sample 100's error, as the read one sample at a time does
+    samples = list(arc1.samples)
+    samples[100] = _FAILURES[first][0](samples[100])
+    samples[200] = _FAILURES[later][0](samples[200])
+    arc = dataclasses.replace(arc1, samples=tuple(samples))
+    _, error, message = _FAILURES[first]
+    with pytest.raises(error, match=message):
+        locus_points(arc)
+    assert _outcome(_stacked_rows, arc) == _outcome(_scalar_rows, arc)
+
+
+def test_a_sample_failing_two_checks_raises_the_earlier_one(arc1):
+    # gluing, then hyperbolicity, then the translation read
+    samples = list(arc1.samples)
+    samples[100] = _turned_longitude(_elliptic_letter(samples[100]))
+    arc = dataclasses.replace(arc1, samples=tuple(samples))
+    with pytest.raises(LocusError, match=_FAILURES["elliptic"][2]):
+        locus_points(arc)
+    samples[100] = _unglued(samples[100])
+    arc = dataclasses.replace(arc1, samples=tuple(samples))
+    with pytest.raises(GluingError, match=_FAILURES["unglued"][2]):
+        locus_points(arc)
+    assert _outcome(_stacked_rows, arc) == _outcome(_scalar_rows, arc)
 
 
 # ----------------------------------------------------------------------

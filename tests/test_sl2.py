@@ -27,14 +27,13 @@ from sl2arc.sl2 import (
     exact_nullspace,
     exact_rank,
     exact_rref,
-    rotation,
     same_trace_conjugacy,
     solve_conjugator,
     solve_conjugators,
-    translation_number_by_iteration,
     translation_numbers_along_arc,
 )
 
+from references import rotation, translation_number_by_iteration
 from test_words import random_unimodular
 
 
@@ -1012,16 +1011,35 @@ def longitude_paths():
             for n in (1, 8)}
 
 
-def _recorded_reads(monkeypatch, owner, read) -> list:
+def _recorded_reads(monkeypatch, read) -> list:
     """The (mat, alpha, base, direction, result) of every _prefix_translation
-    call that read() makes through owner's name for it."""
-    prefix, reads = owner._prefix_translation, []
+    call that read() makes."""
+    prefix, reads = sl2._prefix_translation, []
 
     def recorded(mat, alpha, base_theta, direction=None):
         reads.append((mat, alpha, base_theta, direction, prefix(mat, alpha, base_theta, direction)))
         return reads[-1][-1]
 
-    monkeypatch.setattr(owner, "_prefix_translation", recorded)
+    monkeypatch.setattr(sl2, "_prefix_translation", recorded)
+    read()
+    monkeypatch.undo()
+    return reads
+
+
+def _recorded_stacked_reads(monkeypatch, read) -> list:
+    """The (mat, alpha, base, direction, result) of every row that read()
+    passes through the locus's stacked translation read, with result the
+    PathTranslation of the row's value."""
+    stacked, reads = locus_module._translations, []
+
+    def recorded(mats, alphas, base_theta, directions):
+        values = stacked(mats, alphas, base_theta, directions)
+        reads.extend((Mat2._make(m), alpha, base_theta, tuple(v), sl2.PathTranslation(x, False))
+                     for m, alpha, v, x in zip(mats.tolist(), alphas.tolist(),
+                                               directions.tolist(), values.tolist()))
+        return values
+
+    monkeypatch.setattr(locus_module, "_translations", recorded)
     read()
     monkeypatch.undo()
     return reads
@@ -1033,13 +1051,13 @@ def _assert_reference_reads(path, reads) -> int:
     tracked = sl2._tracked_angles(path, BASE_DIRECTION)
     reference = _reference_track(path, BASE_DIRECTION)
     assert max(abs(a - b) for a, b in zip(tracked, reference)) <= 1e-14
-    index = {id(m): i for i, m in enumerate(path)}
+    index = {m: i for i, m in enumerate(path)}
     checked = 0
     for mat, alpha, base, direction, got in reads:
-        assert alpha == tracked[index[id(mat)]]
+        assert alpha == tracked[index[mat]]
         if sl2._near_central(mat):
             continue
-        want = _reference_read(mat, reference[index[id(mat)]], base,
+        want = _reference_read(mat, reference[index[mat]], base,
                                direction or eigen_data(mat)[0][1])
         assert abs(want - round(want)) <= 1e-6
         assert got == (float(round(want)), False)
@@ -1051,7 +1069,7 @@ def _assert_reference_reads(path, reads) -> int:
 def test_the_read_gives_the_traversed_integer_along_longitude_paths(n, longitude_paths,
                                                                     monkeypatch):
     path = longitude_paths[n]
-    reads = _recorded_reads(monkeypatch, sl2, lambda: translation_numbers_along_arc(path))
+    reads = _recorded_reads(monkeypatch, lambda: translation_numbers_along_arc(path))
     assert len(reads) == len(path)
     assert _assert_reference_reads(path, reads) == sum(not sl2._near_central(m) for m in path) > 150
 
@@ -1062,7 +1080,7 @@ def test_the_read_gives_the_traversed_integer_on_locus_samples(n, step_size, max
                                                                monkeypatch):
     arc = continue_arc(make_family(n), step_size=step_size, max_steps=max_steps)
     assert len(arc.samples) == max_steps + 1
-    reads = _recorded_reads(monkeypatch, locus_module, lambda: locus_points(arc))
+    reads = _recorded_stacked_reads(monkeypatch, lambda: locus_points(arc))
     assert all(direction is not None for _, _, _, direction, _ in reads)
     longitudes = arc.longitude_images()
     assert _assert_reference_reads(longitudes, reads) == sum(

@@ -31,8 +31,8 @@ u-axis.
 
 The orderable-slope interval collects r = -w/u over branch-first points and
 returns the interval between 0 (exclusive) and the extreme sampled slope;
-an arc with every |w| below 1e-9 is all-horizontal and is reported as an
-error instead.
+an arc with every |w| below HORIZONTAL_TOL is all-horizontal and is
+reported as an error instead.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ def orderable_interval_of_points(points) -> tuple:
     if not points:
         raise LocusError("empty locus arc has no slope interval")
     if all(abs(p.w) <= HORIZONTAL_TOL for p in points):
-        raise LocusError("arc is horizontal: every |w| is below 1e-9")
+        raise LocusError(f"arc is horizontal: every |w| is below {HORIZONTAL_TOL}")
     slopes = [p.slope for p in points if not math.isnan(p.slope)]
     if not slopes:
         raise LocusError("no finite slopes on the arc")

@@ -14,8 +14,9 @@ For each n >= 1 the family instance packages:
     three curve_pairs (m1, m2), (l1, l2) and (m1 l1, m2 l2).
 
 analyze_curve reports the exact data of C_n at chi_n, and verify_lemma
-checks it through the same helpers; arc.continue_arc takes only
-curve_jacobian.  No trace polynomial enters: every exact datum at chi_n comes
+checks it through the same helpers; arc.continue_arc reads the Jacobian of
+exact_curve_data for its rank gate and pins, and the traces for its audit.
+No trace polynomial enters: every exact datum at chi_n comes
 from one integer pass of 2x2 products over the curve words at rho_n
 (tracepass), which gives each word's trace, image and 8 entry partials.  An
 exact solution V of [D chi; grad det A; grad det B] V = [I; 0] at rho_n turns
@@ -274,11 +275,6 @@ def _exact_curve_data(fam: FamilyInstance) -> tuple:
     jacobian = tuple(tuple(Fraction(x - y, den) for x, y in zip(numerators[w1], numerators[w2]))
                      for w1, w2 in fam.curve_pairs)
     return jacobian, gradients, traces, images
-
-
-def curve_jacobian(fam: FamilyInstance) -> tuple:
-    """The exact Jacobian of the three curve equations at chi_n, as Fraction rows."""
-    return fam.exact_curve_data[0]
 
 
 def _commutator_hessian(traces, jac):

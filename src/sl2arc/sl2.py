@@ -24,9 +24,10 @@ a vector turns through from p to q inside the cone they span.  A linear map
 sends a cone of less than half a turn onto one, so along a straight matrix
 segment, or across such a cone of directions under one matrix, the lift
 gains exactly the angle the images sweep.  One angle track along the path
-pins the lift at every prefix: translation_numbers_along_arc reads each
-prefix off it at a fixed direction of the prefix, and the locus reads a
-longitude at its commuting stable letter's instead.
+pins the lift at every prefix, and one directed read, _translations, takes
+the integer off it at a fixed direction: translation_numbers_along_arc
+reads each prefix at its expanding one, and the locus reads a longitude at
+its commuting stable letter's.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ _EXACT_TYPES = (int, Fraction)
 TRACE_TOL = 1e-9  # |trace| = 2 band, equal traces, the +-identity test in eigen_data
 NULLSPACE_TOL = 1e-8  # conjugator nullspace threshold, relative to sigma_1
 SINGULAR_DET_TOL = 1e-14  # singular candidate: |det| <= this * max(1, ||G||_F^2)
+UNIT_DET_TOL = 1e-12  # determinant 1 in floats: |det - 1| <= this * max(1, max |entry|^2)
 CENTRAL_TOL = 1e-6  # Frobenius distance to +-identity for a central lift
 MAX_PATH_STEP = 0.5  # largest Frobenius gap between consecutive path matrices
 
@@ -211,7 +213,7 @@ def _check_unit_det(m: Mat2, exact: bool):
     # a product, not ** 2, which raises OverflowError where top * top is inf;
     # a nan or infinite det passes the tolerance test alone
     top = max(abs(a), abs(b), abs(c), abs(d))
-    if not (math.isfinite(det) and abs(det - 1.0) <= 1e-12 * max(1.0, top * top)):
+    if not (math.isfinite(det) and abs(det - 1.0) <= UNIT_DET_TOL * max(1.0, top * top)):
         raise ValueError(f"matrix must have determinant 1, got {det}")
 
 
@@ -600,7 +602,7 @@ def _hyperbolic_split(m: np.ndarray) -> tuple:
         top = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
         tr = a + d
         t = np.abs(tr)
-        split = (np.isfinite(det) & (np.abs(det - 1.0) <= 1e-12 * np.maximum(1.0, top * top))
+        split = (np.isfinite(det) & (np.abs(det - 1.0) <= UNIT_DET_TOL * np.maximum(1.0, top * top))
                  & ~(np.abs(t - 2.0) <= TRACE_TOL) & ~(t < 2.0))
         disc = tr * tr - 4.0
         lam1 = (tr + np.copysign(np.sqrt(disc), tr)) / 2
@@ -676,59 +678,24 @@ def _near_central(mat) -> bool:
             or _frobenius(a + 1.0, b, c, d + 1.0) <= CENTRAL_TOL)
 
 
-def _prefix_translation(mat, alpha: float, base_theta: float,
-                        direction: tuple | None = None) -> PathTranslation:
-    """Translation number, in units of pi, of the lift of the circle map of
-    the float matrix mat whose value at base_theta is the tracked angle alpha.
-
-    A central endpoint reads the integer off alpha itself.  Hyperbolic and
-    parabolic endpoints give an exact integer read off at a fixed direction
-    of the circle map: the given one, unchecked (mat is not classified), or
-    else mat's expanding one.  With u the unit vector at base_theta and v
-    that direction's representative with u . v >= 0, the angle from u to v
-    is _swept(u, v), less than half a turn; mat maps that cone onto the cone
-    from M u to M v, also of less than half a turn, so the lift gains
-    exactly _swept(M u, M v) there, for either sign of det(mat).  The integer
-    is the lift at v less v's angle, in units of pi.
-
-    Elliptic endpoints rotate with no fixed direction: an elliptic matrix
-    with trace 2 cos(phi0), phi0 in (0, pi), is conjugate by a
-    positive-determinant matrix to a rotation by +-phi0, positive exactly
-    when b < 0 (or c > 0 when b = 0), and the integer part is pinned by
-    alpha, since all displacements of a fixed-point-free circle map lie in
-    one open length pi band together with the translation number.  The
-    value is then a non-integer real number, flagged as elliptic.
-    """
-    if _near_central(mat):
-        return PathTranslation(float(round((alpha - base_theta) / math.pi)), False)
-    if direction is None:
-        if (cls := _classify(mat, False)) == MatClass.ELLIPTIC:
-            a, b, c, d = mat
-            phi0 = math.acos(max(-1.0, min(1.0, (a + d) / 2.0)))
-            positive = b < 0.0 or (b == 0.0 and c > 0.0)
-            frac = phi0 / math.pi if positive else 1.0 - phi0 / math.pi
-            return PathTranslation(math.floor((alpha - base_theta) / math.pi) + frac, True)
-        direction = _eigen_pairs(mat, cls)[0][1]
-    u = (math.cos(base_theta), math.sin(base_theta))
-    x, y = direction
-    v = (x, y) if u[0] * x + u[1] * y >= 0.0 else (-x, -y)
-    k_float = (alpha - base_theta + _swept(_act(mat, u), _act(mat, v)) - _swept(u, v)) / math.pi
-    k = round(k_float)
-    if abs(k_float - k) > 1e-6:
-        raise ArithmeticError(f"translation number {k_float} is not close to an integer")
-    return PathTranslation(float(k), False)
-
-
 def _translations(mats: np.ndarray, alphas: np.ndarray, base_theta: float,
                   directions: np.ndarray) -> np.ndarray:
-    """_prefix_translation(mat, alpha, base_theta, direction).value of each
-    row of a (K, 4) float stack, its tracked angle and its (K, 2) direction,
-    in the operations of _near_central, _act, _swept and _prefix_translation.
+    """Translation number, in units of pi, of the lift of the circle map of
+    each row of a (K, 4) float stack whose value at base_theta is the row's
+    tracked angle alpha, read at the row's (K, 2) direction.
 
-    A row the stacked read cannot vouch for -- a non-finite central read, a
-    cone that collapses, or a miss of the 1e-6 integrality check -- is read
-    again by _prefix_translation, in row order, so the first that fails
-    raises its error there.
+    A central row reads the integer off alpha.  Any other row's direction is
+    taken, unchecked, to be a fixed direction of its circle map M.  With u
+    the unit vector at base_theta and v that direction's representative with
+    u . v >= 0, the angle from u to v is _swept(u, v), less than half a
+    turn; M maps that cone onto the cone from M u to M v, also of less than
+    half a turn, so the lift gains exactly _swept(M u, M v) there, for
+    either sign of det(M).  The integer is the lift at v less v's angle.
+
+    The first row that cannot be read raises, checked in this order: a
+    collapsed cone raises ContinuityError, as _swept does; a read that is
+    not finite raises round's ValueError or OverflowError; a read more than
+    1e-6 from its integer raises ArithmeticError.
     """
     a, b, c, d = mats.T
     ux, uy = math.cos(base_theta), math.sin(base_theta)
@@ -749,14 +716,16 @@ def _translations(mats: np.ndarray, alphas: np.ndarray, base_theta: float,
                    - np.fromiter(map(math.atan2, cross2.tolist(), dot2.tolist()), float, len(a))) / math.pi
         k_float = np.where(central, offset / math.pi, k_float)
         k = np.rint(k_float)
-        unread = np.where(central, ~np.isfinite(k_float),
-                          ((cross1 == 0.0) & (dot1 <= 0.0)) | ((cross2 == 0.0) & (dot2 <= 0.0))
-                          | ~(np.abs(k_float - k) <= 1e-6))
-    values = k + 0.0  # float(round(x)) is never -0.0
-    for i in np.flatnonzero(unread).tolist():
-        values[i] = _prefix_translation(Mat2._make(mats[i].tolist()), alphas[i].item(), base_theta,
-                                        tuple(directions[i].tolist())).value
-    return values
+        collapsed = ~central & (((cross1 == 0.0) & (dot1 <= 0.0)) | ((cross2 == 0.0) & (dot2 <= 0.0)))
+        missed = np.where(central, ~np.isfinite(k_float), ~(np.abs(k_float - k) <= 1e-6))
+    if (unread := collapsed | missed).any():
+        i = int(unread.argmax())
+        if collapsed[i]:
+            raise ContinuityError("image direction collapsed along the path")
+        value = k_float[i].item()
+        round(value)  # a read that is not finite raises here
+        raise ArithmeticError(f"translation number {value} is not close to an integer")
+    return k + 0.0  # float(round(x)) is never -0.0
 
 
 def translation_numbers_along_arc(mats, base_theta: float = BASE_DIRECTION) -> list:
@@ -766,9 +735,42 @@ def translation_numbers_along_arc(mats, base_theta: float = BASE_DIRECTION) -> l
     The path should start at the identity (or at a matrix whose lift is
     declared to be translation-free); consecutive matrices must be closer
     than MAX_PATH_STEP in Frobenius distance, or ContinuityError is raised.
+    Central prefixes, and the others at their expanding direction, are read
+    in one _translations call; the earliest prefix that fails raises.
+
+    An elliptic prefix rotates with no fixed direction: with trace
+    2 cos(phi0), phi0 in (0, pi), it is conjugate by a positive-determinant
+    matrix to a rotation by +-phi0, positive exactly when b < 0 (or c > 0
+    when b = 0), and the integer part is pinned by the tracked angle, since
+    all displacements of a fixed-point-free circle map lie in one open
+    length pi band together with the translation number.  Its value is a
+    non-integer real number, flagged as elliptic.
     """
     if not mats:
         return []
     mats = [m.to_float() if m.exact else m for m in mats]
-    return [_prefix_translation(m, alpha, base_theta)
-            for m, alpha in zip(mats, _tracked_angles(mats, base_theta))]
+    alphas = _tracked_angles(mats, base_theta)
+    rows, out, failure = [], [], None
+    for m, alpha in zip(mats, alphas):
+        try:
+            if _near_central(m):
+                direction = (1.0, 0.0)  # a central read ignores its direction
+            elif (cls := _classify(m, False)) != MatClass.ELLIPTIC:
+                direction = _eigen_pairs(m, cls)[0][1]
+            else:
+                a, b, c, d = m
+                phi0 = math.acos(max(-1.0, min(1.0, (a + d) / 2.0)))
+                positive = b < 0.0 or (b == 0.0 and c > 0.0)
+                frac = phi0 / math.pi if positive else 1.0 - phi0 / math.pi
+                out.append(PathTranslation(math.floor((alpha - base_theta) / math.pi) + frac, True))
+                continue
+        except (ArithmeticError, ValueError) as exc:  # raised once the prefixes before it are read
+            failure = exc
+            break
+        rows.append((*m, alpha, *direction))
+        out.append(None)
+    rows = np.array(rows).reshape(-1, 7)
+    values = iter(_translations(rows[:, :4], rows[:, 4], base_theta, rows[:, 5:]).tolist())
+    if failure is not None:
+        raise failure
+    return [PathTranslation(next(values), False) if t is None else t for t in out]

@@ -148,10 +148,7 @@ def parse_word(text: str, generators=DEFAULT_GENERATORS) -> Word:
     Raises WordSyntaxError on unknown letters, dangling/zero exponents, or
     stray characters.  The empty string is the identity.
     """
-    spelling, i = _parse_sequence(text, 0, set(generators), 0)
-    if i != len(text):
-        raise WordSyntaxError("unmatched ')'", i)
-    return Word(spelling)
+    return Word(_parse_sequence(text, 0, set(generators), 0)[0])
 
 
 def invert(word: Word) -> Word:

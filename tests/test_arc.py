@@ -24,7 +24,7 @@ from sl2arc.arc import (
 )
 from sl2arc.cli import main
 from sl2arc.locus import LocusPoint, locus_points
-from sl2arc.pretzel import (N_CAP, FamilyInstance, curve_jacobian, kernel_closed_form,
+from sl2arc.pretzel import (N_CAP, FamilyInstance, kernel_closed_form,
                              lin_presentation, make_family)
 from sl2arc.sl2 import Mat2, exact_nullspace, exact_rank, solve_conjugator
 from sl2arc.tracepass import TracePlan
@@ -142,7 +142,7 @@ def _exact_character_rows(fam):
     zeros = (0, 0, 0, 0)
     dchi = ((1, 0, 0, 1) + zeros, zeros + (1, 0, 0, 1), (b11, b21, b12, b22, a11, a21, a12, a22))
     curve = [[sum(j * d[k] for j, d in zip(row, dchi)) for k in range(8)]
-             for row in curve_jacobian(fam)]
+             for row in fam.exact_curve_data[0]]
     return [(a22, -a21, -a12, a11) + zeros, zeros + (b22, -b21, -b12, b11), *curve], dchi
 
 
@@ -163,7 +163,7 @@ def _pins_at_base_point(fam):
     system = _EntrySystem(fam)
     q0 = arc_module._base_point(fam)
     jac0 = np.array(system.evaluate(q0)[1])
-    return arc_module._select_pins(arc_module._character_rows(curve_jacobian(fam), q0, jac0),
+    return arc_module._select_pins(arc_module._character_rows(fam.exact_curve_data[0], q0, jac0),
                                    fam.rho_a)
 
 

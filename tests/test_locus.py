@@ -37,7 +37,7 @@ from sl2arc.sl2 import (
 from sl2arc.words import evaluate
 
 from references import rotation, translation_number_by_iteration
-from test_sl2 import _stacked_residual
+from test_sl2 import _reference_read, _row_read, _stacked_residual
 from test_words import random_unimodular
 
 
@@ -134,8 +134,14 @@ def test_interval_picks_the_wider_side():
 
 
 def test_interval_horizontal_arc_raises():
-    with pytest.raises(LocusError):
+    with pytest.raises(LocusError, match=r"^arc is horizontal: every \|w\| is below 1e-09$"):
         orderable_interval_of_points(_points((1.0, 0.0), (2.0, 5e-10)))
+
+
+def test_interval_with_no_finite_slope_raises():
+    points = [LocusPoint(0.0, w, "first", math.nan) for w in (0.5, -2.0)]
+    with pytest.raises(LocusError, match="^no finite slopes on the arc$"):
+        orderable_interval_of_points(points)
 
 
 def test_interval_empty_raises():
@@ -458,16 +464,37 @@ def test_a_longitude_path_the_track_cannot_lift_is_a_locus_error(case, arc1, mon
     assert type(info.value.__cause__) is error
 
 
-def test_locus_of_a_minus_arc_skips_its_translation_numbers():
+@pytest.fixture(scope="module")
+def minus_arc9():
+    return continue_arc(make_family(9), step_size=1e-3, max_steps=200, direction=-1)
+
+
+def test_locus_of_a_minus_arc_skips_its_translation_numbers(minus_arc9):
     # no sample of this -1 arc glues, and its longitude translation numbers
     # miss an integer by 2.2e-6, so reading them would raise
-    arc = continue_arc(make_family(9), step_size=1e-3, max_steps=200, direction=-1)
+    arc = minus_arc9
     assert arc.termination_reason == "maxSteps" and len(arc.samples) == 201
     assert all(s.det_sign != 1 for s in arc.samples)
     with pytest.raises(ArithmeticError, match="not close to an integer"):
         translation_numbers_along_arc(arc.longitude_images())
     locus = locus_points(arc)
     assert locus.first == locus.second == locus.sample_indices == ()
+
+
+def test_the_earliest_failing_prefix_raises_either_way(minus_arc9):
+    # Prefix 1 of this arc's longitude path misses its integer.  A
+    # determinant failure at prefix 5 comes later and is not the one raised,
+    # while one at prefix 1 is classified before any read.
+    longitudes = minus_arc9.longitude_images()
+    with pytest.raises(ArithmeticError, match="^translation number .* is not close to an integer$"):
+        translation_numbers_along_arc(longitudes[:2])
+    for prefix, error, message in [(5, ArithmeticError, "not close to an integer"),
+                                   (1, ValueError, "^matrix must have determinant 1, got ")]:
+        path = list(longitudes)
+        path[prefix] = path[prefix].scale(1.001)
+        with pytest.raises(error, match=message) as info:
+            translation_numbers_along_arc(path)
+        assert type(info.value) is error
 
 
 # ----------------------------------------------------------------------
@@ -564,8 +591,8 @@ def test_a_longitude_with_eigenvalue_0_is_a_locus_error(fam1, monkeypatch, capsy
 
 def _scalar_rows(arc) -> list:
     """The (sample index, first, second) rows of locus_points, read one
-    sample at a time by glue_hnn, peripheral_point_pair and
-    _prefix_translation: the scalar reference."""
+    sample at a time by glue_hnn, peripheral_point_pair and a one-row
+    translation read: the scalar reference."""
     if not any(sample.det_sign == 1 for sample in arc.samples):
         return []
     longitudes = arc.longitude_images()
@@ -583,10 +610,10 @@ def _scalar_rows(arc) -> list:
         except LocusError as exc:
             raise LocusError(f"{exc} at t={sample.t:.6g}") from exc
         try:
-            trans = sl2_module._prefix_translation(longitude, angles[idx], BASE_DIRECTION, direction)
+            value = _row_read(longitude, angles[idx], direction)
         except (ArithmeticError, ValueError) as exc:
             raise LocusError(f"longitude translation numbers failed: {exc}") from exc
-        if trans.value == 0.0:
+        if value == 0.0:
             rows.append((p1.u, idx, p1, p2))
     return [row[1:] for row in sorted(rows)]
 
@@ -622,7 +649,7 @@ def _bytes(*values) -> bytes:
 def test_the_stacked_read_is_the_scalar_read_bit_for_bit(reach_arcs, coarse_arc, n):
     # every glued sample: u, w and slope of both points through locus_points,
     # and the expanding direction and translation integer of the stacked
-    # primitives, as IEEE bytes
+    # primitives against the one-row reads, as IEEE bytes
     arc = coarse_arc if n == "coarse" else reach_arcs[n]
     rows = _outcome(_stacked_rows, arc)
     assert rows == _outcome(_scalar_rows, arc)
@@ -639,8 +666,7 @@ def test_the_stacked_read_is_the_scalar_read_bit_for_bit(reach_arcs, coarse_arc,
         (want1, direction), (want2, other) = eigen_data(letter)
         assert _bytes(lam1[k], lam2[k], *expanding[k], *contracting[k]) == _bytes(
             want1, want2, *direction, *other)
-        trans = sl2_module._prefix_translation(longitudes[i], angles[i], BASE_DIRECTION, direction)
-        assert _bytes(values[k]) == _bytes(trans.value)
+        assert _bytes(values[k]) == _bytes(_row_read(longitudes[i], angles[i], direction))
 
 
 def _stacked_primitives(letter: Mat2, longitude: Mat2) -> tuple:
@@ -693,34 +719,57 @@ def test_the_stacked_split_fails_exactly_where_the_scalar_read_raises():
     assert accepted > 900
 
 
+_NAN_READ = (ValueError, "^cannot convert float NaN to integer$")
+_OFF_INTEGER = (ArithmeticError, "^translation number .* is not close to an integer$")
+_COLLAPSED = (sl2_module.ContinuityError, "^image direction collapsed along the path$")
+
+
 def test_the_stacked_translation_read_is_the_scalar_read_on_each_row():
-    # central, collapsing, non-finite and off-integer rows: each row of the
-    # stacked read gives _prefix_translation's value as IEEE bytes, or
-    # raises its error
+    # Central, collapsing, non-finite and off-integer rows give the stated
+    # value or error, and rows at a fixed direction anchored on the tracked
+    # angle give the bisecting reference's integer.  A stack of the rows
+    # that read gives each row's value as IEEE bytes, and a stack raises the
+    # error of its first row that fails.
     rng = random.Random(34)
-    cases = [(Mat2.identity(exact=False), 0.9, (1.0, 0.0)), (Mat2(-1.0, 0.0, 0.0, -1.0), 4.0, (0.0, 1.0)),
-             (Mat2.identity(exact=False), math.nan, (1.0, 0.0)), (Mat2.identity(exact=False), math.inf, (1.0, 0.0)),
-             (_diag(2.0), BASE_DIRECTION, (1.0, 0.0)), (_diag(2.0), BASE_DIRECTION - math.pi, (0.0, 1.0)),
-             (_diag(2.0), BASE_DIRECTION + 1e-3, (1.0, 0.0)), (_diag(2.0), math.nan, (1.0, 0.0)),
-             (_diag(-2.0), BASE_DIRECTION + math.pi, (1.0, 0.0)), (Mat2(0.0, 0.0, 0.0, 0.0), 0.5, (1.0, 0.0)),
-             (_diag(2.0), BASE_DIRECTION, (0.0, 0.0)), (_diag(2.0), BASE_DIRECTION, (math.nan, 0.0)),
-             (Mat2(math.inf, 0.0, 0.0, 1.0), BASE_DIRECTION, (1.0, 0.0))]
-    for _ in range(300):
-        mat = Mat2(*map(float, random_unimodular(rng)))
+    ident, base = Mat2.identity(exact=False), BASE_DIRECTION
+    cases = [(ident, 0.9, (1.0, 0.0), 0.0), (Mat2(-1.0, 0.0, 0.0, -1.0), 4.0, (0.0, 1.0), 1.0),
+             (ident, 0.9, (0.0, 0.0), 0.0),  # a central row ignores its direction
+             (ident, math.nan, (1.0, 0.0), _NAN_READ),
+             (ident, math.inf, (1.0, 0.0), (OverflowError, "^cannot convert float infinity to integer$")),
+             (_diag(2.0), base, (1.0, 0.0), _OFF_INTEGER), (_diag(2.0), base - math.pi, (0.0, 1.0), _OFF_INTEGER),
+             (_diag(2.0), math.nan, (1.0, 0.0), _NAN_READ),
+             (_diag(2.0), math.inf, (1.0, 0.0), (OverflowError, "^cannot convert float infinity to integer$")),
+             (Mat2(0.0, 0.0, 0.0, 0.0), 0.5, (1.0, 0.0), _COLLAPSED),
+             (Mat2(0.0, 0.0, 0.0, 0.0), math.nan, (1.0, 0.0), _COLLAPSED),
+             (_diag(2.0), base, (0.0, 0.0), _COLLAPSED), (_diag(2.0), base, (math.nan, 0.0), _NAN_READ),
+             (Mat2(math.inf, 0.0, 0.0, 1.0), base, (1.0, 0.0), _NAN_READ)]
+    for mat in [_diag(2.0), _diag(-2.0), *(Mat2(*map(float, random_unimodular(rng))) for _ in range(300))]:
         pairs = eigen_data(mat) if abs(mat.trace()) >= 2 else ((0.0, (0.6, 0.8)),)
-        alpha = sl2_module._tracked_angles([mat], BASE_DIRECTION)[0] + math.pi * rng.randint(-3, 3)
-        cases.extend((mat, alpha, direction) for _, direction in pairs)
-    for mat, alpha, direction in cases:
-        try:
-            want = _bytes(sl2_module._prefix_translation(mat, alpha, BASE_DIRECTION, direction).value)
-        except (ArithmeticError, ValueError) as exc:
-            want = (type(exc), str(exc))
-        try:
-            got = _bytes(*sl2_module._translations(np.array([mat]), np.array([alpha]), BASE_DIRECTION,
-                                                   np.array([direction])))
-        except (ArithmeticError, ValueError) as exc:
-            got = (type(exc), str(exc))
-        assert got == want, (mat, alpha, direction)
+        alpha = sl2_module._tracked_angles([mat], base)[0] + math.pi * rng.randint(-3, 3)
+        for _, direction in pairs:
+            want = _reference_read(mat, alpha, base, direction)
+            miss = abs(want - round(want))
+            assert miss <= 1e-12 or miss >= 1e-3
+            cases.append((mat, alpha, direction, float(round(want)) if miss <= 1e-12 else _OFF_INTEGER))
+
+    def read(rows):
+        return sl2_module._translations(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
+                                        base, np.array([r[2] for r in rows]))
+
+    good = [case for case in cases if isinstance(case[3], float)]
+    bad = [case for case in cases if not isinstance(case[3], float)]
+    assert len(good) > 400 and len(bad) > 40
+    for mat, alpha, direction, want in good:
+        assert _bytes(_row_read(mat, alpha, direction)) == _bytes(want), (mat, alpha, direction)
+    assert _bytes(*read(good)) == _bytes(*(case[3] for case in good))
+    for k, (mat, alpha, direction, (error, message)) in enumerate(bad):
+        with pytest.raises(error, match=message) as info:
+            _row_read(mat, alpha, direction)
+        assert type(info.value) is error, (mat, alpha, direction)
+        later = next(case for case in bad[k + 1:] + bad if case[3][0] is not error)
+        with pytest.raises(error, match=message) as info:
+            read(good[:5] + [bad[k], later])
+        assert type(info.value) is error
 
 
 def _elliptic_letter(sample: RepSample) -> RepSample:

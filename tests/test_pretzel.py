@@ -17,7 +17,6 @@ from sl2arc.pretzel import (
     _longitude_hessian,
     _magnitudes,
     analyze_curve,
-    curve_jacobian,
     gradient_at,
     gradient_m2_closed_form,
     hessian_at,
@@ -160,7 +159,7 @@ def test_the_exact_curve_data_are_computed_once_per_family(n, monkeypatch):
     analysis = analyze_curve(fam)
     assert len(continue_arc(fam, max_steps=5).samples) == 6
     assert calls == [n]
-    assert curve_jacobian(fam) is analysis.jacobian is fam.exact_curve_data[0]
+    assert analysis.jacobian is fam.exact_curve_data[0]
     assert fam.exact_curve_data == _exact_curve_data(make_family(n))
 
 
@@ -186,7 +185,7 @@ def test_matrix_route_gradients_match_the_trace_polynomials(n):
 def test_matrix_route_matches_the_closed_forms_far_out(n):
     fam = make_family(n)
     jac, gradients, traces, images = _exact_curve_data(fam)
-    assert jac == jacobian_closed_form(n) == curve_jacobian(fam)
+    assert jac == jacobian_closed_form(n) == fam.exact_curve_data[0]
     assert {name: images[getattr(fam, name)] for name in _CURVE_WORDS} == image_closed_forms(n)
     assert gradients[fam.m2] == gradient_m2_closed_form(n)
     assert _longitude_hessian(fam, gradients, traces) == hessian_closed_form(n)
@@ -201,7 +200,7 @@ def test_a_reducible_pair_raises_value_error():
     # character map has rank below 3 there
     fam = dataclasses.replace(make_family(1), rho_b=Mat2(1, 1, 0, 1))
     with pytest.raises(ValueError, match="reducible"):
-        curve_jacobian(fam)
+        fam.exact_curve_data[0]
     with pytest.raises(ValueError, match="reducible"):
         analyze_curve(fam)
 

@@ -86,6 +86,11 @@ def test_mat2_str_and_repr_formats():
     assert repr(floats) == "Mat2(a=0.1, b=-2.0, c=1e-17, d=inf)"
 
 
+def test_a_singular_float_matrix_has_no_inverse():
+    with pytest.raises(ZeroDivisionError, match="^matrix is singular$"):
+        Mat2(1.0, 2.0, 2.0, 4.0).inverse()
+
+
 def test_delta_is_b_minus_c():
     assert Mat2(1, 7, 3, 1).delta() == 4
     assert rotation(0.25).delta() == pytest.approx(-2 * math.sin(0.25))
@@ -191,6 +196,19 @@ def test_same_trace_conjugacy_not_applicable_cases():
     assert same_trace_conjugacy(ident, ident) == Conjugacy.NOT_APPLICABLE
     with pytest.raises(ValueError):
         same_trace_conjugacy(Mat2(1, 1, 0, 1), Mat2(2, 1, 1, 1))
+    # float traces may differ by TRACE_TOL, and no more: x + 1 / x is 2 + 4e-10
+    # at x = 1 + 2e-5, and 2 + 2.5e-9 at x = 1 + 5e-5
+    parabolic = Mat2(1, 1, 0, 1)
+    within, beyond = (Mat2(x, 1.0, 0.0, 1.0 / x) for x in (1.0 + 2e-5, 1.0 + 5e-5))
+    assert abs(within.trace() - 2.0) <= sl2.TRACE_TOL < abs(beyond.trace() - 2.0)
+    assert same_trace_conjugacy(within, parabolic) == Conjugacy.CONJUGATE_DET_PLUS
+    with pytest.raises(ValueError, match="^traces differ: "):
+        same_trace_conjugacy(beyond, parabolic)
+
+
+def test_an_unknown_conjugation_kind_is_refused():
+    with pytest.raises(ValueError, match="^kind must be 'parabolic' or 'elliptic', got 'hyperbolic'$"):
+        conjugation_delta_formulas(Mat2(1, 0, 0, 1), "hyperbolic", 1)
 
 
 # ----------------------------------------------------------------------
@@ -729,6 +747,7 @@ def test_exact_linear_algebra_helpers():
     for v in exact_nullspace(rows):
         for row in rows:
             assert sum(Fraction(r) * c for r, c in zip(row, v)) == 0
+    assert exact_nullspace([]) == []
 
 
 def _fraction_rref(rows):
@@ -1011,26 +1030,11 @@ def longitude_paths():
             for n in (1, 8)}
 
 
-def _recorded_reads(monkeypatch, read) -> list:
-    """The (mat, alpha, base, direction, result) of every _prefix_translation
-    call that read() makes."""
-    prefix, reads = sl2._prefix_translation, []
-
-    def recorded(mat, alpha, base_theta, direction=None):
-        reads.append((mat, alpha, base_theta, direction, prefix(mat, alpha, base_theta, direction)))
-        return reads[-1][-1]
-
-    monkeypatch.setattr(sl2, "_prefix_translation", recorded)
-    read()
-    monkeypatch.undo()
-    return reads
-
-
-def _recorded_stacked_reads(monkeypatch, read) -> list:
+def _recorded_stacked_reads(monkeypatch, owner, read) -> list:
     """The (mat, alpha, base, direction, result) of every row that read()
-    passes through the locus's stacked translation read, with result the
-    PathTranslation of the row's value."""
-    stacked, reads = locus_module._translations, []
+    passes through owner's _translations, the stacked translation read, with
+    result the PathTranslation of the row's value."""
+    stacked, reads = owner._translations, []
 
     def recorded(mats, alphas, base_theta, directions):
         values = stacked(mats, alphas, base_theta, directions)
@@ -1039,7 +1043,7 @@ def _recorded_stacked_reads(monkeypatch, read) -> list:
                                                directions.tolist(), values.tolist()))
         return values
 
-    monkeypatch.setattr(locus_module, "_translations", recorded)
+    monkeypatch.setattr(owner, "_translations", recorded)
     read()
     monkeypatch.undo()
     return reads
@@ -1057,8 +1061,7 @@ def _assert_reference_reads(path, reads) -> int:
         assert alpha == tracked[index[mat]]
         if sl2._near_central(mat):
             continue
-        want = _reference_read(mat, reference[index[mat]], base,
-                               direction or eigen_data(mat)[0][1])
+        want = _reference_read(mat, reference[index[mat]], base, direction)
         assert abs(want - round(want)) <= 1e-6
         assert got == (float(round(want)), False)
         checked += 1
@@ -1069,7 +1072,7 @@ def _assert_reference_reads(path, reads) -> int:
 def test_the_read_gives_the_traversed_integer_along_longitude_paths(n, longitude_paths,
                                                                     monkeypatch):
     path = longitude_paths[n]
-    reads = _recorded_reads(monkeypatch, lambda: translation_numbers_along_arc(path))
+    reads = _recorded_stacked_reads(monkeypatch, sl2, lambda: translation_numbers_along_arc(path))
     assert len(reads) == len(path)
     assert _assert_reference_reads(path, reads) == sum(not sl2._near_central(m) for m in path) > 150
 
@@ -1080,8 +1083,7 @@ def test_the_read_gives_the_traversed_integer_on_locus_samples(n, step_size, max
                                                                monkeypatch):
     arc = continue_arc(make_family(n), step_size=step_size, max_steps=max_steps)
     assert len(arc.samples) == max_steps + 1
-    reads = _recorded_stacked_reads(monkeypatch, lambda: locus_points(arc))
-    assert all(direction is not None for _, _, _, direction, _ in reads)
+    reads = _recorded_stacked_reads(monkeypatch, locus_module, lambda: locus_points(arc))
     longitudes = arc.longitude_images()
     assert _assert_reference_reads(longitudes, reads) == sum(
         s.det_sign == 1 and not sl2._near_central(m)
@@ -1094,6 +1096,35 @@ def test_the_iterate_matches_the_bisecting_reference(theta, longitude_paths):
     path = longitude_paths[1] if theta is None else rotation_path(theta)
     got = translation_number_by_iteration(path, iterations=1 << 8)
     assert abs(got - _reference_iteration(path, BASE_DIRECTION, 1 << 8)) <= 1e-12
+
+
+def _row_read(mat, alpha: float, direction: tuple) -> float:
+    """The stacked translation read of one row at BASE_DIRECTION."""
+    return sl2._translations(np.array([mat], dtype=float), np.array([alpha]), BASE_DIRECTION,
+                             np.array([direction], dtype=float)).item()
+
+
+def test_the_opposite_of_the_base_axis_has_angle_0():
+    # atan2(0.0, -1.0) is pi, which [0, pi) takes as 0
+    assert sl2._dir_angle(-1.0, 0.0) == 0.0
+    assert sl2._dir_angle(-1.0, -0.0) == 0.0
+
+
+def test_a_path_that_lifts_is_read_in_one_stacked_call(monkeypatch):
+    # central and hyperbolic prefixes in one _translations call; the
+    # elliptic ones of the half turn are read off the track instead
+    path, calls = wrapped_stretch_path(), []
+    stacked = sl2._translations
+
+    def counted(mats, *args):
+        calls.append(len(mats))
+        return stacked(mats, *args)
+
+    monkeypatch.setattr(sl2, "_translations", counted)
+    translations = translation_numbers_along_arc(path)
+    directed = [not t.elliptic for t in translations]
+    assert calls == [sum(directed)] and 40 < sum(directed) < len(path)
+    assert translations[-1] == (1.0, False)
 
 
 def _hyperbolic_fixing_base(stretch: float) -> Mat2:
@@ -1110,14 +1141,14 @@ def test_a_fixed_direction_at_the_base_reaches_the_traverse(k):
     direction = (math.cos(BASE_DIRECTION), math.sin(BASE_DIRECTION))
     assert sl2._dir_angle(*direction) == BASE_DIRECTION
     alpha = BASE_DIRECTION + k * math.pi  # the base is fixed, so any lift of it is one
-    assert sl2._prefix_translation(mat, alpha, BASE_DIRECTION, direction) == (float(k), False)
+    assert _row_read(mat, alpha, direction) == float(k)
     assert _reference_read(mat, alpha, BASE_DIRECTION, direction) == k
     # the opposite vector is the same direction, read on the base's side
     opposite = (-direction[0], -direction[1])
-    assert sl2._prefix_translation(mat, alpha, BASE_DIRECTION, opposite) == (float(k), False)
+    assert _row_read(mat, alpha, opposite) == float(k)
     # an anchor that is no lift of the fixed base shows through
     with pytest.raises(ArithmeticError, match="not close to an integer"):
-        sl2._prefix_translation(mat, alpha + 1e-5, BASE_DIRECTION, direction)
+        _row_read(mat, alpha + 1e-5, direction)
     # a few ulps away the image angle is within the rounding of alpha, on
     # either side of it
     near = [x for x in _ulps_around(BASE_DIRECTION, 16) if x != BASE_DIRECTION]
@@ -1126,7 +1157,7 @@ def test_a_fixed_direction_at_the_base_reaches_the_traverse(k):
         for th_b in near:
             direction = (math.cos(th_b), math.sin(th_b))
             assert round(_reference_read(mat, alpha, BASE_DIRECTION, direction)) == k
-            assert sl2._prefix_translation(mat, alpha, BASE_DIRECTION, direction) == (float(k), False)
+            assert _row_read(mat, alpha, direction) == float(k)
 
 
 def test_a_negative_determinant_reaches_the_traverse():
@@ -1144,8 +1175,7 @@ def test_a_negative_determinant_reaches_the_traverse():
                 alpha = image + j * math.pi
                 want = _reference_read(mat, alpha, BASE_DIRECTION, direction)
                 assert abs(want - round(want)) <= 1e-9
-                got = sl2._prefix_translation(mat, alpha, BASE_DIRECTION, direction)
-                assert got == (float(round(want)), False)
+                assert _row_read(mat, alpha, direction) == float(round(want))
 
 
 @pytest.mark.parametrize("offset", [1e-3, 0.3, -1.0])
@@ -1153,5 +1183,4 @@ def test_a_direction_the_endpoint_does_not_fix_is_not_an_integer(offset):
     mat = _hyperbolic_fixing_base(3.0)
     theta = BASE_DIRECTION + offset
     with pytest.raises(ArithmeticError, match="not close to an integer"):
-        sl2._prefix_translation(mat, BASE_DIRECTION, BASE_DIRECTION,
-                                (math.cos(theta), math.sin(theta)))
+        _row_read(mat, BASE_DIRECTION, (math.cos(theta), math.sin(theta)))

@@ -72,6 +72,13 @@ def test_parse_errors_carry_position():
         assert e.position == 3
 
 
+@pytest.mark.parametrize("text, bracket, position", [("(ab", "(", 0), ("ab)", ")", 2), ("a(b))", ")", 4)])
+def test_an_unmatched_bracket_is_named_with_its_position(text, bracket, position):
+    with pytest.raises(WordSyntaxError, match=rf"^unmatched '\{bracket}' \(position {position}\)$") as info:
+        parse_word(text)
+    assert info.value.position == position
+
+
 def test_free_reduction():
     assert (parse_word("a") * parse_word("a^-1")).is_identity
     assert (parse_word("a b") * parse_word("b^-1 a^-1")).is_identity

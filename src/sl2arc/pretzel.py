@@ -52,8 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sl2 import (Conjugacy, Mat2, MatClass, classify, exact_nullspace, exact_rank, exact_rref,
-                  same_trace_conjugacy)
+from .sl2 import Conjugacy, Mat2, MatClass, _RowSpace, classify, same_trace_conjugacy
 from .tracepass import TracePlan, _codes, _letters
 from .tracepoly import TracePolynomial, trace_polynomial
 from .words import Word, commutator, evaluate, parse_word
@@ -220,7 +219,7 @@ def _det3(m) -> Fraction:
 
 def outside_row_span(rows, vector) -> bool:
     """True when vector is not a rational combination of the rows."""
-    return exact_rank(list(rows) + [list(vector)]) > exact_rank(rows)
+    return _RowSpace(rows).outside(vector)
 
 
 # ----------------------------------------------------------------------
@@ -243,15 +242,19 @@ def _character_frame(rho_a: Mat2, rho_b: Mat2) -> tuple:
             (b11, b21, b12, b22, a11, a21, a12, a22, 0, 0, 1),
             (a22, -a21, -a12, a11, 0, 0, 0, 0, 0, 0, 0),
             (0, 0, 0, 0, b22, -b21, -b12, b11, 0, 0, 0))
-    rref, pivots = exact_rref(rows)
+    space = _RowSpace(rows)
+    pivots = space.pivots
     if len(pivots) < 5 or pivots[-1] >= 8:
         raise ValueError("the character map has rank below 3 at this pair (reducible, tr[a, b] = 2)")
+    # Each eliminated row holds the common pivot p at its pivot column and
+    # p times V's row there in columns 8..10; V = solution / p, cancelled
+    # by g (signed so that the denominator is positive).
+    p = space.eliminated[0][pivots[0]]
     solution = [(0, 0, 0)] * 8
-    for row, col in zip(rref, pivots):
+    for row, col in zip(space.eliminated, pivots):
         solution[col] = row[8:]
-    den = math.lcm(*(Fraction(x).denominator for row in solution for x in row))
-    frame = tuple(tuple(x.numerator * (den // x.denominator) for x in col) for col in zip(*solution))
-    return frame, den
+    g = math.gcd(p, *(x for row in solution for x in row)) * (1 if p > 0 else -1)
+    return tuple(tuple(x // g for x in col) for col in zip(*solution)), p // g
 
 
 def _exact_curve_data(fam: FamilyInstance) -> tuple:
@@ -343,17 +346,18 @@ def analyze_curve(fam: FamilyInstance) -> CurveAnalysis:
     iff the word's gradient lies outside the Jacobian row span."""
     jac, grads, traces, _ = fam.exact_curve_data
     words = {"tr_m1": fam.m1, "tr_m2": fam.m2, "tr_m1l1": fam.m1l1}
-    rank = exact_rank(jac)
+    space = _RowSpace(jac)
+    rank = space.rank
     kernel: tuple = ()
     hval = Fraction(0)
     if rank == 2:
-        (v,) = exact_nullspace(jac)  # rank 2 on three columns leaves one null vector
+        (v,) = space.nullspace()  # rank 2 on three columns leaves one null vector
         if v[0] == 0:
             raise ValueError("curve kernel has vanishing leading coordinate")
         kernel = tuple(12 * x / v[0] for x in v)
         hess = _longitude_hessian(fam, grads, traces)
         hval = sum(kernel[i] * hess[i][j] * kernel[j] for i in range(3) for j in range(3))
-    verdicts = {name: outside_row_span(jac, grads[word]) for name, word in words.items()}
+    verdicts = {name: space.outside(grads[word]) for name, word in words.items()}
     return CurveAnalysis(jac, rank, kernel, hval, verdicts)
 
 
@@ -441,20 +445,29 @@ class _Comparator:
         scale = max(abs(w) for w in want)
         return all(self.zero(g - w, scale) for g, w in zip(got, want, strict=True))
 
-    def rank(self, rows) -> int:
-        return exact_rank(rows) if self.exact else self._svd(rows)[0]
-
-    def outside_row_span(self, rows, vector) -> bool:
+    def row_space(self, rows):
+        """The rows factored once, for their rank and row-span tests: the
+        exact elimination, or one SVD."""
         if self.exact:
-            return outside_row_span(rows, vector)
-        rank, vt = self._svd(rows)
-        v = np.array(vector)
-        return not self.zero(float(np.linalg.norm(vt[rank:] @ v)), float(np.linalg.norm(v)))
-
-    def _svd(self, rows):
-        """Rank (singular values not zero next to the largest) and right singular vectors."""
+            return _RowSpace(rows)
         _, sig, vt = np.linalg.svd(np.array(rows, dtype=float))
-        return sum(not self.zero(s, sig[0]) for s in sig), vt
+        return _SingularRowSpace(self, sum(not self.zero(s, sig[0]) for s in sig), vt)
+
+
+@dataclass(frozen=True)
+class _SingularRowSpace:
+    """A float matrix's row space through its SVD: the rank counts the
+    singular values not zero next to the largest, and a vector is outside
+    the row span when its part along the remaining right singular vectors
+    is not zero next to its norm."""
+
+    cmp: _Comparator
+    rank: int
+    vt: np.ndarray
+
+    def outside(self, vector) -> bool:
+        v = np.array(vector)
+        return not self.cmp.zero(float(np.linalg.norm(self.vt[self.rank:] @ v)), float(np.linalg.norm(v)))
 
 
 def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
@@ -462,9 +475,11 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
 
     Each assertion is stated once and decided by one comparator.  With
     exact=True (the default) the data are rational and the comparisons are
-    ==, exact_rank and outside_row_span.  With exact=False the data are
-    floats (the images, Jacobian, gradients and Hessian are exact values
-    rounded once), and a quantity x counts as zero when |x| <= tol * s,
+    ==, and the Jacobian's rank and row-span tests read one integer
+    elimination of it.  With exact=False the data are floats (the images,
+    Jacobian, gradients and Hessian are exact values rounded once), the
+    rank and row-span tests read one SVD, and a quantity x counts as zero
+    when |x| <= tol * s,
     where s is the scale its check states: the largest |entry| of the closed
     form it is compared with; for a curve residue tr W1 - tr W2, the sum
     over the two words of L tr(|X_1| ... |X_L|), the magnitudes of their L
@@ -537,7 +552,8 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
     rep.minor = minor
     minor_scale = abs(jac[0][0] * jac[1][1]) + abs(jac[0][1] * jac[1][0])
     rep.add("jacobian_top_left_minor_nonzero", not cmp.zero(minor, minor_scale), f"minor {minor}")
-    rep.rank = cmp.rank(jac)
+    space = cmp.row_space(jac)
+    rep.rank = space.rank
     rep.add("jacobian_rank_two", rep.rank == 2, f"rank {rep.rank}")
 
     kern = tuple(map(cmp.value, kernel_closed_form(n)))
@@ -555,7 +571,7 @@ def verify_lemma(n: int, exact: bool = True) -> LemmaReport:
         f"gradient {tuple(str(x) for x in grads['tr_m2'])}",
     )
     for name, grad in grads.items():
-        out = cmp.outside_row_span(jac, grad)
+        out = space.outside(grad)
         rep.local_coordinates[name] = out
         rep.add(f"{name}_local_coordinate", out, "gradient outside Jacobian row span" if out else "gradient inside row span")
 

@@ -8,10 +8,15 @@ tuple (a, b, c, d).  + and - are the matrix sum and difference, @ is the
 product, and * is not defined.
 
 Exact and float.  The exact family verifier's operations keep exact input
-exact: Mat2 arithmetic, classify, same_trace_conjugacy and the exact_rref
-family.  Everything numerical is float only: solve_conjugators, eigen_data
-and the translation-number readers round exact input to float once on entry
-and run on float Mat2s as given.
+exact: Mat2 arithmetic, classify, same_trace_conjugacy and the exact linear
+algebra, which runs in integers.  Its rows are scaled to integers (only an
+entry that is neither int nor Fraction becomes a Fraction first) and one
+fraction-free elimination, _eliminate, serves every helper: exact_rank
+builds no Fraction, exact_nullspace builds Fractions only for its basis
+vectors, a row-span test (_RowSpace.outside) none, and exact_rref one per
+entry of its result.  Everything numerical is float only: solve_conjugators,
+eigen_data and the translation-number readers round exact input to float
+once on entry and run on float Mat2s as given.
 
 Conventions.  A matrix [[a, b], [c, d]] acts on directions [x : y] in the
 projective line, parametrized by the angle theta in [0, pi) of the vector
@@ -305,21 +310,31 @@ def conjugation_delta_formulas(p: Mat2, kind: str, value):
 
 
 # ----------------------------------------------------------------------
-# exact linear algebra over Fractions (small dense systems only)
+# exact linear algebra in integers (small dense systems only)
 
-def exact_rref(rows):
-    """Reduced row echelon form over Fraction.  Returns (rref, pivot_cols).
-
-    Each row is scaled to integers and eliminated fraction-free (Bareiss):
-    after a pivot step every entry is a minor of the scaled matrix, so the
-    division by the previous pivot is exact, and one Fraction per entry
-    normalizes the pivot rows at the end.
-    """
-    m = []
+def _integer_rows(rows) -> list:
+    """Each rational row scaled to integers by the lcm of its denominators.
+    int and Fraction entries are read through .numerator and .denominator;
+    any other entry (a float, say) becomes a Fraction first."""
+    out = []
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in fr))
-        m.append([x.numerator * (den // x.denominator) for x in fr])
+        row = [x if isinstance(x, _EXACT_TYPES) else Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(m: list) -> list:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of the integer rows
+    of the list m, in place; returns the pivot columns.
+
+    After a pivot step every entry is a minor of the input, so the division
+    by the previous pivot is exact.  Rows are replaced, never written into,
+    so m may share its rows with another list.  At the end row i, for i
+    below the rank, holds the pivot of column pivots[i] and zeros in the
+    other pivot columns, every pivot equals the last one, and the rows past
+    the rank are zero.
+    """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -339,29 +354,60 @@ def exact_rref(rows):
         r += 1
         if r == nrows:
             break
+    return pivots
+
+
+class _RowSpace:
+    """A rational matrix's rows scaled to integers and eliminated once:
+    its rank, its nullspace and each row-span test read that elimination."""
+
+    def __init__(self, rows):
+        self.rows = _integer_rows(rows)
+        self.eliminated = list(self.rows)
+        self.pivots = _eliminate(self.eliminated)
+        self.rank = len(self.pivots)
+
+    def nullspace(self) -> list:
+        """Basis of the right nullspace as tuples of Fractions, one per
+        column without a pivot."""
+        ncols = len(self.rows[0])
+        basis = []
+        for fc in (c for c in range(ncols) if c not in self.pivots):
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            for row, pc in zip(self.eliminated, self.pivots):
+                v[pc] = Fraction(-row[fc], row[pc])
+            basis.append(tuple(v))
+        return basis
+
+    def outside(self, vector) -> bool:
+        """Is vector not a rational combination of the rows?  One
+        elimination of the rows with vector below them."""
+        return len(_eliminate(self.rows + _integer_rows([vector]))) > self.rank
+
+
+def exact_rref(rows):
+    """Reduced row echelon form over Fraction.  Returns (rref, pivot_cols).
+
+    The rows are eliminated in integers (_eliminate), and one Fraction per
+    entry normalizes the pivot rows at the end; the rank, nullspace and
+    row-span helpers read the integer elimination directly.
+    """
+    m = _integer_rows(rows)
+    pivots = _eliminate(m)
+    ncols = len(m[0]) if m else 0
     rref = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    return rref + [[Fraction(0)] * ncols for _ in range(nrows - r)], pivots
+    return rref + [[Fraction(0)] * ncols for _ in range(len(m) - len(pivots))], pivots
 
 
 def exact_rank(rows) -> int:
-    return len(exact_rref(rows)[1])
+    """Rank over the rationals; int and Fraction rows build no Fraction."""
+    return len(_eliminate(_integer_rows(rows)))
 
 
 def exact_nullspace(rows):
     """Basis of the right nullspace as tuples of Fractions."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = exact_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(tuple(v))
-    return basis
+    return _RowSpace(rows).nullspace() if rows else []
 
 
 # ----------------------------------------------------------------------
@@ -671,11 +717,16 @@ def _tracked_angles(mats, base_theta: float) -> list:
     return angles
 
 
-def _near_central(mat) -> bool:
-    """Is the matrix within CENTRAL_TOL of +-identity (Frobenius)?"""
-    a, b, c, d = mat
-    return (_frobenius(a - 1.0, b, c, d - 1.0) <= CENTRAL_TOL
-            or _frobenius(a + 1.0, b, c, d + 1.0) <= CENTRAL_TOL)
+def _near_central(rows) -> np.ndarray:
+    """Which float entry rows (a, b, c, d) on the last axis of an array, or
+    of one Mat2, lie within CENTRAL_TOL of +-identity (Frobenius), in the
+    operations of _frobenius."""
+    a, b, c, d = np.moveaxis(np.asarray(rows, dtype=float), -1, 0)
+    with np.errstate(all="ignore"):
+        bb, cc = b * b, c * c
+        p, q, r, s = a - 1.0, d - 1.0, a + 1.0, d + 1.0
+        return ((np.sqrt(p * p + bb + cc + q * q) <= CENTRAL_TOL)
+                | (np.sqrt(r * r + bb + cc + s * s) <= CENTRAL_TOL))
 
 
 def _translations(mats: np.ndarray, alphas: np.ndarray, base_theta: float,
@@ -700,11 +751,8 @@ def _translations(mats: np.ndarray, alphas: np.ndarray, base_theta: float,
     a, b, c, d = mats.T
     ux, uy = math.cos(base_theta), math.sin(base_theta)
     x, y = directions.T
+    central = _near_central(mats)
     with np.errstate(all="ignore"):
-        bb, cc = b * b, c * c
-        p, q, r, s = a - 1.0, d - 1.0, a + 1.0, d + 1.0
-        central = ((np.sqrt(p * p + bb + cc + q * q) <= CENTRAL_TOL)
-                   | (np.sqrt(r * r + bb + cc + s * s) <= CENTRAL_TOL))
         flip = ~(ux * x + uy * y >= 0.0)
         vx, vy = np.where(flip, -x, x), np.where(flip, -y, y)
         mux, muy = a * ux + b * uy, c * ux + d * uy
@@ -751,9 +799,9 @@ def translation_numbers_along_arc(mats, base_theta: float = BASE_DIRECTION) -> l
     mats = [m.to_float() if m.exact else m for m in mats]
     alphas = _tracked_angles(mats, base_theta)
     rows, out, failure = [], [], None
-    for m, alpha in zip(mats, alphas):
+    for m, alpha, central in zip(mats, alphas, _near_central(mats).tolist()):
         try:
-            if _near_central(m):
+            if central:
                 direction = (1.0, 0.0)  # a central read ignores its direction
             elif (cls := _classify(m, False)) != MatClass.ELLIPTIC:
                 direction = _eigen_pairs(m, cls)[0][1]

@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from sl2arc import pretzel, tracepoly
+from sl2arc import pretzel, sl2, tracepoly
 from sl2arc.arc import continue_arc
 from sl2arc.pretzel import (
     _FLOAT_TOL,
     N_CAP,
     FamilyInstance,
+    _character_frame,
     _commutator_hessian,
     _exact_curve_data,
     _longitude_hessian,
@@ -32,7 +35,8 @@ from sl2arc.sl2 import Mat2
 from sl2arc.tracepoly import TracePolynomial, trace_polynomial
 from sl2arc.words import commutator, parse_word
 
-from test_words import random_word
+from references import character_frame
+from test_words import random_unimodular, random_word
 
 
 def test_make_family_populates_documented_fields():
@@ -203,6 +207,67 @@ def test_a_reducible_pair_raises_value_error():
         fam.exact_curve_data[0]
     with pytest.raises(ValueError, match="reducible"):
         analyze_curve(fam)
+
+
+@pytest.mark.parametrize("n", [*range(1, 51), 1000, N_CAP])
+def test_the_integer_frame_matches_the_fraction_reference(n):
+    fam = make_family(n)
+    assert _character_frame(fam.rho_a, fam.rho_b) == character_frame(fam.rho_a, fam.rho_b)
+
+
+def test_the_integer_frame_matches_the_fraction_reference_on_random_pairs():
+    # a reducible pair (tr[a, b] = 2) raises the reference's ValueError
+    rng = random.Random(20261022)
+    outcomes = []
+    for _ in range(200):
+        a, b = random_unimodular(rng), random_unimodular(rng)
+        try:
+            want = character_frame(a, b)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _character_frame(a, b)
+            assert str(got.value) == str(exc)
+            assert (a @ b @ a.inverse() @ b.inverse()).trace() == 2
+            outcomes.append("reducible")
+            continue
+        assert _character_frame(a, b) == want, (a, b)
+        outcomes.append("frame")
+    assert outcomes.count("frame") >= 150 and outcomes.count("reducible") >= 1
+
+
+@pytest.mark.parametrize("n", [1, 21, 50])
+def test_analyze_curve_eliminates_the_jacobian_once(n, monkeypatch):
+    # one elimination of J, then one of [J; g] per local-coordinate verdict
+    fam = make_family(n)
+    jac = fam.exact_curve_data[0]  # the character frame's elimination
+    sizes = []
+    eliminate = sl2._eliminate
+
+    def counted(m):
+        sizes.append(len(m))
+        return eliminate(m)
+
+    monkeypatch.setattr(sl2, "_eliminate", counted)
+    analysis = analyze_curve(fam)
+    assert analysis.rank == 2 and len(analysis.local_coordinate_verdicts) == 3
+    assert sizes == [len(jac), len(jac) + 1, len(jac) + 1, len(jac) + 1]
+
+
+@pytest.mark.parametrize("exact, calls", [(False, 1), (True, 0)])
+def test_the_float_report_takes_one_svd(exact, calls, monkeypatch):
+    count = []
+
+    def svd(*args, **kwargs):
+        count.append(1)
+        return np.linalg.svd(*args, **kwargs)
+
+    linalg = types.ModuleType(np.linalg.__name__)
+    linalg.__dict__.update(vars(np.linalg), svd=svd)
+    proxy = types.ModuleType(np.__name__)
+    proxy.__dict__.update(vars(np), linalg=linalg)
+    monkeypatch.setattr(pretzel, "np", proxy)
+    assert verify_lemma(7, exact=exact).all_pass
+    assert len(count) == calls
 
 
 def _abs_terms(poly, point) -> int:

@@ -12,7 +12,7 @@ from sl2arc import locus as locus_module
 from sl2arc import sl2
 from sl2arc.arc import GluingError, continue_arc, glue_hnn
 from sl2arc.locus import locus_points
-from sl2arc.pretzel import make_family
+from sl2arc.pretzel import make_family, outside_row_span
 from sl2arc.sl2 import (
     BASE_DIRECTION,
     Conjugacy,
@@ -33,7 +33,7 @@ from sl2arc.sl2 import (
     translation_numbers_along_arc,
 )
 
-from references import rotation, translation_number_by_iteration
+from references import fraction_rref, rotation, translation_number_by_iteration
 from test_words import random_unimodular
 
 
@@ -750,30 +750,33 @@ def test_exact_linear_algebra_helpers():
     assert exact_nullspace([]) == []
 
 
-def _fraction_rref(rows):
-    """Gauss-Jordan elimination in Fractions: the reference for the
-    fraction-free exact_rref."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    pivots, r = [], 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][col] for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+def test_exact_rank_builds_no_fraction_from_rational_rows(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    monkeypatch.setattr(sl2, "Fraction", forbidden)
+    assert exact_rank([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
+    assert exact_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+    assert exact_rank([[Fraction(1, 2), 0, 5], [0, 0, 0], [0, Fraction(-2, 3), 1]]) == 2
+    monkeypatch.undo()
+    # an entry that is not rational goes through Fraction
+    assert exact_rank([[0.5, 1], [1, 2.0], [0.25, 0]]) == 2
+
+
+def _integer_variants(rows) -> list:
+    """rows, the rows scaled to plain ints, and rows with a zero row of ints
+    in the middle: Fraction and mixed, integer, and zero rows."""
+    scaled = []
+    for row in rows:
+        den = math.lcm(*(Fraction(x).denominator for x in row))
+        scaled.append([int(x * den) for x in row])
+    middle = len(rows) // 2
+    return [rows, scaled, rows[:middle] + [[0] * len(rows[0])] + rows[middle:]]
 
 
 def test_fraction_free_rref_matches_fraction_elimination():
+    # exact_rref, exact_rank, exact_nullspace and outside_row_span, all read
+    # off the integer elimination, against Gauss-Jordan in Fractions
     rng = random.Random(20261018)
     for _ in range(2000):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
@@ -787,9 +790,34 @@ def test_fraction_free_rref_matches_fraction_elimination():
         else:
             rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.7 else 0
                      for _ in range(ncols)] for _ in range(nrows)]
-        got = exact_rref(rows)
-        assert got == _fraction_rref(rows), rows
-        assert all(type(x) is Fraction for row in got[0] for x in row)
+        rref, pivots = fraction_rref(rows)
+        null = []
+        for fc in (c for c in range(ncols) if c not in pivots):
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            for row, pc in zip(rref, pivots):
+                v[pc] = -row[fc]
+            null.append(tuple(v))
+        # a vector is in the row span when the rref rows, taken at its pivot
+        # entries, add up to it
+        spans = []
+        for vector in ([sum(x) for x in zip(*rref)], [0] * (ncols - 1) + [1]):
+            rest = [x - sum(vector[pc] * row[j] for row, pc in zip(rref, pivots))
+                    for j, x in enumerate(vector)]
+            spans.append((vector, any(rest)))
+        # scaling the rows, or adding a zero row, keeps the rref (but for
+        # one more zero row), the nullspace and the row span
+        zero = [Fraction(0)] * ncols
+        for variant, want in zip(_integer_variants(rows), (rref, rref, rref + [zero])):
+            got = exact_rref(variant)
+            assert got == (want, pivots), variant
+            assert all(type(x) is Fraction for row in got[0] for x in row)
+            assert exact_rank(variant) == len(pivots), variant
+            got = exact_nullspace(variant)
+            assert got == null, variant
+            assert all(type(x) is Fraction for v in got for x in v)
+            for vector, outside in spans:
+                assert outside_row_span(variant, vector) == outside, (variant, vector)
 
 
 # ----------------------------------------------------------------------
